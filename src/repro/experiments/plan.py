@@ -13,10 +13,12 @@ and each group is answered by the cheapest applicable collapse rule:
     The content-keyed simcache already holds the point (full machine key
     or the name-independent prefix key below).  Zero simulation.
 ``capacity``
-    All points are single-level fully-associative LRU machines differing
-    only in capacity: one :func:`~repro.machine.engine.stack.stack_profile`
-    pass answers every capacity with exact full counters.  O(accesses)
-    for the whole ladder instead of per point.
+    Chosen per point: every single-level fully-associative LRU point of a
+    single-pass group joins its line size's column, and one
+    :func:`~repro.machine.engine.stack.stack_profile` pass per column of
+    two or more answers every capacity with exact full counters.
+    O(accesses) for the whole ladder instead of per point.  The group's
+    other points take the rules below, on a trace of their own.
 ``prefix``
     Hierarchies that share a level prefix are merged into a simulation
     trie: each distinct level is one engine instance, chunks stream
@@ -28,7 +30,8 @@ and each group is answered by the cheapest applicable collapse rule:
 ``trace``
     No structural sharing, but the trace is generated once and fanned to
     all hierarchies in a single pass (:meth:`Hierarchy.run_stream_multi`
-    when sharding, the degenerate trie otherwise).
+    when sharding, the degenerate trie otherwise).  A lone point left
+    after its group's capacity split runs here too, on a one-path trie.
 ``fallback``
     No rule applies (singleton group, unsupported schedule): the point
     runs through :func:`repro.interp.executor.execute` unchanged and the
@@ -471,16 +474,24 @@ def _plan_group(
         )
         return
 
-    geos = [pt.request.machine.cache_levels[0].geometry for pt in pts]
-    if (
-        passes == 1
-        and warmup == 0
-        and all(len(pt.request.machine.cache_levels) == 1 for pt in pts)
-        and all(g.n_sets == 1 for g in geos)
-        and len({g.line_size for g in geos}) == 1
-    ):
-        _capacity_group(pts, results, session, memo, flush)
-        return
+    # Rule "capacity", per point: every single-level fully-associative
+    # point joins one stack-profile pass per line size, provided another
+    # point shares that pass.  The rest of the group, even a lone point,
+    # takes the trie (or trace fan-out under shards) on its own trace.
+    by_line: dict[int, list[_Point]] = {}
+    if passes == 1 and warmup == 0:
+        for pt in pts:
+            levels = pt.request.machine.cache_levels
+            if len(levels) == 1 and levels[0].geometry.n_sets == 1:
+                by_line.setdefault(levels[0].geometry.line_size, []).append(pt)
+    columns = [col for col in by_line.values() if len(col) > 1]
+    if columns:
+        _capacity_group(columns, results, session, memo, flush)
+        taken = {pt.index for col in columns for pt in col}
+        pts = [pt for pt in pts if pt.index not in taken]
+        if not pts:
+            return
+
     if shards is not None and shards > 1:
         _multi_group(
             pts, results, session, memo, engine, stream, chunk_accesses, shards,
@@ -500,33 +511,36 @@ def _generator(pt: _Point) -> TraceGenerator:
 
 
 def _capacity_group(
-    pts: list[_Point],
+    columns: list[list[_Point]],
     results: list,
     session: PlanSession,
     memo: SimulationCache | None,
     flush: bool,
 ) -> None:
-    """One stack-distance profile answers every capacity exactly."""
-    line_size = pts[0].request.machine.cache_levels[0].geometry.line_size
+    """One trace, one stack-distance profile per line size: each profile
+    answers every capacity of its column exactly."""
+    first = columns[0][0]
     with phase(TRACE_GEN):
-        trace = _generator(pts[0]).generate()
+        trace = _generator(first).generate()
     if len(trace) == 0 and trace.flops == 0:
         raise ExecutionError(
-            f"program {pts[0].request.program.name!r} generates no work"
+            f"program {first.request.program.name!r} generates no work"
         )
     trace_telemetry.record_trace_bytes(trace.nbytes)
-    with phase(SIMULATE):
-        profile = stack_profile(trace.addresses, trace.is_write, line_size)
     session.traces_generated += 1
-    session.accesses_requested += len(trace) * len(pts)
-    session.accesses_simulated += len(trace)
     totals = (trace.flops, trace.loads, trace.stores)
-    for pt in pts:
-        geo = pt.request.machine.cache_levels[0].geometry
-        stats = profile.stats(geo.n_lines, flush=flush)
-        result = HierarchyResult((stats,), (stats.events_out * geo.line_size,))
-        results[pt.index] = _finish_point(pt, result, totals, memo)
-        session.record("capacity")
+    for col in columns:
+        line_size = col[0].request.machine.cache_levels[0].geometry.line_size
+        with phase(SIMULATE):
+            profile = stack_profile(trace.addresses, trace.is_write, line_size)
+        session.accesses_requested += len(trace) * len(col)
+        session.accesses_simulated += len(trace)
+        for pt in col:
+            geo = pt.request.machine.cache_levels[0].geometry
+            stats = profile.stats(geo.n_lines, flush=flush)
+            result = HierarchyResult((stats,), (stats.events_out * geo.line_size,))
+            results[pt.index] = _finish_point(pt, result, totals, memo)
+            session.record("capacity")
 
 
 def _feed_pass(

@@ -22,8 +22,16 @@ its line inside the window.  Because every ``j <= p_i`` trivially has
 i.e. "how many earlier positions have a previous-occurrence no later than
 mine" — the number of non-inversions of the ``prev`` array.  That is
 computed for all *i* simultaneously by a bottom-up merge sort where each
-level counts left-block/right-block pairs with one stable ``argsort``
-per level (O(n log^2 n) total, all vectorized).
+level counts left-block/right-block pairs with flat ``searchsorted``
+calls (O(n log^2 n) total, all vectorized).
+
+The merge sort never pads.  ``n`` is cut by its binary decomposition: a
+head of ``n mod 32`` positions counted by brute force, then one
+power-of-two block per remaining set bit of ``n``.  Pairs inside a
+block are counted by the merge sort, and pairs that span blocks against
+the sorted prefix of every earlier position.  An input of ``2^k + 1``
+accesses thus costs about what ``2^k`` does; padding made it cost
+``2^(k+1)``.
 """
 
 from __future__ import annotations
@@ -52,87 +60,153 @@ def previous_occurrences(keys: np.ndarray) -> np.ndarray:
     return prev
 
 
+#: Brute-force row width of the merge count (a power of two).
+_BASE = 32
+#: Positions per piece of a merge level: the level runs one row-aligned
+#: piece at a time so every search and scatter stays in a cache-sized range.
+_SLICE = 1 << 15
+#: Rows per broadcast compare of the base case.
+_SLAB_ROWS = 128
+#: ``_EARLIER[i, j]``: column j precedes column i within a row.
+_EARLIER = np.tri(_BASE, k=-1, dtype=bool)
+
+
 def count_prior_leq(values: np.ndarray) -> np.ndarray:
     """``out[i] = #{ j < i : values[j] <= values[i] }`` for every *i*.
 
-    Bottom-up vectorized merge counting.  Values are first remapped to
-    their rank under ``(value, index)`` order, which makes them a
-    permutation (distinct), turns every ``<=`` between an earlier and a
-    later position into a strict ``<``, and lets each merge level run as
-    two flat ``searchsorted`` calls instead of a per-row sort: adjacent
-    sorted blocks are given disjoint value offsets (``row * p``) so a
-    single global ``searchsorted`` ranks every right-block element among
-    its own left block.  Each (j, i) pair is counted exactly once, at the
-    level where j and i sit in sibling blocks.
+    Values are first remapped to their rank under ``(value, index)``
+    order, which makes them a permutation (distinct) and turns every
+    ``<=`` between an earlier and a later position into a strict ``<``.
+    The positions are then cut by the binary decomposition of ``n``: a
+    head of the ``n mod 32`` leading positions (counted by brute force),
+    then one power-of-two block per remaining set bit, in ascending size.
+    Nothing is padded, so ``2^k + 1`` elements cost what ``2^k`` do
+    rather than what ``2^(k+1)`` do.
+
+    Pairs inside a block are counted by a bottom-up vectorized merge.
+    Because blocks ascend in size, the blocks still growing at any merge
+    level form a suffix, so one merge pass serves every block.  Each
+    level runs as two flat ``searchsorted`` calls instead of a per-row
+    sort: adjacent sorted rows are given disjoint value offsets
+    (``row * n``) so one flat ``searchsorted`` ranks every right-row
+    element among its own left row; a level runs a row-aligned piece of
+    :data:`_SLICE` positions at a time.
+    Pairs that span blocks are one ``searchsorted`` of each block's
+    sorted ranks against the sorted ranks of every earlier position, a
+    prefix kept sorted by a linear merge of two sorted runs.  Each
+    (j, i) pair is counted once.
     """
     v = np.ascontiguousarray(values, dtype=np.int64)
     n = v.size
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
-    base = 32  # brute-force block width (must be a power of two)
-    p = max(base, 1 << (n - 1).bit_length())
-    dtype = np.int32 if p < 2**31 else np.int64
-    vp = np.empty(p, dtype=np.int64)
-    vp[:n] = v
-    vp[n:] = v.max(initial=0) + 1  # padding sorts after every real value
-    # Remap to the rank under (value, index): values become a permutation,
-    # `<=` between an earlier and a later position becomes strict `<`, the
-    # final merged layout is exactly `order`, and per-row radix argsorts
-    # need no stability.
-    order = np.argsort(vp, kind="stable")
-    rank = np.empty(p, dtype=dtype)
-    rank[order] = np.arange(p, dtype=dtype)
+    dtype = np.int32 if n < 2**31 else np.int64
+    order = np.argsort(v, kind="stable")
+    rank = np.empty(n, dtype=dtype)
+    rank[order] = np.arange(n, dtype=dtype)
 
-    # Base case: all-pairs counts inside blocks of `base`, one column at a
-    # time (a 3D broadcast would materialize an n*base temporary).
-    blocks = rank.reshape(-1, base)
-    counts = np.zeros_like(blocks)
-    for i in range(1, base):
-        counts[:, i] = (blocks[:, :i] < blocks[:, i : i + 1]).sum(axis=1, dtype=dtype)
-    horder = np.argsort(blocks, axis=1)
-    vals = np.take_along_axis(blocks, horder, axis=1)
-    counts = np.take_along_axis(counts, horder, axis=1)
+    out = np.empty(n, dtype=np.int64)
+    head = n % _BASE
+    if head:
+        h = rank[:head]
+        pairs = (h[None, :] < h[:, None]) & _EARLIER[:head, :head]
+        out[:head] = pairs.sum(axis=1)
+    m = n - head
+    if not m:
+        return out
 
-    width = base
-    while width < p:
-        vals = vals.reshape(-1, 2 * width)
-        counts = counts.reshape(-1, 2 * width)
-        nrows = vals.shape[0]
-        left, right = vals[:, :width], vals[:, width:]
-        # Offsetting each row by `row * p` keeps the concatenation of all
-        # (sorted) left blocks globally sorted, so one flat searchsorted
-        # ranks every right element among its own left block — and vice
-        # versa — with no per-row sort at all.
-        row_off = (np.arange(nrows, dtype=np.int64) * p)[:, None]
-        left_flat = (left + row_off).ravel()
-        right_flat = (right + row_off).ravel()
-        block_base = (np.arange(nrows, dtype=np.int64) * width)[:, None]
-        in_left = np.searchsorted(left_flat, right_flat).reshape(nrows, width)
-        in_left -= block_base  # smaller-left count per right element
-        in_right = np.searchsorted(right_flat, left_flat).reshape(nrows, width)
-        in_right -= block_base  # smaller-right count per left element
-        # Merged position = index within own block + elements of the
-        # sibling block that sort before (ranks are distinct, so no ties).
-        cols = np.arange(width, dtype=np.int64)[None, :]
-        row_base = (np.arange(nrows, dtype=np.int64) * 2 * width)[:, None]
-        pos_left = (cols + in_right + row_base).ravel()
-        pos_right = (cols + in_left + row_base).ravel()
-        merged_v = np.empty_like(vals)
-        merged_c = np.empty_like(counts)
-        flat_v, flat_c = merged_v.reshape(-1), merged_c.reshape(-1)
-        flat_v[pos_left] = left.ravel()
-        flat_c[pos_left] = counts[:, :width].ravel()
-        flat_v[pos_right] = right.ravel()
-        flat_c[pos_right] = counts[:, width:].ravel() + in_left.astype(
-            dtype
-        ).ravel()
+    # Base case: all-pairs counts inside rows of `_BASE`, one broadcast
+    # compare per slab of rows (over all rows at once it would materialize
+    # an n*_BASE temporary).  Ranks are distinct, so the per-row argsort
+    # needs no stability.
+    rows = rank[head:].reshape(-1, _BASE)
+    counts = np.empty_like(rows)
+    for a in range(0, len(rows), _SLAB_ROWS):
+        slab = rows[a : a + _SLAB_ROWS]
+        pairs = (slab[:, None, :] < slab[:, :, None]) & _EARLIER
+        counts[a : a + _SLAB_ROWS] = pairs.sum(axis=2, dtype=dtype)
+    horder = np.argsort(rows, axis=1)
+    vals = np.take_along_axis(rows, horder, axis=1).reshape(-1)
+    counts = np.take_along_axis(counts, horder, axis=1).reshape(-1)
+
+    # Merge levels.  `lo` is where the blocks still growing begin: once
+    # rows are `width` long, the block of `width` positions (if any) is
+    # done and drops out of the suffix.  Done blocks (together no longer
+    # than the next row) are carried into each level's fresh output.
+    width, lo = _BASE, 0
+    while True:
+        if m & width:
+            lo += width
+        if lo == m:
+            break
+        merged_v, merged_c = np.empty_like(vals), np.empty_like(counts)
+        merged_v[:lo] = vals[:lo]
+        merged_c[:lo] = counts[:lo]
+        step = max(2 * width, _SLICE)
+        for a in range(lo, m, step):
+            cut = slice(a, a + step)
+            _merge_level(vals[cut], counts[cut], width, n, merged_v[cut], merged_c[cut])
         vals, counts = merged_v, merged_c
         width *= 2
-    # Element with rank k (sitting at merged position k) is the original
-    # position order[k].
-    out = np.empty(p, dtype=np.int64)
-    out[order] = counts.reshape(-1)
-    return out[:n]
+
+    # Pairs across blocks: count every block's ranks against the sorted
+    # ranks of all earlier positions.
+    prefix = np.sort(rank[:head])
+    total = counts.astype(np.int64)
+    start, width = 0, _BASE
+    while start < m:
+        if m & width:
+            block = vals[start : start + width]
+            if prefix.size:
+                total[start : start + width] += np.searchsorted(prefix, block)
+            start += width
+            if start < m:
+                # Two sorted runs: a stable sort is one linear merge.
+                prefix = np.sort(np.concatenate([prefix, block]), kind="stable")
+        width *= 2
+    # Rank k is the original position order[k].
+    out[order[vals]] = total
+    return out
+
+
+def _merge_level(
+    vals: np.ndarray,
+    counts: np.ndarray,
+    width: int,
+    span: int,
+    out_vals: np.ndarray,
+    out_counts: np.ndarray,
+) -> None:
+    """Merge sibling rows of ``width`` sorted, distinct values below
+    ``span`` into rows of ``2 * width`` of ``out_vals``; right elements
+    gain their count of smaller left-row values in ``out_counts``."""
+    dtype = counts.dtype
+    vals = vals.reshape(-1, 2 * width)
+    counts = counts.reshape(-1, 2 * width)
+    nrows = vals.shape[0]
+    left, right = vals[:, :width], vals[:, width:]
+    # Offsetting each row by `row * span` keeps the concatenation of all
+    # (sorted) left rows globally sorted, so one flat searchsorted ranks
+    # every right element among its own left row — and vice versa — with
+    # no per-row sort at all.
+    row_off = (np.arange(nrows, dtype=np.int64) * span)[:, None]
+    left_flat = (left + row_off).ravel()
+    right_flat = (right + row_off).ravel()
+    block_base = (np.arange(nrows, dtype=np.int64) * width)[:, None]
+    in_left = np.searchsorted(left_flat, right_flat).reshape(nrows, width)
+    in_left -= block_base  # smaller-left count per right element
+    in_right = np.searchsorted(right_flat, left_flat).reshape(nrows, width)
+    in_right -= block_base  # smaller-right count per left element
+    # Merged position = index within own row + elements of the sibling
+    # row that sort before (ranks are distinct, so no ties).
+    cols = np.arange(width, dtype=np.int64)[None, :]
+    row_base = (np.arange(nrows, dtype=np.int64) * 2 * width)[:, None]
+    pos_left = (cols + in_right + row_base).ravel()
+    pos_right = (cols + in_left + row_base).ravel()
+    out_vals[pos_left] = left.ravel()
+    out_counts[pos_left] = counts[:, :width].ravel()
+    out_vals[pos_right] = right.ravel()
+    out_counts[pos_right] = counts[:, width:].ravel() + in_left.astype(dtype).ravel()
 
 
 def reuse_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:

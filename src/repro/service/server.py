@@ -172,7 +172,12 @@ class Server:
 
     def request_shutdown_threadsafe(self) -> None:
         if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.request_shutdown)
+            try:
+                self._loop.call_soon_threadsafe(self.request_shutdown)
+            except RuntimeError:
+                # The loop already closed: a client's shutdown drained
+                # and stopped the server first, so there is nothing left.
+                pass
 
     async def drain(self) -> None:
         """Reject new work, finish everything admitted, answer every

@@ -76,6 +76,43 @@ class TestDistinct:
         for i, v in enumerate(values):
             assert out[i] == sum(1 for j in range(i) if values[j] <= v)
 
+    # Sizes around every block boundary of the binary decomposition: the
+    # brute-force head, a lone block, and 2^k - 1 (every block present).
+    # k = 13 spans two base-case slabs.
+    DECOMPOSITION_SIZES = sorted(
+        {0, 1, 2, 31, 32, 33}
+        | {n for k in range(1, 14) for n in (2**k - 1, 2**k, 2**k + 1)}
+    )
+
+    @pytest.mark.parametrize("n", DECOMPOSITION_SIZES)
+    def test_count_prior_leq_at_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        # Few distinct values: most comparisons are ties.
+        values = rng.integers(-1, max(2, n // 8), n)
+        out = count_prior_leq(values)
+        expected = [int((values[:i] <= values[i]).sum()) for i in range(n)]
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
+    @pytest.mark.parametrize("n", [1000, 4095, 4097])
+    def test_count_prior_leq_in_level_pieces(self, n, monkeypatch):
+        # A merge level runs in row-aligned pieces of `_SLICE` positions;
+        # shrink it so levels split into many pieces at testable sizes.
+        from repro.machine.engine import distinct
+
+        monkeypatch.setattr(distinct, "_SLICE", 64)
+        values = np.random.default_rng(n).integers(0, n // 4, n)
+        expected = [int((values[:i] <= values[i]).sum()) for i in range(n)]
+        assert count_prior_leq(values).tolist() == expected
+
+    @given(st.lists(st.integers(0, 40), max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_count_prior_leq_on_previous_occurrences(self, keys):
+        prev = previous_occurrences(np.asarray(keys, dtype=np.int64))
+        out = count_prior_leq(prev)
+        expected = [int((prev[:i] <= prev[i]).sum()) for i in range(prev.size)]
+        assert out.tolist() == expected
+
     @given(st.lists(st.integers(0, 9), max_size=120))
     @settings(max_examples=40, deadline=None)
     def test_reuse_distances_match_brute_force(self, keys):

@@ -405,6 +405,136 @@ class TestExecutePlan:
         assert summarize_plan(None) == {}
 
 
+class TestPerPointCapacity:
+    """The capacity rule is chosen per point: rungs of a group collapse to
+    one profile per line size even when other machines share the trace."""
+
+    RUNGS = (1, 4, 16, 64, 256)
+
+    def test_rungs_collapse_beside_two_level_machines(self):
+        prog = two_loop_chain("chain", 1024)
+        requests = [SimRequest(prog, fa_machine(c)) for c in self.RUNGS] + [
+            SimRequest(prog, two_level_machine("A", 64)),
+            SimRequest(prog, two_level_machine("B", 128)),
+            SimRequest(prog, two_level_machine("C", 64, l1_geom=(2048, 32, 2))),
+        ]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
+        for got, ref in zip(planned, pointwise(requests)):
+            assert_same_run(got, ref)
+        assert session.groups == 1
+        assert session.by_rule["capacity"] == len(self.RUNGS)
+        assert session.by_rule["prefix"] == 2
+        assert session.by_rule["trace"] == 1
+        assert session.by_rule["fallback"] == 0
+        # The column and the trie each generate the trace once.
+        assert session.traces_generated == 2
+
+    def test_two_line_sizes_make_two_capacity_passes(self):
+        prog = two_loop_chain("chain", 1024)
+        requests = [SimRequest(prog, fa_machine(c)) for c in (2, 8, 32)] + [
+            SimRequest(prog, fa_machine(c, line=64)) for c in (2, 8, 32)
+        ]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
+        for got, ref in zip(planned, pointwise(requests)):
+            assert_same_run(got, ref)
+        assert session.by_rule["capacity"] == 6
+        # One trace, one profile pass per line size.
+        assert session.traces_generated == 1
+        assert session.accesses_requested == 3 * session.accesses_simulated
+
+    def test_lone_point_after_split_is_not_a_fallback(self):
+        prog = two_loop_chain("chain", 1024)
+        requests = [
+            SimRequest(prog, fa_machine(4)),
+            SimRequest(prog, two_level_machine("A", 64)),
+            SimRequest(prog, fa_machine(16)),
+        ]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
+        for got, ref in zip(planned, pointwise(requests)):
+            assert_same_run(got, ref)
+        summary = summarize_plan(session)
+        assert summary["by_rule"]["capacity"] == 2
+        assert summary["by_rule"]["trace"] == 1
+        # The lone two-level point shared its group's work, so it is not
+        # reported as "no shared work"; it runs on a trace of its own.
+        assert summary["by_rule"]["fallback"] == 0
+        assert summary["fallbacks"] == []
+        assert summary["traces_generated"] == 2
+
+    def test_lone_rung_at_its_own_line_size_takes_the_trie(self):
+        prog = two_loop_chain("chain", 1024)
+        requests = [
+            SimRequest(prog, fa_machine(4)),
+            SimRequest(prog, fa_machine(16)),
+            SimRequest(prog, fa_machine(8, line=64)),
+        ]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
+        for got, ref in zip(planned, pointwise(requests)):
+            assert_same_run(got, ref)
+        assert session.by_rule["capacity"] == 2
+        assert session.by_rule["trace"] == 1
+        assert session.fallbacks == []
+
+    def test_mixed_group_under_shards(self):
+        prog = two_loop_chain("chain", 1024)
+        requests = [SimRequest(prog, fa_machine(c)) for c in self.RUNGS] + [
+            SimRequest(prog, two_level_machine("A", 64)),
+            SimRequest(prog, two_level_machine("B", 128)),
+        ]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False, shards=2)
+        for got, ref in zip(planned, pointwise(requests, shards=2)):
+            assert_same_run(got, ref)
+        # Capacity collapse does not step aside under shards; the rest of
+        # the group shares the trace across sharded hierarchies.
+        assert session.by_rule["capacity"] == len(self.RUNGS)
+        assert session.by_rule["trace"] == 2
+        assert session.traces_generated == 2
+
+    POOL = (
+        fa_machine(1),
+        fa_machine(3),
+        fa_machine(16),
+        fa_machine(64),
+        fa_machine(4, line=64),
+        fa_machine(32, line=64),
+        two_level_machine("A", 64),
+        two_level_machine("B", 128),
+        two_level_machine("C", 32, l1_geom=(2048, 32, 2)),
+        two_level_machine("D", 64, l1_geom=(512, 32, 1)),
+    )
+
+    @given(
+        picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=7),
+        shards=st.sampled_from([None, 2]),
+        flush=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_mix_matches_pointwise(self, picks, shards, flush):
+        prog = two_loop_chain("chain", 256)
+        requests = [SimRequest(prog, self.POOL[k], flush=flush) for k in picks]
+        with collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False, shards=shards)
+        for got, ref in zip(planned, pointwise(requests, shards=shards)):
+            assert_same_run(got, ref)
+        columns: dict[int, int] = {}
+        for r in requests:
+            levels = r.machine.cache_levels
+            if len(levels) == 1 and levels[0].geometry.n_sets == 1:
+                line = levels[0].geometry.line_size
+                columns[line] = columns.get(line, 0) + 1
+        assert session.by_rule["capacity"] == sum(
+            n for n in columns.values() if n > 1
+        )
+        assert session.points == len(requests)
+        expect_fallback = 1 if len(requests) == 1 else 0
+        assert session.by_rule["fallback"] == expect_fallback
+
+
 class TestPlanMemoization:
     def test_second_plan_answers_from_cache(self):
         prog = simple_stream_program("stream", 1024)
