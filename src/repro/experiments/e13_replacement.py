@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..lang.program import Program
+from ..machine.cache import CacheGeometry
 from ..machine.layout import build_layout
-from ..machine.opt_cache import lru_vs_opt
+from ..machine.opt_cache import lru_bytes, lru_vs_opt
 from ..machine.spec import MachineSpec
 from ..programs import convolution, dmxpy, fig7_original, matmul
 from ..trace.generator import generate_trace
@@ -79,18 +82,19 @@ class E13Result:
         return t
 
 
-def _l2_bytes(program: Program, machine: MachineSpec) -> tuple[int, int]:
-    """(LRU, OPT) traffic below the last cache for one program.
+def _l2_trace(
+    program: Program, machine: MachineSpec
+) -> tuple[np.ndarray, np.ndarray, CacheGeometry]:
+    """The raw element trace of one program and the last-level geometry.
 
-    The trace is pre-filtered through the upper levels by running the real
-    hierarchy for LRU; for OPT we conservatively replay the raw element
-    trace against the last-level geometry (OPT with the full trace is a
-    lower bound for OPT with the filtered trace).
+    OPT replays the raw trace against the last-level geometry rather than
+    the trace the upper levels filter (OPT with the full trace is a lower
+    bound for OPT with the filtered trace); LRU replays the same trace so
+    the two compare directly.
     """
     layout = build_layout(program, None, machine.default_layout)
     trace = generate_trace(program, layout=layout)
-    geometry = machine.cache_levels[-1].geometry
-    return lru_vs_opt(trace.addresses, trace.is_write, geometry)
+    return trace.addresses, trace.is_write, machine.cache_levels[-1].geometry
 
 
 @experiment("e13")
@@ -106,10 +110,10 @@ def run_e13(config: ExperimentConfig | None = None) -> E13Result:
     ]
     rows = []
     for program in workloads:
-        lru, opt = _l2_bytes(program, machine)
+        lru, opt = lru_vs_opt(*_l2_trace(program, machine))
         transformed = optimize(program).final
         if transformed is not program:
-            t_lru, _ = _l2_bytes(transformed, machine)
+            t_lru = lru_bytes(*_l2_trace(transformed, machine))
         else:
             t_lru = None
         rows.append(ReplacementRow(program.name, lru, opt, t_lru))

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MachineError
-from .cache import Cache, CacheGeometry
+from .cache import CacheGeometry
+from .engine import make_cache
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,10 @@ class MissClassification:
 def _misses(
     addrs: np.ndarray, writes: np.ndarray, geometry: CacheGeometry
 ) -> int:
-    cache = Cache("c", geometry)
-    cache.run(addrs, writes)
+    # Counters only: the fully-associative replay runs on the stack
+    # engine, which produces no event stream.
+    cache = make_cache("c", geometry)
+    cache.run(addrs, writes, collect_events=False)
     return cache.stats.misses
 
 

@@ -22,14 +22,92 @@ from repro.lang import ProgramBuilder
 from repro.machine import (
     Cache,
     CacheGeometry,
+    CacheStats,
     LayoutPolicy,
+    get_default_engine,
     lru_vs_opt,
     origin2000,
+    set_default_engine,
     simulate_opt,
 )
 from repro.transforms import regroup_arrays, regroupable_sets, verify_equivalent
 
 from tests.helpers import simple_stream_program
+
+
+def brute_force_opt(byte_addrs, is_write, geometry, flush=True):
+    """Per-access Belady-OPT replay: the oracle ``simulate_opt`` must match.
+
+    Every access is visited; on a miss with a full set the resident line
+    with the farthest next use is evicted, and ``max`` keeps the first of
+    tied (never reused) lines in dict order, i.e. the first inserted.
+    Returns (CacheStats, downstream bytes).
+    """
+    n = len(byte_addrs)
+    stats = CacheStats()
+    if n == 0:
+        return stats, 0
+    line_shift = geometry.line_size.bit_length() - 1
+    lines = (np.asarray(byte_addrs, dtype=np.int64) >> line_shift).tolist()
+    writes = np.asarray(is_write, dtype=bool).tolist()
+    n_sets = geometry.n_sets
+    assoc = geometry.associativity
+
+    next_use = [n] * n
+    last_seen = {}
+    for k in range(n - 1, -1, -1):
+        next_use[k] = last_seen.get(lines[k], n)
+        last_seen[lines[k]] = k
+
+    sets = [dict() for _ in range(n_sets)]
+    misses = hits = rmiss = wmiss = evict = wb = 0
+    for k in range(n):
+        line, w = lines[k], writes[k]
+        ways = sets[line % n_sets]
+        entry = ways.get(line)
+        if entry is not None:
+            hits += 1
+            entry[0] = next_use[k]
+            entry[1] = entry[1] or w
+            continue
+        misses += 1
+        if w:
+            wmiss += 1
+        else:
+            rmiss += 1
+        if len(ways) >= assoc:
+            victim_line, victim = max(ways.items(), key=lambda kv: kv[1][0])
+            del ways[victim_line]
+            evict += 1
+            if victim[1]:
+                wb += 1
+        ways[line] = [next_use[k], w]
+    if flush:
+        wb += sum(1 for ways in sets for entry in ways.values() if entry[1])
+
+    stats.accesses, stats.hits, stats.misses = n, hits, misses
+    stats.read_misses, stats.write_misses = rmiss, wmiss
+    stats.evictions, stats.writebacks, stats.events_out = evict, wb, misses + wb
+    return stats, (misses + wb) * geometry.line_size
+
+
+@st.composite
+def opt_cases(draw):
+    """A geometry (assoc 1-5, 1/2/3/4/5/8 sets) and a trace of runs of
+    repeated lines, some long, with arbitrary write flags."""
+    assoc = draw(st.integers(1, 5))
+    n_sets = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    line = draw(st.sampled_from([16, 32]))
+    geom = CacheGeometry(assoc * n_sets * line, line, assoc)
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3 * assoc * n_sets), st.integers(1, 12)),
+            max_size=60,
+        )
+    )
+    addrs = [ln * line + (k * 8) % line for ln, reps in runs for k in range(reps)]
+    writes = draw(st.lists(st.booleans(), min_size=len(addrs), max_size=len(addrs)))
+    return geom, np.asarray(addrs, dtype=np.int64), np.asarray(writes, dtype=bool)
 
 
 class TestBeladyOpt:
@@ -99,6 +177,68 @@ class TestBeladyOpt:
         res = simulate_opt(a, w, self.GEOM, flush=False)
         distinct = len({x for x in addrs})
         assert res.misses >= distinct
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=opt_cases(), flush=st.booleans())
+    def test_matches_per_access_oracle(self, case, flush):
+        """Run collapse is exact: every counter and the traffic match the
+        per-access replay."""
+        geom, a, w = case
+        res = simulate_opt(a, w, geom, flush=flush)
+        assert (res.stats, res.downstream_bytes) == brute_force_opt(a, w, geom, flush)
+
+    def test_oracle_on_long_runs_of_odd_set_counts(self):
+        rng = np.random.default_rng(13)
+        for n_sets in (3, 5):
+            for assoc in range(1, 6):
+                geom = CacheGeometry(assoc * n_sets * 32, 32, assoc)
+                lines = np.repeat(rng.integers(0, 4 * assoc * n_sets, 200),
+                                  rng.integers(1, 30, 200))
+                a = (lines * 32).astype(np.int64)
+                w = rng.random(len(a)) < 0.1  # a run is dirty mostly past its head
+                for flush in (True, False):
+                    res = simulate_opt(a, w, geom, flush=flush)
+                    assert (res.stats, res.downstream_bytes) == brute_force_opt(
+                        a, w, geom, flush)
+
+    def test_tie_evicts_first_inserted_line(self):
+        # One set, 2 ways: line 0 (dirty) and line 1 (clean) are never used
+        # again, so they tie at infinity when line 2 misses; the first
+        # inserted (dirty line 0) goes and costs a writeback.
+        geom = CacheGeometry(64, 32, 2)
+        a, w = self.as_arrays([0, 32, 64], [True, False, False])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.misses, res.stats.evictions, res.writebacks) == (3, 1, 1)
+        # Inserted the other way round, the clean line goes: no writeback.
+        a, w = self.as_arrays([32, 0, 64], [False, True, False])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.misses, res.stats.evictions, res.writebacks) == (3, 1, 0)
+        # A hit does not refresh insertion order: line 0 stays first.
+        a, w = self.as_arrays([0, 32, 0, 64], [True, False, False, False])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.misses, res.writebacks) == (3, 1)
+
+    def test_dirty_bit_is_or_of_the_run(self):
+        # The write is the run's second access, not its head: the line is
+        # still dirty when it is evicted.
+        geom = CacheGeometry(32, 32, 1)
+        a, w = self.as_arrays([0, 8, 32], [False, True, False])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.stats.read_misses, res.stats.write_misses, res.writebacks) == (2, 0, 1)
+
+    def test_lru_side_same_on_reference_and_engines(self):
+        rng = np.random.default_rng(5)
+        a = (rng.integers(0, 96, 2000) * 16).astype(np.int64)
+        w = rng.random(2000) < 0.3
+        for geom in (CacheGeometry(512, 32, 2), CacheGeometry(480, 32, 3),
+                     CacheGeometry(512, 32, 16), CacheGeometry(320, 32, 1)):
+            fast = lru_vs_opt(a, w, geom)
+            before = get_default_engine()
+            set_default_engine("reference")
+            try:
+                assert lru_vs_opt(a, w, geom) == fast
+            finally:
+                set_default_engine(before)
 
 
 class TestIntrinsic:

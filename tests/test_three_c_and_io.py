@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError, ReproError
-from repro.machine import CacheGeometry, MissClassification
+from repro.machine import (
+    CacheGeometry,
+    MissClassification,
+    get_default_engine,
+    set_default_engine,
+)
 from repro.machine.three_c import classify_misses as classify
 from repro.trace import generate_trace, load_trace, save_trace
 
@@ -81,6 +86,31 @@ class TestThreeC:
         geom = CacheGeometry(128, 32, 4)  # fully associative already
         c = classify(a, w, geom)
         assert c.conflict == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        addrs=st.lists(st.integers(0, 95), min_size=1, max_size=300),
+        geom=st.sampled_from([
+            CacheGeometry(64, 32, 1),
+            CacheGeometry(160, 32, 1),  # 5 sets, direct-mapped
+            CacheGeometry(192, 32, 2),  # 3 sets, 2-way
+            CacheGeometry(256, 32, 4),
+            CacheGeometry(256, 32, 8),  # fully associative
+        ]),
+        data=st.data(),
+    )
+    def test_engines_match_reference_cache(self, addrs, geom, data):
+        """The engine replays give the reference Cache's classes."""
+        a, w = arrs([x * 8 for x in addrs],
+                    data.draw(st.lists(st.booleans(), min_size=len(addrs),
+                                       max_size=len(addrs))))
+        fast = classify(a, w, geom)
+        before = get_default_engine()
+        set_default_engine("reference")
+        try:
+            assert classify(a, w, geom) == fast
+        finally:
+            set_default_engine(before)
 
 
 class TestTraceIO:
