@@ -58,7 +58,7 @@ def _served(requests):
     previous = simcache.get_sim_cache()
     simcache.configure_sim_cache(True)  # fresh cache: dedup must earn it
     try:
-        with BackgroundServer(ServeConfig(max_batch=64, max_wait_ms=25.0)) as bg:
+        with BackgroundServer(ServeConfig(max_batch=64)) as bg:
             results: dict[int, list] = {}
             errors: list[BaseException] = []
 

@@ -26,7 +26,6 @@ def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         jobs=args.jobs,
@@ -56,8 +55,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="TCP port (0 = ephemeral, printed at startup)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="points coalesced per executor batch (default: %(default)s)")
-    serve.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="micro-batch gathering window (default: %(default)s)")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="admission bound on queued points (default: %(default)s)")
     serve.add_argument("--tenant-quota", type=int, default=512,

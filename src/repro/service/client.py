@@ -41,6 +41,10 @@ class ServiceError(ReproError):
         self.code = code
 
 
+class ServiceConnectionClosed(ReproError, ConnectionError):
+    """The server closed the connection before replying (drained or died)."""
+
+
 def _parse_address(address: str) -> tuple[str, Any]:
     if address.startswith("unix:"):
         return ("unix", address[5:])
@@ -106,7 +110,7 @@ class ServiceClient:
         while True:
             line = self._file.readline(MAX_LINE_BYTES)
             if not line:
-                raise ReproError("service closed the connection mid-request")
+                raise ServiceConnectionClosed("service closed the connection mid-request")
             reply = decode(line)
             if reply.get("event") == "progress":
                 if on_progress is not None and reply.get("id") == rid:
@@ -222,4 +226,4 @@ def submit(
 # module scope would be circular when api itself imports the service).
 _ApiResult = Any
 
-__all__ = ["ServiceClient", "ServiceError", "submit"]
+__all__ = ["ServiceClient", "ServiceConnectionClosed", "ServiceError", "submit"]

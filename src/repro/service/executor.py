@@ -1,10 +1,10 @@
 """Batch jobs the service runs on its worker executor.
 
-Each job is a module-level function over wire-format arguments and
+Each job is a module-level function over picklable arguments and
 wire-format results, so the same code runs on an in-process worker
 thread (``jobs=0``, the 1-CPU default) or on a fork process pool
-(``jobs>1``) without special cases — everything crossing the boundary
-is plain picklable dicts.
+(``jobs>0``) without special cases.  Sweep points arrive parsed, as
+:class:`~repro.service.protocol.WirePoint` objects.
 
 A simulate job answers one coalesced micro-batch through the sweep
 query planner (:func:`~repro.experiments.plan.run_batch`), so points
@@ -24,7 +24,7 @@ from ..experiments.result import ExperimentResult, failed_result
 from ..interp.executor import MachineRun
 from ..machine.engine.simcache import SimulationResult, get_sim_cache
 from ..machine.hierarchy import HierarchyResult
-from .protocol import ProtocolError, sim_request_from_json
+from .protocol import WirePoint
 
 
 def wire_run(run: MachineRun) -> dict[str, Any]:
@@ -54,16 +54,14 @@ def _cache_delta(before) -> dict[str, int]:
     return {k: v for k, v in vars(delta).items() if v}
 
 
-def run_simulate_job(
-    request_jsons: Sequence[Mapping[str, Any]], *, plan: bool = True
-) -> dict[str, Any]:
+def run_simulate_job(points: Sequence[WirePoint], *, plan: bool = True) -> dict[str, Any]:
     """Execute one coalesced micro-batch of sweep points.
 
     Returns ``{"results": [point, ...], "plan": {...}, "sim_cache":
     {...}, "fallbacks": int}`` where each point is either wire counters
     or ``{"error": message}``.  Never raises for per-point failures.
     """
-    requests = [sim_request_from_json(d) for d in request_jsons]
+    requests = [p.request for p in points]
     cache = get_sim_cache()
     before = cache.counters.snapshot() if cache is not None else None
     fallbacks = 0
@@ -99,14 +97,13 @@ def run_simulate_job(
     }
 
 
-def run_predict_job(request_jsons: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+def run_predict_job(points: Sequence[WirePoint]) -> dict[str, Any]:
     """Analytic estimates for a micro-batch (no trace, O(1) per point)."""
     from ..balance.analytic import predict_run
 
     results: list[dict[str, Any]] = []
-    for data in request_jsons:
+    for request in [p.request for p in points]:
         try:
-            request = sim_request_from_json(data)
             run = predict_run(
                 request.program,
                 request.machine,
@@ -115,7 +112,7 @@ def run_predict_job(request_jsons: Sequence[Mapping[str, Any]]) -> dict[str, Any
                 passes=request.passes,
             )
             results.append(wire_run(run))
-        except (ProtocolError, ReproError) as exc:
+        except ReproError as exc:
             results.append({"error": f"{type(exc).__name__}: {exc}"})
     return {"results": results, "plan": {}, "sim_cache": {}, "fallbacks": 0}
 

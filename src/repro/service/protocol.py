@@ -155,6 +155,17 @@ def sim_request_from_json(data: Mapping[str, Any]) -> SimRequest:
     )
 
 
+class WirePoint(dict):
+    """One wire sweep point as sent, plus its parse in ``.request``.  It
+    stays the wire dict, so a batch serializes as the JSON its clients
+    sent (the traced benchmark fingerprints batches so), and it pickles
+    with its request across the ``jobs > 0`` fork pool."""
+
+    def __init__(self, data: Mapping[str, Any]):
+        self.request = sim_request_from_json(data)
+        super().__init__(data)
+
+
 # -- responses ----------------------------------------------------------------
 def ok_response(rid: Any, result: Any) -> dict[str, Any]:
     return {"id": rid, "ok": True, "result": result}
@@ -175,6 +186,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "REJECT_CODES",
     "ProtocolError",
+    "WirePoint",
     "decode",
     "encode",
     "error_response",

@@ -1,21 +1,23 @@
-"""The repro daemon: asyncio front-end, micro-batching core, drain logic.
+"""The repro daemon: asyncio front-end, continuous batching core, drain logic.
 
 The shape is a continuous-batching inference server, applied to cache
 simulation:
 
 - an asyncio acceptor speaks the JSON-lines protocol on a unix or TCP
   socket (one message per line, many requests per connection);
-- every sweep point is validated and **content-keyed**
+- every sweep point is parsed once, into a
+  :class:`~repro.service.protocol.WirePoint`, and **content-keyed**
   (:func:`~repro.experiments.plan.request_key`); identical in-flight
   points — within one request or across clients — collapse onto one
   :class:`asyncio.Future`, so the work runs once and every subscriber
   gets the same answer (``dedup_hits`` telemetry);
-- admitted points enter a bounded queue; the **micro-batch loop** takes
-  the oldest point, waits up to ``max_wait_ms`` for compatible
-  companions (same kind, up to ``max_batch``), and executes the batch as
-  one planned :func:`~repro.experiments.plan.run_batch` on the worker
-  executor — overlapping sweeps from independent clients share trace
-  generation and cache-prefix simulation exactly like one planned batch;
+- admitted points enter a bounded queue; the **batch loop** is
+  continuous: whenever the worker is free it takes the oldest point plus
+  every compatible point already queued (same kind, up to ``max_batch``;
+  an experiment alone) and executes them at once, as one planned
+  :func:`~repro.experiments.plan.run_batch` on the worker executor —
+  overlapping sweeps from independent clients share trace generation and
+  cache-prefix simulation exactly like one planned batch;
 - **admission control** keeps the daemon honest under load: a full
   queue, an over-quota tenant, or a draining server answers with an
   explicit reject (``queue_full`` / ``over_quota`` / ``draining``)
@@ -48,12 +50,12 @@ from .protocol import (
     MAX_LINE_BYTES,
     OPS,
     ProtocolError,
+    WirePoint,
     decode,
     encode,
     error_response,
     ok_response,
     progress_event,
-    sim_request_from_json,
 )
 
 _PLAN_COUNTER_KEYS = (
@@ -73,7 +75,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 -> ephemeral (read the bound port off .address)
     max_batch: int = 32  # points coalesced into one executor batch
-    max_wait_ms: float = 10.0  # micro-batch gathering window
     max_queue: int = 1024  # admission bound on queued points
     tenant_quota: int = 512  # outstanding points per tenant
     jobs: int = 0  # 0 -> in-process worker thread; N>0 -> fork pool
@@ -87,7 +88,7 @@ class _Point:
 
     kind: str  # "simulate" | "predict" | "experiment"
     key: str
-    payload: Any  # wire dict (simulate/predict) or (name, config) tuple
+    payload: Any  # WirePoint (simulate/predict) or (name, config) tuple
     future: asyncio.Future = field(repr=False)
 
 
@@ -101,7 +102,7 @@ class Server:
         self.address: str | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue[_Point | None] = asyncio.Queue()
+        self._queue: asyncio.Queue[_Point] = asyncio.Queue()
         self._inflight: dict[str, asyncio.Future] = {}
         self._batch_task: asyncio.Task | None = None
         self._done = asyncio.Event()
@@ -129,7 +130,7 @@ class Server:
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> str:
-        """Bind sockets, start the micro-batch loop; returns the address
+        """Bind sockets, start the batch loop; returns the address
         (``unix:<path>`` or ``tcp:<host>:<port>``, with the real bound
         port when an ephemeral one was requested)."""
         self._loop = asyncio.get_running_loop()
@@ -185,15 +186,19 @@ class Server:
         self._draining = True
         while self._inflight or not self._queue.empty():
             await asyncio.sleep(0.02)
-        self._queue.put_nowait(None)  # sentinel: batch loop exits
         if self._batch_task is not None:
-            await self._batch_task
+            # Nothing queued or in flight: the loop is idle in queue.get().
+            self._batch_task.cancel()
+            await asyncio.gather(self._batch_task, return_exceptions=True)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         for writer in list(self._connections):
             # Every admitted request has been answered; close the idle
             # connections so their handlers exit before the loop does.
+            # A draining handler answers a line it has read before its first
+            # await (``_admit`` rejects synchronously); an unread line sees
+            # end-of-stream, which the client raises as a ConnectionError.
             with contextlib.suppress(Exception):
                 writer.close()
         if self._pool is not None:
@@ -260,29 +265,16 @@ class Server:
             "tenants": {k: dict(v) for k, v in self._tenants.items()},
         }
 
-    # -- micro-batching core ---------------------------------------------------
+    # -- continuous batching core ----------------------------------------------
     async def _batch_loop(self) -> None:
-        assert self._loop is not None
         carry: _Point | None = None
         while True:
             item = carry if carry is not None else await self._queue.get()
             carry = None
-            if item is None:
-                return
             batch = [item]
             limit = 1 if item.kind == "experiment" else self.config.max_batch
-            deadline = self._loop.time() + self.config.max_wait_ms / 1000.0
-            while len(batch) < limit:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is None:
-                    self._queue.put_nowait(None)  # re-post for the outer loop
-                    break
+            while len(batch) < limit and not self._queue.empty():
+                nxt = self._queue.get_nowait()
                 if nxt.kind != item.kind:
                     carry = nxt  # incompatible: opens the next batch instead
                     break
@@ -294,18 +286,13 @@ class Server:
         self._batches += 1
         self._batch_points += len(batch)
         self._batch_max = max(self._batch_max, len(batch))
-        kind = batch[0].kind
+        kind, payloads = batch[0].kind, [p.payload for p in batch]
         if kind == "simulate":
-            job = functools.partial(
-                jobs.run_simulate_job,
-                [p.payload for p in batch],
-                plan=self.config.plan,
-            )
+            job = functools.partial(jobs.run_simulate_job, payloads, plan=self.config.plan)
         elif kind == "predict":
-            job = functools.partial(jobs.run_predict_job, [p.payload for p in batch])
+            job = functools.partial(jobs.run_predict_job, payloads)
         else:
-            name, config_json = batch[0].payload
-            job = functools.partial(jobs.run_experiment_job, name, config_json)
+            job = functools.partial(jobs.run_experiment_job, *payloads[0])
         try:
             outcome = await self._loop.run_in_executor(self._pool, job)
         except Exception as exc:  # noqa: BLE001 — executor died: fail the batch, not the server
@@ -465,13 +452,13 @@ class Server:
         keyed: list[tuple[str, Any]] = []
         for data in points:
             try:
-                request = sim_request_from_json(data)
-                key = f"{kind}:{request_key(request)}"
+                point = WirePoint(data)
+                key = f"{kind}:{request_key(point.request)}"
             except ProtocolError:
                 raise
             except ReproError as exc:
                 raise ProtocolError(f"bad request: {exc}") from None
-            keyed.append((key, data))
+            keyed.append((key, point))
         admitted = self._admit(kind, keyed, tenant)
         if isinstance(admitted, tuple):
             raise _Reject(*admitted)

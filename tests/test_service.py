@@ -4,17 +4,26 @@ execution, dedup, admission control, progress streaming, drain."""
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro.errors import ReproError
 from repro.experiments.plan import SimRequest
-from repro.service.client import ServiceClient, ServiceError, _parse_address
+from repro.service import executor, protocol
+from repro.service import server as server_module
+from repro.service.client import (
+    ServiceClient,
+    ServiceConnectionClosed,
+    ServiceError,
+    _parse_address,
+)
 from repro.service.protocol import (
     ProtocolError,
     decode,
@@ -48,6 +57,31 @@ def _validate_manifest(manifest):
     finally:
         sys.path.remove(str(TOOLS))
     validate(manifest, json.loads(SCHEMA.read_text()))
+
+
+@pytest.fixture
+def held_worker(monkeypatch):
+    """Hold every simulate batch on the worker until ``release`` is set;
+    ``started`` is set when the first batch reaches the worker."""
+    gate = SimpleNamespace(started=threading.Event(), release=threading.Event())
+    run = executor.run_simulate_job
+
+    def held(*args, **kwargs):
+        gate.started.set()
+        gate.release.wait(60)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_simulate_job", held)
+    yield gate
+    gate.release.set()
+
+
+def _wait_queued(client, depth):
+    """Poll ``stats`` until ``depth`` points wait in the queue."""
+    deadline = time.monotonic() + 30
+    while client.stats()["queue_depth"] < depth:
+        assert time.monotonic() < deadline, "points never queued"
+        time.sleep(0.005)
 
 
 class TestProtocol:
@@ -107,7 +141,7 @@ class TestServedBitIdentity:
     @pytest.fixture(scope="class")
     def background(self, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("sock") / "repro.sock")
-        with BackgroundServer(ServeConfig(unix_path=path, max_wait_ms=5.0)) as bg:
+        with BackgroundServer(ServeConfig(unix_path=path)) as bg:
             yield bg
 
     def test_single_point_matches_local_simulate(self, background, tiny_machine):
@@ -191,9 +225,86 @@ class TestServedBitIdentity:
         _validate_manifest(build_manifest([], jobs=1, service=stats))
 
 
+def _submit(address, requests, outcomes, i):
+    """One client's sweep (thread target); the result or error lands in
+    ``outcomes[i]``."""
+    try:
+        with ServiceClient(address, tenant=f"t{i}") as client:
+            outcomes[i] = [_counters(r) for r in client.simulate_batch(requests)]
+    except Exception as exc:  # noqa: BLE001 — surfaced by the caller's assert
+        outcomes[i] = exc
+
+
+class TestContinuousBatching:
+    def test_points_queued_behind_a_running_batch_form_one_batch(
+        self, tiny_machine, held_worker
+    ):
+        """While the worker is held, points from three clients queue up;
+        once it is free, exactly one next batch answers all of them."""
+        sweeps = [_requests(tiny_machine, sizes=(n,)) for n in (24, 40, 56, 72)]
+        direct = [[_counters(r) for r in repro.simulate_batch(s, plan=True)] for s in sweeps]
+        outcomes: dict[int, object] = {}
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as probe:
+            threads = [
+                threading.Thread(target=_submit, args=(bg.address, sweep, outcomes, i))
+                for i, sweep in enumerate(sweeps)
+            ]
+            threads[0].start()
+            assert held_worker.started.wait(30)  # batch 1 is on the worker
+            for t in threads[1:]:
+                t.start()
+            _wait_queued(probe, 3)
+            held_worker.release.set()
+            for t in threads:
+                t.join(timeout=120)
+            stats = probe.stats()
+        assert [outcomes.get(i) for i in range(4)] == direct
+        assert (stats["batches"], stats["batch_max"]) == (2, 3)
+
+    def test_lone_request_on_idle_server_is_its_own_batch(self, tiny_machine):
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
+            client.simulate_batch(_requests(tiny_machine, sizes=(16,)))
+            stats = client.stats()
+            assert (stats["batches"], stats["batch_max"]) == (1, 1)
+            client.simulate_batch(_requests(tiny_machine, sizes=(8, 24, 40)))
+            stats = client.stats()
+            assert (stats["batches"], stats["batch_max"]) == (2, 3)
+
+    def test_each_point_is_parsed_once(self, tiny_machine, monkeypatch):
+        calls: list = []
+        parse = protocol.sim_request_from_json
+
+        def counting(data):
+            calls.append(data)
+            return parse(data)
+
+        for module in (protocol, server_module, executor):
+            if getattr(module, "sim_request_from_json", None) is parse:
+                monkeypatch.setattr(module, "sim_request_from_json", counting)
+        requests = _requests(tiny_machine, sizes=(16, 32, 48))
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
+            client.simulate_batch(requests)
+            client.predict_batch(requests[:2])
+        assert len(calls) == 5
+
+    def test_fork_pool_server_is_bit_identical(self, tiny_machine):
+        """``jobs=1``: parsed points cross a pickle boundary to a forked
+        worker and still answer bit-identically."""
+        requests = _requests(tiny_machine) + _requests(
+            tiny_machine, sizes=(16, 48), program=reduction_program()
+        )
+        direct = [_counters(r) for r in repro.simulate_batch(requests, plan=True)]
+        predicted = repro.predict(requests[0].program, tiny_machine, params=requests[0].params)
+        with BackgroundServer(ServeConfig(jobs=1)) as bg, ServiceClient(bg.address) as client:
+            served = client.simulate_batch(requests)
+            served_predict = client.predict_batch(requests[:1])
+        assert [_counters(s) for s in served] == direct
+        assert _counters(served_predict[0]) == _counters(predicted)
+
+
 class TestAdmissionControl:
     def test_oversized_sweep_rejected_queue_full(self, tiny_machine):
-        config = ServeConfig(max_queue=2, max_wait_ms=1.0)
+        config = ServeConfig(max_queue=2)
         with BackgroundServer(config) as bg, ServiceClient(bg.address) as client:
             start = time.monotonic()
             with pytest.raises(ServiceError) as info:
@@ -205,7 +316,7 @@ class TestAdmissionControl:
             assert client.stats()["rejected"] == {"queue_full": 1}
 
     def test_tenant_quota_rejected_over_quota(self, tiny_machine):
-        config = ServeConfig(tenant_quota=2, max_wait_ms=1.0)
+        config = ServeConfig(tenant_quota=2)
         with BackgroundServer(config) as bg, ServiceClient(bg.address, tenant="greedy") as client:
             with pytest.raises(ServiceError) as info:
                 client.simulate_batch(_requests(tiny_machine, sizes=(8, 16, 32)))
@@ -214,7 +325,7 @@ class TestAdmissionControl:
             assert stats["tenants"]["greedy"]["rejected"] == 1
 
     def test_invalid_requests_rejected_not_fatal(self, tiny_machine):
-        with BackgroundServer(ServeConfig(max_wait_ms=1.0)) as bg:
+        with BackgroundServer(ServeConfig()) as bg:
             with ServiceClient(bg.address) as client:
                 # Raw garbage line: explicit invalid reject, connection lives.
                 client._file.write(b"this is not json\n")
@@ -229,13 +340,13 @@ class TestAdmissionControl:
                 assert info.value.code == "invalid"
                 assert client.ping()
 
-    def test_draining_server_rejects_new_work(self, tiny_machine):
-        """While a drain is in progress (in-flight sweep gathering in a
-        long micro-batch window), new submissions get an explicit
-        ``draining`` reject — and the in-flight sweep still completes."""
+    def test_draining_server_rejects_new_work(self, tiny_machine, held_worker):
+        """While a drain is in progress (in-flight sweep held on the
+        worker), new submissions get an explicit ``draining`` reject —
+        and the in-flight sweep still completes."""
         requests = _requests(tiny_machine, sizes=(32, 64))
         direct = [_counters(r) for r in repro.simulate_batch(requests, plan=True)]
-        with BackgroundServer(ServeConfig(max_wait_ms=500.0)) as bg:
+        with BackgroundServer(ServeConfig()) as bg:
             served: list = []
 
             def submit():
@@ -244,21 +355,45 @@ class TestAdmissionControl:
 
             worker = threading.Thread(target=submit)
             worker.start()
-            time.sleep(0.05)  # sweep admitted, batch window still open
+            assert held_worker.started.wait(30)  # the sweep's batch is on the worker
             with ServiceClient(bg.address) as other:
                 other.shutdown()
                 with pytest.raises(ServiceError) as info:
                     other.simulate_batch(_requests(tiny_machine, sizes=(8,)))
                 assert info.value.code == "draining"
+            held_worker.release.set()
             worker.join(timeout=120)
         assert [_counters(s) for s in served] == direct
 
 
+class TestClientErrors:
+    def test_end_of_stream_before_reply_is_a_connection_error(self):
+        """A server that reads the request and closes without replying
+        (a drain or a crash) raises an error that is both a
+        ``ReproError`` and a ``ConnectionError``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def read_then_close():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()
+
+        server = threading.Thread(target=read_then_close)
+        server.start()
+        try:
+            with ServiceClient(f"tcp:127.0.0.1:{listener.getsockname()[1]}") as client:
+                with pytest.raises(ServiceConnectionClosed) as info:
+                    client.ping()
+        finally:
+            server.join(timeout=30)
+            listener.close()
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ConnectionError)
+
+
 class TestDrainAndManifest:
     def test_drain_writes_manifest_with_service_block(self, tiny_machine, tmp_path):
-        config = ServeConfig(
-            max_wait_ms=1.0, results_dir=str(tmp_path), unix_path=str(tmp_path / "s.sock")
-        )
+        config = ServeConfig(results_dir=str(tmp_path), unix_path=str(tmp_path / "s.sock"))
         with BackgroundServer(config) as bg:
             with ServiceClient(bg.address) as client:
                 result = client.run_experiment("fig4", {"sim_cache": False})
@@ -274,13 +409,12 @@ class TestDrainAndManifest:
         assert service["batches"] >= 2  # experiment batch + simulate batch
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_inflight_work_finishes_during_drain(self, tiny_machine):
-        """shutdown() while a sweep is queued: the waiting client still
+    def test_inflight_work_finishes_during_drain(self, tiny_machine, held_worker):
+        """shutdown() while a sweep is in flight: the waiting client still
         gets its (bit-identical) answer before the server exits."""
         requests = _requests(tiny_machine, sizes=(32, 64))
         direct = [_counters(r) for r in repro.simulate_batch(requests, plan=True)]
-        # A long gathering window keeps the sweep queued while shutdown lands.
-        with BackgroundServer(ServeConfig(max_wait_ms=300.0)) as bg:
+        with BackgroundServer(ServeConfig()) as bg:
             served: list = []
 
             def submit():
@@ -289,16 +423,18 @@ class TestDrainAndManifest:
 
             worker = threading.Thread(target=submit)
             worker.start()
-            time.sleep(0.05)  # let the sweep enter the queue
+            # The held worker keeps the sweep in flight while shutdown lands.
+            assert held_worker.started.wait(30)
             with ServiceClient(bg.address) as other:
                 other.shutdown()
+            held_worker.release.set()
             worker.join(timeout=120)
         assert [_counters(s) for s in served] == direct
 
 
 class TestExperimentOp:
     def test_unknown_experiment_is_a_failed_record(self):
-        with BackgroundServer(ServeConfig(max_wait_ms=1.0)) as bg:
+        with BackgroundServer(ServeConfig()) as bg:
             with ServiceClient(bg.address) as client:
                 result = client.run_experiment("not_an_experiment")
         assert result.status == "failed"

@@ -461,7 +461,7 @@ def measure_serve(scale: int = 128, clients: int = 4, rounds: int = 2) -> dict:
         previous = simcache.get_sim_cache()
         simcache.configure_sim_cache(True)
         try:
-            config = ServeConfig(max_batch=64, max_wait_ms=25.0)
+            config = ServeConfig(max_batch=64)
             with BackgroundServer(config) as bg:
                 results: dict[int, list] = {}
                 errors: list[BaseException] = []

@@ -49,7 +49,6 @@ def _spawn(sock: str, results_dir: str) -> subprocess.Popen:
             sys.executable, "-u", "-m", "repro.service",
             "--unix", sock,
             "--max-batch", "64",
-            "--max-wait-ms", "50",
             "--results-dir", results_dir,
         ],
         env=env,
