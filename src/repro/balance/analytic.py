@@ -29,9 +29,11 @@ balance framework:
   anomaly, computed from the same ``machine/layout.py`` placement math
   that creates it (and removed by the same padding that fixes it).
 
-Flops, element loads and stores are counted exactly (the same counting
-walk the trace generator uses to pre-size its buffers, so guards are
-honored); per-level misses/writebacks are estimates.  ``analyze``
+Flops, element loads and stores are counted exactly, in the same walk
+that collects the nests, with guards honored by exact masks; per-level
+misses/writebacks are estimates.  Only guards need NumPy iteration
+grids, so only loops holding a guard build one: "O(loop nest)" holds for
+memory as well as time.  ``analyze``
 returns an :class:`AnalyticEstimate` whose :meth:`AnalyticEstimate.run`
 is a drop-in :class:`~repro.interp.executor.MachineRun`, so everything
 downstream — ``ProgramBalance``, ``predict_time``, the ECM-style
@@ -62,7 +64,7 @@ from ..interp.executor import MachineRun
 from ..lang.affine import Affine
 from ..lang.expr import ArrayRef, array_refs, flop_count
 from ..lang.program import Program
-from ..lang.stmt import Assign, ExternalRead, If, Loop, Stmt
+from ..lang.stmt import Assign, ExternalRead, If, Loop
 from ..machine.cache import CacheStats
 from ..machine.contention import maybe_contended
 from ..machine.layout import LayoutPolicy, MemoryLayout, build_layout
@@ -178,108 +180,103 @@ class _Group:
 
 def _collect(
     program: Program, params: Mapping[str, int], layout: MemoryLayout
-) -> tuple[list[_Nest], bool]:
-    """Walk the body into per-nest reference lists.
+) -> tuple[list[_Nest], tuple[int, int, int], bool]:
+    """Walk the body into per-nest reference lists and exact counts.
 
-    Returns the nests and whether any guard forced an approximation.
+    Returns the nests, the executed (flops, loads, stores) and whether any
+    guard forced an approximation.  A leaf executes ``prod(trips)`` times,
+    or under a guard exactly as often as its mask is set.  Masks are the
+    only readers of NumPy iteration grids, so a loop builds its grid only
+    when its body holds a guard: an unguarded nest costs O(loop nest) time
+    and memory whatever its trip counts.
     """
     nests: list[_Nest] = []
+    counts = [0, 0, 0]  # flops, loads, stores
     approximate = False
 
-    def leaf_refs(stmt: Assign | ExternalRead) -> list[tuple[ArrayRef, bool]]:
-        if isinstance(stmt, Assign):
-            reads = [(r, False) for r in array_refs(stmt.rhs)]
-            if isinstance(stmt.lhs, ArrayRef):
-                reads.append((stmt.lhs, True))
-            return reads
-        return [(stmt.lhs, True)] if isinstance(stmt.lhs, ArrayRef) else []
-
-    param_bindings = {p: Affine.const_of(v) for p, v in params.items()}
-
-    def resolve(ref: ArrayRef, subst: dict[str, Affine], steps: list[str]) -> _Ref:
+    def resolve(
+        ref: ArrayRef,
+        is_write: bool,
+        bindings: dict[str, Affine],
+        steps: dict[str, int],
+    ) -> _Ref:
         placement = layout[ref.array]
+        size = placement.element_size
         coeffs = [0] * len(steps)
         offset = placement.base
         for sub, stride in zip(ref.index, placement.strides):
-            expanded = sub.substitute({**param_bindings, **subst})
-            loose = expanded.symbols - set(steps)
-            if loose:
-                raise AnalysisError(
-                    f"{program.name}: subscript {sub} of {ref.array} depends on "
-                    f"{sorted(loose)} — not affine in loop steps and parameters"
-                )
-            offset += expanded.const * stride * placement.element_size
-            for d, s in enumerate(steps):
-                coeffs[d] += expanded.coeff(s) * stride * placement.element_size
-        return _Ref(ref.array, tuple(coeffs), offset, placement.element_size, ref in ())
+            # sub.substitute(bindings), accumulated straight into byte
+            # coefficients.  Program validation binds every subscript
+            # symbol to a parameter or an enclosing loop, so each image
+            # is an affine of the loop steps alone.
+            scale = stride * size
+            offset += sub.const * scale
+            for s, c in sub.terms.items():
+                image = bindings[s]
+                offset += image.const * c * scale
+                for t, k in image.terms.items():
+                    coeffs[steps[t]] += k * c * scale
+        return _Ref(ref.array, tuple(coeffs), offset, size, is_write)
 
     def walk(
         stmts,
         trips: list[int],
-        subst: dict[str, Affine],
-        steps: list[str],
-        venv: dict[str, np.ndarray | int],
-        grid_shape: tuple[int, ...],
-        mask: np.ndarray | None,
+        bindings: dict[str, Affine],
+        steps: dict[str, int],
+        active: int | None,
+        grid: tuple[dict, tuple[int, ...], np.ndarray | None] | None,
     ) -> None:
+        """``bindings`` map parameters and loop variables to affines of the
+        loop steps (``steps`` numbers them outermost first); ``active`` is
+        the executed iteration count under the enclosing guards (None when
+        unguarded); ``grid`` is the ``(venv, shape, mask)`` a guard below
+        evaluates over (None when no guard is below)."""
         nonlocal approximate
-        local = _Nest(tuple(trips), [])
-        if mask is not None:
-            size = int(np.prod(grid_shape)) if grid_shape else 1
-            local.fraction = float(mask.sum()) / size if size else 0.0
+        iterations = math.prod(trips)
+        executed = iterations if active is None else active
+        fraction = 1.0 if active is None else active / iterations
+        local = _Nest(tuple(trips), [], fraction)
         for stmt in stmts:
             if isinstance(stmt, (Assign, ExternalRead)):
-                for ref, is_write in leaf_refs(stmt):
-                    base = resolve(ref, subst, steps)
-                    local.refs.append(
-                        _Ref(base.array, base.coeffs, base.offset, base.width, is_write)
-                    )
+                refs: list[tuple[ArrayRef, bool]] = []
+                if isinstance(stmt, Assign):
+                    refs = [(r, False) for r in array_refs(stmt.rhs)]
+                    counts[0] += flop_count(stmt.rhs) * executed
+                    counts[1] += len(refs) * executed
+                if isinstance(stmt.lhs, ArrayRef):
+                    refs.append((stmt.lhs, True))
+                    counts[2] += executed
+                for ref, is_write in refs:
+                    local.refs.append(resolve(ref, is_write, bindings, steps))
             elif isinstance(stmt, Loop):
                 trip = _trip(program, stmt, params)
                 if trip == 0:
                     continue
                 step = f"{stmt.var}.{len(steps)}"
-                bindings: dict[str, Affine] = {
-                    p: Affine.const_of(v) for p, v in params.items()
-                }
-                bindings.update(subst)
-                lower = stmt.lower.substitute(bindings)
-                child_subst = dict(subst)
-                child_subst[stmt.var] = lower + Affine.var(step)
-                child_venv: dict[str, np.ndarray | int] = dict(venv)
-                for k, v in venv.items():
-                    if isinstance(v, np.ndarray):
-                        child_venv[k] = v[..., None]
-                arange = np.arange(trip, dtype=np.int64).reshape(
-                    (1,) * len(grid_shape) + (trip,)
+                child = dict(bindings)
+                child[stmt.var] = stmt.lower.substitute(bindings) + Affine.var(step)
+                guarded = grid is not None and any(
+                    isinstance(s, If) for s in stmt.walk()
                 )
-                lower_vec = np.asarray(stmt.lower.evaluate_vec(child_venv))
-                child_venv[stmt.var] = lower_vec + arange
-                child_shape = grid_shape + (trip,)
-                child_mask = None
-                if mask is not None:
-                    child_mask = np.broadcast_to(mask[..., None], child_shape)
                 walk(
                     stmt.body,
                     trips + [trip],
-                    child_subst,
-                    steps + [step],
-                    child_venv,
-                    child_shape,
-                    child_mask,
+                    child,
+                    {**steps, step: len(steps)},
+                    None if active is None else active * trip,
+                    _extend_grid(grid, stmt, trip) if guarded else None,
                 )
             elif isinstance(stmt, If):
                 approximate = True
+                venv, shape, mask = grid
                 cond = np.broadcast_to(
-                    np.asarray(stmt.cond.evaluate_vec(venv), dtype=np.bool_),
-                    grid_shape,
+                    np.asarray(stmt.cond.evaluate_vec(venv), dtype=np.bool_), shape
                 )
-                then_mask = cond if mask is None else (mask & cond)
-                else_mask = ~cond if mask is None else (mask & ~cond)
-                if stmt.then:
-                    walk(stmt.then, trips, subst, steps, venv, grid_shape, then_mask)
-                if stmt.orelse:
-                    walk(stmt.orelse, trips, subst, steps, venv, grid_shape, else_mask)
+                for body, taken in ((stmt.then, cond), (stmt.orelse, ~cond)):
+                    if body:
+                        taken = taken if mask is None else (mask & taken)
+                        grid_taken = (venv, shape, taken)
+                        walk(body, trips, bindings, steps, int(taken.sum()), grid_taken)
             else:
                 raise AnalysisError(
                     f"{program.name}: cannot analyze statement {type(stmt).__name__}"
@@ -287,9 +284,24 @@ def _collect(
         if local.refs and local.fraction > 0:
             nests.append(local)
 
-    venv0: dict[str, np.ndarray | int] = dict(params)
-    walk(program.body, [], {}, [], venv0, (), None)
-    return nests, approximate
+    param_bindings = {p: Affine.const_of(v) for p, v in params.items()}
+    walk(program.body, [], param_bindings, {}, None, (dict(params), (), None))
+    return nests, tuple(counts), approximate
+
+
+def _extend_grid(grid, stmt: Loop, trip: int):
+    """The iteration grid one level deeper: every enclosing loop variable
+    gains an axis and ``stmt.var`` spans the new one."""
+    venv, shape, mask = grid
+    child_venv = {
+        k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in venv.items()
+    }
+    arange = np.arange(trip, dtype=np.int64).reshape((1,) * len(shape) + (trip,))
+    child_venv[stmt.var] = np.asarray(stmt.lower.evaluate_vec(child_venv)) + arange
+    child_shape = shape + (trip,)
+    if mask is not None:
+        mask = np.broadcast_to(mask[..., None], child_shape)
+    return child_venv, child_shape, mask
 
 
 def _trip(program: Program, stmt: Loop, params: Mapping[str, int]) -> int:
@@ -301,21 +313,6 @@ def _trip(program: Program, stmt: Loop, params: Mapping[str, int]) -> int:
             f"{sorted(loose)}; only rectangular nests can be analyzed"
         )
     return max(0, span.evaluate(params))
-
-
-def _count(program: Program, params: Mapping[str, int], layout: MemoryLayout):
-    """Exact (flops, loads, stores) via the trace generator's counting walk."""
-    from ..trace.generator import TraceGenerator
-
-    gen = TraceGenerator(program, params, layout, validate=False)
-    flops = loads = stores = 0
-    env: dict[str, np.ndarray | int] = dict(gen.params)
-    for stmt in program.body:
-        f, ld, st = gen._count_one(stmt, (), env, None)
-        flops += f
-        loads += ld
-        stores += st
-    return flops, loads, stores
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +731,7 @@ def analyze(
         layout = build_layout(
             program, bound, layout_policy or machine.default_layout
         )
-    nests, approximate = _collect(program, bound, layout)
-    flops, loads, stores = _count(program, bound, layout)
+    nests, (flops, loads, stores), approximate = _collect(program, bound, layout)
 
     levels: list[LevelEstimate] = []
     accesses = (loads + stores) * passes

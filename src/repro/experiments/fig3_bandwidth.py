@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..interp.executor import MachineRun
+from ..lang.program import Program
 from ..machine.layout import LayoutPolicy
 from ..machine.spec import MachineSpec
 from ..programs.kernels import KERNEL_NAMES, make_kernel
@@ -88,15 +89,19 @@ class Fig3Result:
         return t
 
 
+def _kernels(n: int) -> dict[str, Program]:
+    return {name: make_kernel(name, n) for name in KERNEL_NAMES}
+
+
 def _run_suite(
     machine: MachineSpec,
+    kernels: dict[str, Program],
     n: int,
     layout_policy: LayoutPolicy | None = None,
     config: ExperimentConfig | None = None,
 ) -> Fig3Machine:
     runs: dict[str, MachineRun] = {}
-    for name in KERNEL_NAMES:
-        prog = make_kernel(name, n)
+    for name, prog in kernels.items():
         # layout_policy is forwarded on both paths: the padded ablation
         # must reach the analytic conflict term too.
         runs[name] = run_or_predict(
@@ -128,11 +133,17 @@ def _fig3_deltas(result: Fig3Result) -> list[dict]:
 @experiment("fig3", deltas=_fig3_deltas)
 def run_fig3(config: ExperimentConfig | None = None) -> Fig3Result:
     config = config or ExperimentConfig()
-    origin = _run_suite(config.origin, config.stream_elements(), config=config)
+    n = config.stream_elements()
+    origin = _run_suite(config.origin, _kernels(n), n, config=config)
+    # Programs are frozen, so the Exemplar suite and its padded ablation
+    # share one build; only the layouts (and sim-cache keys) differ.
     n_ex = config.exemplar_kernel_elements()
-    exemplar = _run_suite(config.exemplar, n_ex, config=config)
+    ex_kernels = _kernels(n_ex)
+    exemplar = _run_suite(config.exemplar, ex_kernels, n_ex, config=config)
     # Ablation: one extra cache line between arrays breaks the period-5
     # alignment, so 3w6r recovers.
     padded_policy = LayoutPolicy(alignment=32, pad_bytes=32)
-    exemplar_padded = _run_suite(config.exemplar, n_ex, padded_policy, config=config)
+    exemplar_padded = _run_suite(
+        config.exemplar, ex_kernels, n_ex, padded_policy, config=config
+    )
     return Fig3Result(origin, exemplar, exemplar_padded)

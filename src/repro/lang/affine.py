@@ -132,14 +132,22 @@ class Affine:
         return np.asarray(total)
 
     def substitute(self, bindings: Mapping[str, AffineLike]) -> "Affine":
-        """Replace symbols with affine expressions (e.g. rename loop vars)."""
-        result = Affine.const_of(self.const)
+        """Replace symbols with affine expressions (e.g. rename loop vars).
+
+        One pass: every term's contribution accumulates into one dict and
+        the result is built once (zero coefficients drop on construction).
+        """
+        terms: dict[str, int] = {}
+        const = self.const
         for s, c in self.terms.items():
-            if s in bindings:
-                result = result + _as_affine(bindings[s]) * c
-            else:
-                result = result + Affine({s: c}, 0)
-        return result
+            if s not in bindings:
+                terms[s] = terms.get(s, 0) + c
+                continue
+            b = _as_affine(bindings[s])
+            const += b.const * c
+            for bs, bc in b.terms.items():
+                terms[bs] = terms.get(bs, 0) + bc * c
+        return Affine(terms, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "Affine":
         return self.substitute({old: Affine.var(new) for old, new in mapping.items()})

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import IRError
@@ -237,6 +237,33 @@ def test_substitution_composes(a, b, env):
     env_inner = dict(env)
     env_inner["i"] = b.evaluate(env)
     assert substituted.evaluate(env) == a.evaluate(env_inner)
+
+
+def _substitute_term_by_term(a, bindings):
+    """Reference composition: add each term's image one at a time."""
+    result = Affine.const_of(a.const)
+    for s, c in a.terms.items():
+        image = Affine.of(bindings[s]) if s in bindings else Affine.var(s)
+        result = result + image * c
+    return result
+
+
+# Bindings of a subset of the symbols (the rest stay unbound) to ints,
+# symbol names or affines over the same symbols.
+bindings = st.dictionaries(
+    st.sampled_from("ijkn"),
+    st.one_of(st.integers(-5, 5), st.sampled_from("ijkn"), affines()),
+    max_size=4,
+)
+
+
+@given(affines(), bindings)
+@example(Affine({"i": 1, "j": 1}, 0), {"i": Affine({"j": -1}, 2)})  # j cancels
+@example(Affine({"i": 2, "j": 1}, 1), {"i": "j", "j": 5})  # no re-substitution
+def test_one_pass_substitute_matches_term_by_term(a, binds):
+    out = a.substitute(binds)
+    assert out == _substitute_term_by_term(a, binds)
+    assert 0 not in out.terms.values()
 
 
 @given(affines())

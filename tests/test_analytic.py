@@ -37,7 +37,22 @@ from repro.experiments.predict import (
 from repro.experiments.result import SCHEMA_VERSION
 from repro.interp.executor import execute
 from repro.machine import exemplar, origin2000
-from repro.programs import convolution, jacobi, make_kernel
+from repro import programs
+from repro.programs import (
+    BLAS1_KERNELS,
+    KERNEL_NAMES,
+    blas1,
+    convolution,
+    dmxpy,
+    fft,
+    jacobi,
+    make_kernel,
+    matmul,
+    matmul_blocked,
+    nas_sp,
+    paper_examples,
+    sweep3d,
+)
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "result.schema.json"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -161,6 +176,72 @@ class TestModelDifferential:
         # Each level consumes the previous level's outgoing events.
         for above, below in zip(est.levels, est.levels[1:]):
             assert below.accesses == above.events_out
+
+
+# Every program builder of repro.programs, at sizes small enough to
+# simulate: builder name -> programs.
+_BUILDERS = {
+    "make_kernel": [make_kernel(k, 512) for k in KERNEL_NAMES],
+    "blas1": [blas1(k, 512) for k in BLAS1_KERNELS],
+    "convolution": [convolution(512)],
+    "dmxpy": [dmxpy(256, 4)],
+    "fft": [fft(256)],
+    "jacobi": [jacobi(24, 2)],
+    "matmul": [matmul(24, order) for order in ("ijk", "jki")],
+    "matmul_blocked": [matmul_blocked(24, tile=6)],
+    "nas_sp": [nas_sp(12, 12)],
+    "sweep3d": [sweep3d(8)],
+    **{
+        name: [getattr(paper_examples, name)(n)]
+        for name, n in (
+            ("sec21_program", 512),
+            ("sec21_write_loop", 512),
+            ("sec21_read_loop", 512),
+            ("fig4_program", 64),
+            ("fig6_original", 32),
+            ("fig6_fused", 32),  # guarded
+            ("fig6_optimized", 32),  # guarded
+            ("fig7_original", 512),
+            ("fig7_fused", 512),
+            ("fig7_store_eliminated", 512),
+        )
+    },
+}
+# Suites of the builders above, and the one non-builder helper.
+_NOT_BUILDERS = {"all_kernels", "blas1_suite", "kernel_spec"}
+
+
+class TestSingleWalk:
+    """``analyze`` counts flops, loads and stores in the same walk that
+    collects the reference nests, and builds iteration grids only where
+    a guard reads them."""
+
+    def test_every_builder_covered(self):
+        public = {n for n in programs.__all__ if callable(getattr(programs, n))}
+        assert public - _NOT_BUILDERS == set(_BUILDERS)
+
+    @pytest.mark.parametrize(
+        "prog",
+        [p for progs in _BUILDERS.values() for p in progs],
+        ids=lambda p: p.name,
+    )
+    def test_counts_match_executor(self, prog):
+        machine = origin2000(scale=256)
+        est = analyze(prog, machine)
+        c = execute(prog, machine, sim_cache=False).counters
+        assert (est.flops, est.loads, est.stores) == (
+            c.graduated_flops,
+            c.loads,
+            c.stores,
+        )
+
+    def test_unguarded_nest_allocates_no_grid(self):
+        # A 2**40-element stride-one kernel: one int64 iteration grid
+        # alone would take 8 TiB.
+        n = 2**40
+        est = analyze(make_kernel("2w3r", n), origin2000())
+        assert (est.loads, est.stores) == (3 * n, 2 * n)
+        assert est.levels[-1].misses > 0
 
 
 class TestFootprintPrimitives:
