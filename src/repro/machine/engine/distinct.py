@@ -32,6 +32,39 @@ block are counted by the merge sort, and pairs that span blocks against
 the sorted prefix of every earlier position.  An input of ``2^k + 1``
 accesses thus costs about what ``2^k`` does; padding made it cost
 ``2^(k+1)``.
+
+**The window split.**  Streaming kernels reuse most lines within a few
+accesses (97% of the 2^20-access dmxpy sweep trace reuses a line seen
+fewer than 8 accesses earlier), and a short window is cheaper to count
+directly than to merge-count.  :func:`reuse_distances` therefore picks a
+window threshold ``K`` and splits the positions by their window length
+``w_i = i - p_i - 1``.  ``L`` is the set of *long* positions, ``w_j >= K``
+(cold accesses included):
+
+* a short window (``w_i < K``) is counted directly: ``delta_i`` is ``w_i``
+  minus the *repeats* ``p_i + d`` (``2 <= d <= w_i``) with
+  ``prev[p_i + d] > p_i`` — K - 2 vectorized passes, each over the
+  windows still open (position ``p_i + 1`` is never a repeat);
+* a long window (``i`` in ``L``) is
+
+      delta_i = #{ j in L, j < i, prev[j] <= p_i }
+              - #{ j in L, j <= p_i }
+              + #{ j not in L, p_i < j < p_i + K, prev[j] <= p_i }
+
+  The first term is the merge count over ``prev[L]`` alone, the second a
+  ``searchsorted`` against the positions of ``L``, the third K - 1 direct
+  passes.  The third term is bounded because ``j`` outside ``L`` has
+  ``prev[j] >= j - K``: with ``prev[j] <= p_i`` that forces
+  ``j <= p_i + K``, and ``j = p_i + K`` would need ``prev[j] = p_i``,
+  whose next occurrence is ``i`` itself.  Such ``j`` all lie before
+  ``i``, since ``i`` in ``L`` has ``p_i + K < i``.
+
+With ``K = 0`` every position is long and the identity is the prefix
+count above, so there is one code path.  ``K`` is chosen per trace from
+its window histogram (:func:`_window_threshold`): the ``K`` in
+``0..64`` minimizing the estimated direct passes over the short windows
+and ``K - 1`` passes over each long one, plus ``|L| log2 |L|``
+merge-count work, with costs measured on this implementation.
 """
 
 from __future__ import annotations
@@ -46,18 +79,25 @@ def previous_occurrences(keys: np.ndarray) -> np.ndarray:
     """For each position, the index of the previous occurrence of the same
     key (``-1`` if none).  Fully vectorized (stable argsort + group edges).
     """
+    return _previous_and_order(keys)[0]
+
+
+def _previous_and_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`previous_occurrences` plus the stable argsort it was built
+    from, which groups positions by key in ascending index order; callers
+    that group by key next reuse it instead of sorting again."""
     keys = np.ascontiguousarray(keys)
     n = keys.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     order = np.argsort(keys, kind="stable")  # groups by key, index-ascending
+    if n == 0:
+        return np.empty(0, dtype=np.int64), order
     sk = keys[order]
     prev_sorted = np.full(n, -1, dtype=np.int64)
     same = sk[1:] == sk[:-1]
     prev_sorted[1:][same] = order[:-1][same]
     prev = np.empty(n, dtype=np.int64)
     prev[order] = prev_sorted
-    return prev
+    return prev, order
 
 
 #: Brute-force row width of the merge count (a power of two).
@@ -219,9 +259,92 @@ def reuse_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndar
     """
     if prev is None:
         prev = previous_occurrences(keys)
+    window = _windows(prev)
+    return _split_distances(prev, window, _window_threshold(window))
+
+
+def _windows(prev: np.ndarray) -> np.ndarray:
+    """Accesses strictly between each position and its previous
+    occurrence; :data:`COLD` for first-ever accesses."""
+    window = np.arange(prev.size, dtype=np.int64) - prev - 1
+    window[prev < 0] = COLD
+    return window
+
+
+#: Largest window threshold :func:`_window_threshold` considers.
+_MAX_K = 64
+#: Costs of the split's parts, in gathers of a long-window pass (a few
+#: ns), fitted to timings of :func:`_split_distances` on streaming,
+#: random and Zipf traces of 2^15 to 2^20 accesses at K from 0 to 64:
+#: a gather of a short-window pass (the windows are sorted, so it walks
+#: memory in order), the sort and scatter of one short window, and the
+#: merge count per position and ``log2`` of its size (the levels are
+#: vectorized, so its time grows like ``log2``, not its square).  Repeat
+#: fits scatter by up to 2x; halving or doubling any of them leaves K
+#: unchanged on the 2^16- to 2^20-access sweep traces.
+_SHORT_PASS_COST = 0.33
+_SHORT_COST = 10.0
+_MERGE_COST = 4.5
+
+
+def _window_threshold(window: np.ndarray) -> int:
+    """The window threshold K with the cheapest estimated split: direct
+    passes over the short windows and K - 1 passes over every long one,
+    plus the merge count over the long ones (see the module docstring)."""
+    hist = np.bincount(np.minimum(window, _MAX_K), minlength=_MAX_K + 1)
+    k = np.arange(_MAX_K + 1)
+    # Long windows at threshold k: #{window >= k}, cold accesses included.
+    n_long = hist.sum() - np.concatenate([[0], np.cumsum(hist[:-1])])
+    # A short window w takes w - 1 passes (the first position of a window
+    # is never a repeat); those with w >= 2 also pay the sort.  A warm
+    # long window takes k - 1 passes.
+    short_passes = np.concatenate([[0], np.cumsum(np.maximum(k - 1, 0) * hist)[:-1]])
+    sorted_short = np.concatenate([[0], np.cumsum(np.where(k >= 2, hist, 0))[:-1]])
+    warm_long = n_long - int((window == COLD).sum())
+    merge = n_long * np.log2(np.maximum(n_long, 2))
+    cost = (
+        _SHORT_PASS_COST * short_passes
+        + _SHORT_COST * sorted_short
+        + np.maximum(k - 1, 0) * warm_long
+        + _MERGE_COST * merge
+    )
+    return int(np.argmin(cost))
+
+
+def _split_distances(prev: np.ndarray, window: np.ndarray, k: int) -> np.ndarray:
+    """Reuse distances with windows shorter than ``k`` counted directly and
+    the rest by the merge count (the split identity of the module
+    docstring); exact for every ``k >= 0``."""
     n = prev.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    delta = count_prior_leq(prev) - prev - 1
-    delta[prev < 0] = COLD
+    delta = window.copy()  # cold positions are COLD already
+    # Short windows: delta = w - repeats, where a repeat is a position
+    # p + d (2 <= d <= w) whose line was already seen after p.  Sorting by
+    # w makes the windows still open at pass d a suffix.
+    short = np.flatnonzero((window >= 2) & (window < k))
+    if short.size:
+        # w < k <= _MAX_K, so a 16-bit key: a radix sort.
+        short = short[np.argsort(window[short].astype(np.int16), kind="stable")]
+        p, w = prev[short], window[short]
+        repeats = np.zeros(short.size, dtype=np.int64)
+        for d in range(2, k):
+            a = int(np.searchsorted(w, d))
+            if a == short.size:
+                break
+            pa = p[a:]
+            repeats[a:] += prev[d:][pa] > pa  # prev[pa + d], without the add
+        delta[short] -= repeats
+    # Long windows (cold included): the merge count over L alone, minus
+    # the positions of L up to p, plus the positions outside L before
+    # p + k that are first occurrences in the window.
+    long = np.flatnonzero(window >= k)
+    p = prev[long]
+    prior = count_prior_leq(p)
+    warm = p >= 0
+    at, p = long[warm], p[warm]
+    counts = prior[warm] - np.searchsorted(long, p, side="right")
+    if k > 1:
+        outside = np.where(window >= k, n, prev)  # positions of L never count
+        for d in range(1, k):
+            counts += outside[d:][p] <= p
+    delta[at] = counts
     return delta

@@ -43,7 +43,7 @@ import numpy as np
 from ...errors import MachineError
 from ..cache import CacheGeometry
 from .base import BaseEngine
-from .distinct import previous_occurrences, reuse_distances
+from .distinct import _previous_and_order, reuse_distances
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
@@ -226,7 +226,7 @@ def stack_profile(
     if n == 0:
         return StackProfile(line_size, 0, 0, 0, 0, empty, empty, empty, empty)
 
-    prev = previous_occurrences(lines)
+    prev, order = _previous_and_order(lines)
     delta = reuse_distances(lines, prev)
     cold_mask = prev < 0
     cold = int(cold_mask.sum())
@@ -234,8 +234,7 @@ def stack_profile(
     finite = np.sort(delta[~cold_mask])
     wfinite = np.sort(delta[~cold_mask & w])
 
-    # Group accesses by line (stable sort keeps trace order inside groups).
-    order = np.argsort(lines, kind="stable")
+    # Group accesses by line (`order` is stable: trace order inside groups).
     gk, gw, gd = lines[order], w[order], delta[order]
     gstart = np.empty(n, dtype=bool)
     gstart[0] = True
@@ -373,7 +372,7 @@ class StackDistanceEngine(BaseEngine):
         else:
             keys, wx = lines, w
         total = len(keys)
-        prev = previous_occurrences(keys)
+        prev, order = _previous_and_order(keys)
         cold = prev < 0
 
         # Window shortcut: the access-count window bounds the distinct
@@ -394,8 +393,8 @@ class StackDistanceEngine(BaseEngine):
         # Tenure accounting: group by line; tenures are the segments
         # between misses inside each group; a tenure is dirty iff it saw
         # a write; every non-final tenure is evicted, and a final tenure
-        # is evicted iff its line is not resident at the end.
-        order = np.argsort(keys, kind="stable")
+        # is evicted iff its line is not resident at the end.  `order`
+        # groups positions by line, in trace order inside each group.
         gm = miss[order]  # group-first positions are cold misses, so every
         seg_idx = np.flatnonzero(gm)  # segment boundary is a miss
         seg_dirty = np.logical_or.reduceat(wx[order], seg_idx)

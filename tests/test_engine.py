@@ -24,6 +24,7 @@ from repro.machine.engine import (
     miss_curve,
     select_engine,
 )
+from repro.machine.engine import distinct
 from repro.machine.engine.distinct import (
     COLD,
     count_prior_leq,
@@ -35,6 +36,7 @@ from repro.machine.engine.simcache import (
     configure_sim_cache,
     get_sim_cache,
 )
+from repro.machine.engine.stack import stack_profile
 from repro.machine.engine.verify import (
     STAT_FIELDS,
     assert_equivalent,
@@ -58,6 +60,30 @@ def isolated_sim_cache():
 
 
 # -- offline reuse-distance machinery ----------------------------------------
+def _brute_reuse(keys) -> list[int]:
+    """Distinct keys strictly between each access and the previous one of
+    its key, one set per access; COLD for first-ever accesses."""
+    keys = np.asarray(keys).tolist()
+    last, out = {}, []
+    for i, k in enumerate(keys):
+        j = last.get(k)
+        out.append(COLD if j is None else len(set(keys[j + 1 : i])))
+        last[k] = i
+    return out
+
+
+def _split_at(keys, k: int) -> np.ndarray:
+    """Reuse distances with the window threshold forced to ``k``."""
+    prev = previous_occurrences(np.asarray(keys, dtype=np.int64))
+    return distinct._split_distances(prev, distinct._windows(prev), k)
+
+
+#: Forced window thresholds: K = 0 is the merge count alone.
+SPLIT_THRESHOLDS = [0, 1, 2, 8, 64]
+#: Lengths around the merge count's brute-force head of 32 positions.
+HEAD_LENGTHS = [1, 31, 32, 33, 63, 64, 65, 97]
+
+
 class TestDistinct:
     @given(st.lists(st.integers(0, 12), max_size=120))
     @settings(max_examples=40, deadline=None)
@@ -128,6 +154,84 @@ class TestDistinct:
                 distinct = len(set(keys[prior[-1] + 1 : i].tolist()))
                 assert delta[i] == distinct
             seen_before.add(int(k))
+
+    # -- the window split: short windows direct, long ones merge-counted --
+    @given(
+        keys=st.lists(st.integers(0, 149), max_size=400),
+        k=st.sampled_from(SPLIT_THRESHOLDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_at_any_threshold(self, keys, k):
+        assert _split_at(keys, k).tolist() == _brute_reuse(keys)
+
+    @pytest.mark.parametrize("n_keys", [100, 400, 1500])
+    def test_both_paths_taken_on_wide_key_ranges(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        keys = rng.integers(0, n_keys, 2500)
+        expected = _brute_reuse(keys)
+        window = distinct._windows(previous_occurrences(keys))
+        for k in SPLIT_THRESHOLDS:
+            if k:
+                assert (window < k).any() and ((window >= k) & (window != COLD)).any()
+            assert _split_at(keys, k).tolist() == expected
+        assert reuse_distances(keys).tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 64])
+    def test_windows_at_the_threshold(self, k):
+        # One reuse per window length K - 1, K and K + 1, each window
+        # holding repeats so its distinct count is below its length.
+        keys = []
+        for w in (k - 1, k, k + 1):
+            base = 1000 * (w + 1)
+            period = max(1, w // 2)
+            keys += [base] + [base + 1 + j % period for j in range(w)] + [base]
+        assert _split_at(keys, k).tolist() == _brute_reuse(keys)
+
+    @pytest.mark.parametrize("n", HEAD_LENGTHS)
+    @pytest.mark.parametrize(
+        "pattern",
+        ["all_cold", "all_equal", "two_streams"],
+    )
+    def test_degenerate_and_interleaved_traces(self, n, pattern):
+        i = np.arange(n, dtype=np.int64)
+        keys = {
+            "all_cold": i,
+            "all_equal": np.zeros(n, dtype=np.int64),
+            # Two streams of different speeds, alternating accesses.
+            "two_streams": np.where(i % 2 == 0, i // 8, 10**6 + i // 6),
+        }[pattern]
+        expected = _brute_reuse(keys)
+        for k in SPLIT_THRESHOLDS:
+            assert _split_at(keys, k).tolist() == expected
+        assert reuse_distances(keys).tolist() == expected
+
+    def test_threshold_follows_the_window_histogram(self):
+        # A streaming trace reuses every line within a few accesses: the
+        # split takes those directly.  Random keys over a wide range have
+        # long windows only: the merge count takes everything.
+        stream = np.arange(4096, dtype=np.int64) // 4
+        k = distinct._window_threshold(distinct._windows(previous_occurrences(stream)))
+        assert 0 < k <= distinct._MAX_K
+        wide = np.random.default_rng(0).integers(0, 10**6, 4096)
+        assert distinct._window_threshold(distinct._windows(previous_occurrences(wide))) == 0
+
+    def test_stack_profile_matches_engine_at_every_capacity(self):
+        # Three arrays walked together (a += b * c) twice: 4 elements a
+        # line, so every line reuses within a few accesses, and the second
+        # pass reuses across the whole first one.
+        n = 400
+        i = np.arange(n, dtype=np.int64)
+        a, b, c = 0, 8 * n + 64, 16 * n + 160
+        one = np.stack([b + 8 * i, c + 8 * i, a + 8 * i, a + 8 * i], axis=1).ravel()
+        addrs = np.concatenate([one, one])
+        writes = np.tile(np.array([False, False, False, True]), 2 * n)
+        profile = stack_profile(addrs, writes, LINE)
+        for capacity in range(1, profile.distinct + 2):
+            eng = StackDistanceEngine("L", CacheGeometry(capacity * LINE, LINE, capacity))
+            eng.run(addrs, writes, collect_events=False)
+            assert vars(profile.stats(capacity, flush=False)) == vars(eng.stats), capacity
+            eng.flush()
+            assert vars(profile.stats(capacity)) == vars(eng.stats), capacity
 
 
 # -- property-based engine equivalence ---------------------------------------
