@@ -42,8 +42,19 @@ class BaseEngine:
 
     # -- the batch interface engines implement -------------------------------
     def run(
-        self, byte_addrs: np.ndarray, is_write: np.ndarray
+        self,
+        byte_addrs: np.ndarray,
+        is_write: np.ndarray,
+        collect_events: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Simulate an ordered access batch; state carries across calls.
+
+        Returns the ordered ``(byte_addrs, is_write)`` stream sent to the
+        next level.  ``collect_events=False`` declares that the caller
+        discards that stream (the last hierarchy level): an engine may
+        then skip building it and return empty arrays, but its counters
+        and state must come out exactly as with ``True``.
+        """
         raise NotImplementedError
 
     def flush(self) -> tuple[np.ndarray, np.ndarray]:

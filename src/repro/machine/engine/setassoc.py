@@ -35,19 +35,31 @@ are contiguous-group-local and no per-set loop is ever needed:
   identity: LRU evicts lines in increasing order of last access and a
   victim's tenure has ended by its eviction, so the k-th evicting miss
   of a set evicts the k-th ended tenure in final-access order.
-* **Warm state** is a per-set prologue: resident lines are replayed
-  oldest-first as pseudo-heads in front of their set's group (dirty bit
-  as the write flag), then masked out of the statistics — chunked
-  streaming is bit-identical to one big run.
+* **Warm state** is a prologue: the resident lines, in (set,
+  oldest-first) order with their dirty bits as write flags, are
+  prepended to the block, so the stable set grouping puts each set's
+  residents at the head of its group as pseudo-accesses, masked out of
+  the statistics.  A set the block never touches is a group of
+  residents only and passes through unchanged — chunked streaming is
+  bit-identical to one big run.
+* **Blocks**: ``run`` feeds its batch through in blocks of ``_BLOCK``
+  accesses (raised to 8x the line capacity, so residents stay at most
+  1/8 of a block).  The work is some 60 NumPy passes of a few bytes an
+  access each, so it is bound by memory bandwidth: a 2^15-access block
+  keeps every temporary (about 1.3 MB) inside a per-core L2, where one
+  multi-MB batch would stream each pass through DRAM — the paper's own
+  remedy, applied to the simulator.  Much smaller blocks pay the
+  per-call overhead instead.  State carries exactly across calls, so a
+  block is just one more call and the event streams concatenate.
 * **The ordered event stream** (victim writeback then miss fill, in
   trace order) falls out of the head positions: each head carries its
-  original trace index through the grouping sort, one sort restores
+  index in the block through the grouping sort, one sort restores
   trace order for the misses (cheap: the indices already ascend within
   every set's group, so the key is a merge of a few sorted runs), and
   one prefix sum interleaves each victim writeback just before its
   fill.
 
-No Python loop touches the access stream.  Counters, events, flush
+No Python loop runs per access.  Counters, events, flush
 drain, and chunk-boundary state are bit-identical to the reference
 ``Cache`` (the equivalence harness and the Hypothesis suite enforce it);
 throughput is an order of magnitude above the reference dict loop.
@@ -63,6 +75,10 @@ from .base import BaseEngine
 from .distinct import reuse_distances
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+
+#: Accesses per block (at least 8x the line capacity).  A block's
+#: temporaries, about 40 bytes an access, then stay in a per-core L2.
+_BLOCK = 1 << 15
 
 
 class SetAssociativeEngine(BaseEngine):
@@ -84,14 +100,14 @@ class SetAssociativeEngine(BaseEngine):
         super().__init__(name, geometry, write_back, write_allocate)
         self._n_sets = geometry.n_sets
         self._assoc = geometry.associativity
+        # Residents ride in every block's prologue: keep them <= 1/8 of it.
+        self._block = max(_BLOCK, 8 * geometry.n_lines)
         self._reset_state()
 
     def _reset_state(self) -> None:
         # Persisted contents as flat arrays sorted by (set, LRU age):
         # oldest line of a set first, exactly the order the prologue
-        # replays them in.  ``_res_set`` is ``_res_line % n_sets``,
-        # kept materialized to make the set-membership gathers cheap.
-        self._res_set = np.empty(0, dtype=np.int64)
+        # replays them in.
         self._res_line = np.empty(0, dtype=np.int64)
         self._res_dirty = np.empty(0, dtype=bool)
 
@@ -106,79 +122,68 @@ class SetAssociativeEngine(BaseEngine):
         is_write: np.ndarray,
         collect_events: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(byte_addrs)
-        if n == 0:
+        byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
+        is_write = np.asarray(is_write, dtype=bool)
+        # State carries exactly across blocks, so a block is one more call.
+        block = self._block
+        parts = [
+            self._run_block(byte_addrs[s : s + block], is_write[s : s + block], collect_events)
+            for s in range(0, len(byte_addrs), block)
+        ]
+        if not collect_events or not parts:
             return _EMPTY_EVENTS
-        lines = np.asarray(byte_addrs, dtype=np.int64) >> self._line_shift
+        if len(parts) == 1:
+            return parts[0]
+        out_lines, out_writes = zip(*parts)
+        return np.concatenate(out_lines), np.concatenate(out_writes)
+
+    def _run_block(
+        self, byte_addrs: np.ndarray, is_write: np.ndarray, collect_events: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n = len(byte_addrs)
+        n_pro = len(self._res_line)
+        lines = byte_addrs >> self._line_shift
         hi = int(lines.max())
-        if len(self._res_line):
+        if n_pro:
             hi = max(hi, int(self._res_line.max()))
-        if hi < 2**31:  # halve the bytes every line-keyed pass touches
-            lines = lines.astype(np.int32)
-        w = np.asarray(is_write, dtype=bool)
+        # int32 halves the bytes every line-keyed pass touches.
+        dtype = np.int32 if hi < 2**31 else np.int64
+        # -- prologue: the residents, (set, oldest-first), go in front --------
+        # The stable set grouping then puts each set's residents at the
+        # head of its group; a set the block never touches becomes a group
+        # of residents only, which passes through unchanged.
+        full = np.concatenate((self._res_line, lines), dtype=dtype)
+        wfull = np.concatenate((self._res_dirty, is_write))
+        T = n + n_pro
         A = self._assoc
         n_sets = self._n_sets
 
-        # -- group accesses by set, splice each set's residents in front ------
+        # -- group by set: ``order`` maps grouped position -> ``full`` index --
         if n_sets == 1:
-            counts = np.full(1, n, dtype=np.int64)  # fully-assoc: one group
-            order = np.arange(n, dtype=np.int64)
-        elif n_sets <= 8:
-            # Counting sort: one boolean scan per set beats a radix argsort
-            # while the set count is tiny (the Origin2000 L1 has 4 sets).
-            if n_sets & (n_sets - 1) == 0:
-                key = lines & (n_sets - 1)
-            else:
-                key = lines % n_sets
-            parts = [np.flatnonzero(key == s) for s in range(n_sets)]
-            counts = np.array([len(p) for p in parts], dtype=np.int64)
-            order = np.concatenate(parts)
+            counts = np.full(1, T, dtype=np.int64)  # fully-assoc: one group
+            order = np.arange(T, dtype=np.int64)
         else:
             if n_sets & (n_sets - 1) == 0:
-                key = lines & (n_sets - 1)  # pow2 set counts skip the division
+                key = full & (n_sets - 1)  # pow2 set counts skip the division
             else:
-                key = lines % n_sets
-            if n_sets <= 65536:
-                key = key.astype(np.uint16)  # radix argsort instead of timsort
-            counts = np.bincount(key, minlength=n_sets)
-            order = np.argsort(key, kind="stable")
-        present = counts > 0
-        gsets = np.flatnonzero(present)  # ascending = group order
-        gcounts = counts[present]
-        n_groups = len(gsets)
-
-        touched = present[self._res_set]
-        pro_line = self._res_line[touched]  # already (set, oldest-first) sorted
-        pro_dirty = self._res_dirty[touched]
-        n_pro = len(pro_line)
-        pcounts = np.bincount(self._res_set[touched], minlength=n_sets)[present]
-
-        tot = gcounts + pcounts
-        g_end = np.cumsum(tot)
-        g_start = g_end - tot
-        T = int(g_end[-1])  # == n + n_pro
-        if n_pro:
-            keys = np.empty(T, dtype=lines.dtype)
-            wx = np.empty(T, dtype=bool)
-            xpos = np.empty(T, dtype=np.int64)  # original trace index
-            p_start = np.cumsum(pcounts) - pcounts
-            pg = np.repeat(np.arange(n_groups, dtype=np.int64), pcounts)
-            pro_pos = g_start[pg] + (np.arange(n_pro, dtype=np.int64) - p_start[pg])
-            a_start = np.cumsum(gcounts) - gcounts
-            ag = np.repeat(np.arange(n_groups, dtype=np.int64), gcounts)
-            acc_pos = (
-                g_start[ag] + pcounts[ag] + (np.arange(n, dtype=np.int64) - a_start[ag])
-            )
-            keys[pro_pos] = pro_line
-            wx[pro_pos] = pro_dirty
-            xpos[pro_pos] = 0  # never read: prologue heads are masked out
-            keys[acc_pos] = lines[order]
-            wx[acc_pos] = w[order]
-            xpos[acc_pos] = order
-        else:
-            keys = lines[order]
-            wx = w[order]
-            xpos = order
+                key = full % n_sets
+            if n_sets <= 8:
+                # Counting sort: one boolean scan per set beats a radix
+                # argsort while the set count is tiny (the Origin2000 L1
+                # has 4 sets).
+                parts = [np.flatnonzero(key == s) for s in range(n_sets)]
+                counts = np.array([len(p) for p in parts], dtype=np.int64)
+                order = np.concatenate(parts)
+            else:
+                if n_sets <= 65536:
+                    key = key.astype(np.uint16)  # radix argsort, not timsort
+                counts = np.bincount(key, minlength=n_sets)
+                order = np.argsort(key, kind="stable")
+        gcounts = counts[counts > 0]
+        n_groups = len(gcounts)
+        g_start = np.cumsum(gcounts) - gcounts
+        keys = full[order]
+        wx = wfull[order]
 
         # -- collapse runs of equal lines: only run heads need classifying ----
         # Within a set group, an access whose predecessor touched the same
@@ -194,7 +199,7 @@ class SetAssociativeEngine(BaseEngine):
         ck = keys[rpos]
         # Run dirty bits: any write in the run.  Read-only batches over a
         # clean cache skip the dirty machinery wholesale.
-        dirty_any = bool(w.any()) or bool(pro_dirty.any())
+        dirty_any = bool(wfull.any())
         if dirty_any:
             cwa = np.logical_or.reduceat(wx, rpos)
         else:
@@ -203,7 +208,7 @@ class SetAssociativeEngine(BaseEngine):
         ccounts = np.empty(n_groups, dtype=np.int64)
         ccounts[:-1] = np.diff(cg_start)
         ccounts[-1] = R - cg_start[-1]
-        if A > 2 or n_pro:
+        if A > 2:
             # Head -> group map, only where something consumes it.  Every
             # group start is a run head, so a head's group is a prefix
             # count of group starts.
@@ -258,7 +263,6 @@ class SetAssociativeEngine(BaseEngine):
             res_pos = np.empty(int(nres.sum()), dtype=np.int64)
             res_pos[r_start] = ge - nres
             res_pos[r_start + nres - 1] = ge - 1  # no-op when nres == 1
-            new_set = np.repeat(gsets, nres)
             new_line = ck[res_pos].astype(np.int64)
             new_dirty = tor[res_pos]
         else:
@@ -328,7 +332,6 @@ class SetAssociativeEngine(BaseEngine):
             res_sorted = rank >= (d_end - occupancy)[g_of_sorted]
             res_sel = dorder[res_sorted]  # (set asc, oldest-first) — LRU order
             res_pos = last_pos[res_sel]
-            new_set = gsets[dgroup[res_sel]]
             new_line = ck[res_pos].astype(np.int64)
             new_dirty = tdirty[res_pos]
 
@@ -350,24 +353,14 @@ class SetAssociativeEngine(BaseEngine):
             victim_dirty = tdirty[vic_pos]
             evm_pos = np.flatnonzero(evicting)  # ascending, all real accesses
 
-        if len(self._res_set) and not touched.all():
-            all_set = np.concatenate([self._res_set[~touched], new_set])
-            all_line = np.concatenate([self._res_line[~touched], new_line])
-            all_dirty = np.concatenate([self._res_dirty[~touched], new_dirty])
-            sorder = np.argsort(all_set, kind="stable")  # a set is in one half
-            self._res_set = all_set[sorder]
-            self._res_line = all_line[sorder]
-            self._res_dirty = all_dirty[sorder]
-        else:
-            self._res_set = new_set
-            self._res_line = new_line
-            self._res_dirty = new_dirty
+        self._res_line = new_line
+        self._res_dirty = new_dirty
 
         # -- statistics (prologue heads masked out) ---------------------------
         # Misses only happen at run heads; a head is a prologue entry iff
-        # its combined position falls in its group's prologue prefix.
+        # it came from the first ``n_pro`` entries of ``full``.
         if n_pro:
-            rmiss = miss & (rpos >= (g_start + pcounts)[cgid])
+            rmiss = miss & (order[rpos] >= n_pro)
         else:
             rmiss = miss
         mh = np.flatnonzero(rmiss)  # real miss heads, grouped order
@@ -390,12 +383,12 @@ class SetAssociativeEngine(BaseEngine):
 
         # -- ordered downstream stream: per miss, in trace order, an ----------
         # optional victim writeback then the fill.  Each miss head carries
-        # its original trace index; restoring trace order is one stable
+        # its index into ``full``; restoring trace order is one stable
         # argsort (cheap: the indices already ascend within every set
         # group, so the key is a merge of n_groups sorted runs), and a
         # prefix sum over the writeback flags interleaves each victim
         # just before its fill.
-        morig = xpos[hmp]
+        morig = order[hmp]
         mord = np.cumsum(rmiss) - 1  # head -> its miss ordinal
         wb_flag = np.zeros(m, dtype=bool)
         vic = np.empty(m, dtype=np.int64)
@@ -408,7 +401,7 @@ class SetAssociativeEngine(BaseEngine):
         fpos = np.arange(m, dtype=np.int64) + np.cumsum(wbt)
         out_lines = np.empty(m + n_wb, dtype=np.int64)
         out_writes = np.zeros(m + n_wb, dtype=bool)
-        out_lines[fpos] = lines[som]
+        out_lines[fpos] = full[som]
         wix = np.flatnonzero(wbt)
         wpos = fpos[wix] - 1
         out_lines[wpos] = vic[ms[wix]]

@@ -18,11 +18,19 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.balance.analytic import _Group, _covered_sets, _lines, analyze, predict_run
+from repro.balance.analytic import (
+    _collect,
+    _covered_sets,
+    _Group,
+    _lines,
+    _sampled_traffic,
+    analyze,
+    predict_run,
+)
 from repro.errors import AnalysisError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import build_manifest, run_battery
@@ -37,6 +45,7 @@ from repro.experiments.predict import (
 from repro.experiments.result import SCHEMA_VERSION
 from repro.interp.executor import execute
 from repro.machine import exemplar, origin2000
+from repro.machine.layout import build_layout
 from repro import programs
 from repro.programs import (
     BLAS1_KERNELS,
@@ -139,6 +148,15 @@ class TestModelDifferential:
         scale=st.sampled_from([16, 64, 256]),
     )
     @settings(settings.get_profile("repro-default"))
+    # Resonance windows (array strides near a multiple of half an L2
+    # way), where the working-set model alone was off by up to 95%.
+    @example(n=357, name="2w5r", scale=256)
+    @example(n=362, name="2w5r", scale=256)
+    @example(n=361, name="3w6r", scale=256)
+    @example(n=865, name="1w3r", scale=256)
+    @example(n=875, name="3w6r", scale=256)
+    @example(n=1385, name="2w5r", scale=256)
+    @example(n=1897, name="3w6r", scale=64)
     def test_streaming_band(self, n, name, scale):
         machine = origin2000(scale=scale)
         prog = make_kernel(name, n)
@@ -176,6 +194,46 @@ class TestModelDifferential:
         # Each level consumes the previous level's outgoing events.
         for above, below in zip(est.levels, est.levels[1:]):
             assert below.accesses == above.events_out
+
+
+def _only_nest(prog, machine):
+    bound = prog.bind_params(None)
+    layout = build_layout(prog, bound, machine.default_layout)
+    (nest,), _, _ = _collect(prog, bound, layout)
+    return nest
+
+
+class TestResonance:
+    """Lockstep streams crowding one set window: the nest's counts come
+    from short exact windows, extrapolated over the trip count."""
+
+    @pytest.mark.parametrize(
+        "name,n,scale",
+        [
+            ("3w6r", 361, 256),  # three streams in one L2 set
+            ("2w5r", 357, 256),  # three streams within one line
+            ("1w3r", 865, 256),
+            ("3w6r", 1897, 64),
+        ],
+    )
+    def test_every_level_tracks_the_simulator(self, name, n, scale):
+        machine = origin2000(scale=scale)
+        prog = make_kernel(name, n)
+        assert _sampled_traffic(_only_nest(prog, machine), machine) is not None
+        est = analyze(prog, machine)
+        run = execute(prog, machine, sim_cache=False)
+        for lv, exact in zip(est.levels, run.counters.level_stats):
+            assert abs(lv.misses - exact.misses) <= max(0.05 * exact.misses, 2)
+            assert abs(lv.writebacks - exact.writebacks) <= max(
+                0.05 * exact.writebacks, 2
+            )
+
+    def test_spread_streams_left_to_the_model(self):
+        """Padding spreads 2w3r's streams over the sets at Origin/16:
+        no window is crowded, so the working-set model answers."""
+        machine = origin2000(scale=16)
+        nest = _only_nest(make_kernel("2w3r", 1000), machine)
+        assert _sampled_traffic(nest, machine) is None
 
 
 # Every program builder of repro.programs, at sizes small enough to

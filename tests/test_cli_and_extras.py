@@ -228,10 +228,10 @@ class TestJacobi:
 
         r = run_e17(ExperimentConfig(scale=256))
         for kind in ("scal", "axpy", "dot"):
-            row = r.row(f"blas1_{kind}")
+            row = r.detail.row(f"blas1_{kind}")
             assert row.balance.memory_balance == pytest.approx(
                 row.expected_memory, rel=0.02
             )
             assert row.memory_ratio > 5
-        assert r.row("jacobi").memory_ratio > 3
+        assert r.detail.row("jacobi").memory_ratio > 3
         assert "E17" in r.table().render()

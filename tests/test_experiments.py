@@ -38,7 +38,7 @@ def fig3():
 
 class TestFig1:
     def test_all_programs_present(self, fig1):
-        names = {b.program for b in fig1.balances}
+        names = {b.program for b in fig1.detail.balances}
         assert names == {
             "convolution", "dmxpy", "mm(-O2)", "mm(-O3)", "FFT", "NAS/SP", "Sweep3D",
         }
@@ -46,26 +46,26 @@ class TestFig1:
     def test_memory_demand_exceeds_machine(self, fig1):
         """Every application (except blocked mm) demands far more memory
         bandwidth than the machine's 0.8 B/flop."""
-        machine_mem = fig1.machine.balance[-1]
-        for b in fig1.balances:
+        machine_mem = fig1.detail.machine.balance[-1]
+        for b in fig1.detail.balances:
             if b.program == "mm(-O3)":
                 continue
             assert b.memory_balance > 3 * machine_mem, b.program
 
     def test_blocked_mm_collapses(self, fig1):
-        o2 = fig1.by_name("mm(-O2)").memory_balance
-        o3 = fig1.by_name("mm(-O3)").memory_balance
+        o2 = fig1.detail.by_name("mm(-O2)").memory_balance
+        o3 = fig1.detail.by_name("mm(-O3)").memory_balance
         assert o3 < o2 / 4  # paper: 5.9 -> 0.04; shape: large collapse
         # the paper's striking point: blocked mm is the ONLY program whose
         # demand fits under the machine's memory balance
-        assert o3 < fig1.machine.balance[-1]
+        assert o3 < fig1.detail.machine.balance[-1]
 
     def test_register_balance_positive_everywhere(self, fig1):
-        for b in fig1.balances:
+        for b in fig1.detail.balances:
             assert all(x > 0 for x in b.bytes_per_flop)
 
     def test_machine_row(self, fig1):
-        assert fig1.machine.balance == pytest.approx((4.0, 4.0, 0.8))
+        assert fig1.detail.machine.balance == pytest.approx((4.0, 4.0, 0.8))
 
     def test_table_renders(self, fig1):
         text = fig1.table().render()
@@ -76,18 +76,18 @@ class TestFig2:
     def test_memory_is_binding_everywhere(self, fig2):
         """The paper's core finding: the memory channel has the largest
         demand/supply ratio for every application."""
-        for r in fig2.ratios:
+        for r in fig2.detail.ratios:
             assert r.limiting_channel == "Mem-L2", r.program
 
     def test_ratio_range_matches_paper_band(self, fig2):
         """Paper: memory ratios 3.4-10.5; ours land in the same decade."""
-        mems = [r.ratios[-1] for r in fig2.ratios]
+        mems = [r.ratios[-1] for r in fig2.detail.ratios]
         assert min(mems) > 3.0
         assert max(mems) < 20.0
 
     def test_cpu_utilization_mostly_idle(self, fig2):
         """'over 80% of CPU capacity is left unused'."""
-        for r in fig2.ratios:
+        for r in fig2.detail.ratios:
             assert r.cpu_utilization_bound < 0.25, r.program
 
     def test_needed_bandwidth_argument(self, fig2):
@@ -95,37 +95,37 @@ class TestFig2:
         bandwidth — ours lands in the same range (GB/s scale)."""
         from repro.balance import required_memory_bandwidth
 
-        needs = [required_memory_bandwidth(r, fig2.machine) for r in fig2.ratios]
+        needs = [required_memory_bandwidth(r, fig2.detail.machine) for r in fig2.detail.ratios]
         assert all(1e9 < n < 6e9 for n in needs)
 
     def test_blocked_mm_excluded(self, fig2):
-        assert all(r.program != "mm(-O3)" for r in fig2.ratios)
+        assert all(r.program != "mm(-O3)" for r in fig2.detail.ratios)
 
 
 class TestFig3:
     def test_origin_flat(self, fig3):
         """'On Origin2000, the difference is within 20% among all kernels.'"""
-        assert fig3.origin.spread() < 0.20
+        assert fig3.detail.origin.spread() < 0.20
 
     def test_origin_saturates(self, fig3):
-        for name, bw in fig3.origin.bandwidths.items():
-            assert bw == pytest.approx(fig3.origin.machine.memory_bandwidth, rel=0.05), name
+        for name, bw in fig3.detail.origin.bandwidths.items():
+            assert bw == pytest.approx(fig3.detail.origin.machine.memory_bandwidth, rel=0.05), name
 
     def test_exemplar_3w6r_dip(self, fig3):
         """Footnote 3: the six-array kernel falls below the rest on the
         direct-mapped machine."""
-        bws = fig3.exemplar.bandwidths
+        bws = fig3.detail.exemplar.bandwidths
         others_min = min(bw for k, bw in bws.items() if k != "3w6r")
         assert bws["3w6r"] < 0.7 * others_min
-        assert fig3.exemplar.spread(exclude=("3w6r",)) < 0.2
+        assert fig3.detail.exemplar.spread(exclude=("3w6r",)) < 0.2
 
     def test_padding_ablation_fixes_dip(self, fig3):
         """Our extension: one line of padding removes the conflict, which
         confirms the paper's conjecture causally."""
-        padded = fig3.exemplar_padded.bandwidths
-        spread = fig3.exemplar_padded.spread()
+        padded = fig3.detail.exemplar_padded.bandwidths
+        spread = fig3.detail.exemplar_padded.spread()
         assert spread < 0.2
-        assert padded["3w6r"] > 1.5 * fig3.exemplar.bandwidths["3w6r"]
+        assert padded["3w6r"] > 1.5 * fig3.detail.exemplar.bandwidths["3w6r"]
 
     def test_table_lists_all_kernels(self, fig3):
         from repro.programs import KERNEL_NAMES
@@ -141,22 +141,22 @@ class TestFig4:
         return run_fig4(CFG)
 
     def test_paper_costs(self, fig4):
-        assert fig4.no_fusion_cost == 20
-        assert fig4.optimal_cost == 7
-        assert fig4.edge_weighted_bandwidth_cost == 8
-        assert fig4.edge_weighted_cross == 2
-        assert fig4.optimal_edge_weight == 3
+        assert fig4.detail.no_fusion_cost == 20
+        assert fig4.detail.optimal_cost == 7
+        assert fig4.detail.edge_weighted_bandwidth_cost == 8
+        assert fig4.detail.edge_weighted_cross == 2
+        assert fig4.detail.optimal_edge_weight == 3
 
     def test_partitionings_match_paper(self, fig4):
         from repro.fusion import Partitioning
 
-        assert fig4.optimal == Partitioning.of([{4}, {0, 1, 2, 3, 5}])
-        assert fig4.edge_weighted == Partitioning.of([{0, 1, 2, 3, 4}, {5}])
+        assert fig4.detail.optimal == Partitioning.of([{4}, {0, 1, 2, 3, 5}])
+        assert fig4.detail.edge_weighted == Partitioning.of([{0, 1, 2, 3, 4}, {5}])
 
     def test_simulated_traffic_agrees_with_model(self, fig4):
         """Measured memory bytes rank exactly as the model's array loads:
         none > edge-weighted > bandwidth-minimal."""
-        m = fig4.memory_bytes
+        m = fig4.detail.memory_bytes
         assert m["none"] > m["edge"] > m["bandwidth"]
         # ratios roughly proportional to the load counts 20 : 8 : 7
         assert m["none"] / m["bandwidth"] == pytest.approx(20 / 7, rel=0.25)
@@ -166,16 +166,16 @@ class TestFig5:
     def test_scaling_and_correctness(self):
         r = run_fig5(edge_counts=(8, 16, 32), node_counts=(16, 64, 256))
         # node sweep: constant structure, flat cut weight
-        weights = {p.cut_weight for p in r.node_scaling}
+        weights = {p.cut_weight for p in r.detail.node_scaling}
         assert len(weights) == 1
         # edge sweep timings grow (polynomial in E), sanity only
-        assert r.edge_scaling[-1].seconds >= r.edge_scaling[0].seconds
+        assert r.detail.edge_scaling[-1].seconds >= r.detail.edge_scaling[0].seconds
         assert "Figure 5" in r.table().render()
 
     def test_node_scaling_nearly_linear(self):
         r = run_fig5(edge_counts=(8,), node_counts=(16, 512))
-        t_small = r.node_scaling[0].seconds
-        t_large = r.node_scaling[-1].seconds
+        t_small = r.detail.node_scaling[0].seconds
+        t_large = r.detail.node_scaling[-1].seconds
         # 32x the nodes must cost far less than 32x the time
         assert t_large < 8 * max(t_small, 1e-4)
 
@@ -186,24 +186,24 @@ class TestFig6:
         return run_fig6(CFG)
 
     def test_storage_drop(self, fig6):
-        n = fig6.n
-        assert fig6.storage_bytes("original") == 2 * n * n * 8
-        assert fig6.storage_bytes("optimized") == 2 * n * 8
+        n = fig6.detail.n
+        assert fig6.detail.storage_bytes("original") == 2 * n * n * 8
+        assert fig6.detail.storage_bytes("optimized") == 2 * n * 8
 
     def test_traffic_drops_at_every_level(self, fig6):
         for level in range(3):
-            orig = fig6.runs["original"].counters.channel_bytes[level]
-            opt = fig6.runs["optimized"].counters.channel_bytes[level]
+            orig = fig6.detail.runs["original"].counters.channel_bytes[level]
+            opt = fig6.detail.runs["optimized"].counters.channel_bytes[level]
             assert opt < orig, level
 
     def test_fusion_already_helps(self, fig6):
         assert (
-            fig6.runs["fused"].counters.memory_bytes
-            < fig6.runs["original"].counters.memory_bytes
+            fig6.detail.runs["fused"].counters.memory_bytes
+            < fig6.detail.runs["original"].counters.memory_bytes
         )
 
     def test_optimized_runs_much_faster(self, fig6):
-        assert fig6.runs["optimized"].seconds < fig6.runs["original"].seconds / 10
+        assert fig6.detail.runs["optimized"].seconds < fig6.detail.runs["original"].seconds / 10
 
 
 class TestFig8:
@@ -212,24 +212,24 @@ class TestFig8:
         return run_fig8(CFG)
 
     def test_two_machines(self, fig8):
-        assert len(fig8.runs) == 2
+        assert len(fig8.detail.runs) == 2
 
     def test_monotone_stage_times(self, fig8):
-        for machine, runs in fig8.runs.items():
+        for machine, runs in fig8.detail.runs.items():
             secs = [r.seconds for r in runs]
             assert secs[0] > secs[1] > secs[2], machine
 
     def test_speedup_near_two(self, fig8):
         """Paper: 2.0x on Origin, 1.7x on Exemplar."""
-        for machine in fig8.runs:
-            assert fig8.speedup(machine) == pytest.approx(2.0, rel=0.2)
+        for machine in fig8.detail.runs:
+            assert fig8.detail.speedup(machine) == pytest.approx(2.0, rel=0.2)
 
     def test_store_elim_touches_only_writebacks(self, fig8):
         """The defining property: memory *read* traffic is unchanged ('it
         does not affect the performance of memory reads at all'), while
         the writebacks disappear entirely. (Register traffic also drops:
         the forwarding scalar removes the redundant re-load of res[i].)"""
-        for machine, (orig, fused, se) in fig8.runs.items():
+        for machine, (orig, fused, se) in fig8.detail.runs.items():
             assert (
                 se.counters.level_stats[-1].read_misses
                 == fused.counters.level_stats[-1].read_misses
@@ -240,14 +240,14 @@ class TestFig8:
     def test_programs_produced_by_compiler(self, fig8):
         """The fused/eliminated stages come from the transformation passes
         (build_stages verifies them against the interpreter)."""
-        names = [p.name for p in fig8.programs]
+        names = [p.name for p in fig8.detail.programs]
         assert names == ["fig7", "fig7_fused", "fig7_se"]
 
 
 class TestE9:
     def test_reduction_agrees(self):
         r = run_e9(trials=5)
-        assert r.all_equal
+        assert r.detail.all_equal
         assert "E9" in r.table().render()
 
 
@@ -257,23 +257,23 @@ class TestE10:
         return run_e10(CFG, tiles=(10, 30))
 
     def test_blocking_monotone_in_tile(self, e10):
-        assert e10.memory_balance("blocked t=30") < e10.memory_balance("jki (-O2)")
+        assert e10.detail.memory_balance("blocked t=30") < e10.detail.memory_balance("jki (-O2)")
 
     def test_scalar_replacement_cuts_register_traffic(self, e10):
-        with_sr = [b for n, b, _ in e10.variants if n == "blocked t=30"][0]
-        without = [b for n, b, _ in e10.variants if n == "blocked t=30 no-SR"][0]
+        with_sr = [b for n, b, _ in e10.detail.variants if n == "blocked t=30"][0]
+        without = [b for n, b, _ in e10.detail.variants if n == "blocked t=30 no-SR"][0]
         assert with_sr.bytes_per_flop[0] < without.bytes_per_flop[0]
 
     def test_blocked_is_faster(self, e10):
-        runs = {n: r for n, _, r in e10.variants}
+        runs = {n: r for n, _, r in e10.detail.variants}
         assert runs["blocked t=30"].seconds < runs["jki (-O2)"].seconds
 
 
 class TestE11:
     def test_five_of_seven(self):
         r = run_e11(CFG)
-        assert r.saturated_count == 5
-        util = {s.name: s.utilization for s in r.subroutines}
+        assert r.detail.saturated_count == 5
+        util = {s.name: s.utilization for s in r.detail.subroutines}
         assert util["y_solve"] < 0.84
         assert util["z_solve"] < 0.84
         assert util["compute_rhs"] >= 0.84
@@ -282,9 +282,9 @@ class TestE11:
 class TestE12:
     def test_stages_improve(self):
         r = run_e12(CFG)
-        times = [run.seconds for _, run in r.runs]
+        times = [run.seconds for _, run in r.detail.runs]
         assert times[-1] < times[0]
-        assert len(r.runs) >= 3
+        assert len(r.detail.runs) >= 3
         assert "E12" in r.table().render()
 
 

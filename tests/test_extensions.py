@@ -489,7 +489,7 @@ class TestNewExperiments:
         r = run_e13(ExperimentConfig(scale=256))
         for row in r.detail.rows:
             assert row.opt_bytes <= row.lru_bytes
-        fig7 = r.row("fig7")
+        fig7 = r.detail.row("fig7")
         assert fig7.compiler_gain > fig7.opt_gain  # rescheduling beats OPT
         assert "E13" in r.table().render()
 
@@ -501,8 +501,8 @@ class TestNewExperiments:
             assert row.measured_bytes >= row.intrinsic.total_bytes * 0.999
         # the transformed fig6 floor is ~N/2 times lower than the original's
         assert (
-            r.row("fig6_optimized").intrinsic.total_bytes
-            < r.row("fig6_original").intrinsic.total_bytes / 10
+            r.detail.row("fig6_optimized").intrinsic.total_bytes
+            < r.detail.row("fig6_original").intrinsic.total_bytes / 10
         )
 
     def test_e15(self):
@@ -510,15 +510,15 @@ class TestNewExperiments:
 
         r = run_e15(ExperimentConfig(scale=256))
         # The method's claim: exact across machines sharing cache geometry.
-        assert r.max_error(same_geometry=True) < 1e-9
+        assert r.detail.max_error(same_geometry=True) < 1e-9
         # Cross-geometry predictions degrade with the miss-count mismatch
         # (the experiment's own caveat); they stay the right order of
         # magnitude but are NOT exact — especially at extreme cache scales.
-        assert r.max_error(same_geometry=False) < 1.0
+        assert r.detail.max_error(same_geometry=False) < 1.0
 
     def test_e16(self):
         from repro.experiments import ExperimentConfig, run_e16
 
         r = run_e16(ExperimentConfig(scale=256))
-        assert r.bandwidths["padded"] > 1.5 * r.bandwidths["conflicted"]
-        assert r.bandwidths["regrouped"] > 1.5 * r.bandwidths["conflicted"]
+        assert r.detail.bandwidths["padded"] > 1.5 * r.detail.bandwidths["conflicted"]
+        assert r.detail.bandwidths["regrouped"] > 1.5 * r.detail.bandwidths["conflicted"]
