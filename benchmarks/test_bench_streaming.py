@@ -1,8 +1,8 @@
 """Streaming trace pipeline — bounded memory at full throughput.
 
 The paper's expensive artifact is the mm trace: O(N^3) accesses that the
-materialized pipeline must hold (plus generation transients) before the
-first access reaches the cache simulator.  The streaming pipeline
+materialized pipeline must hold before the first access reaches the
+cache simulator.  The streaming pipeline
 generates the trace in execution-order chunks fused with simulation, so
 peak memory is O(chunk); the overlap variant additionally prefetches
 generation on a background thread.
@@ -11,9 +11,10 @@ Two claims are asserted here:
 
 * counters are bit-identical across all three pipelines (the streaming
   machinery exists to change memory, never numbers);
-* streamed throughput is at worst modestly below materialized (in
-  practice it is *faster*: chunked generation avoids the giant
-  intermediate buffers of one-shot vectorized generation).
+* streamed throughput is at worst modestly below materialized (both
+  write each address once into its output buffer; streaming adds only
+  per-chunk overhead and saves the page faults of one trace-sized
+  buffer).
 
 Peak RSS is measured in subprocess workers (``tools/bench_report.py
 --streaming-worker``) because ``ru_maxrss`` is a process-lifetime

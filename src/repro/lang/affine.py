@@ -123,13 +123,21 @@ class Affine:
         return total
 
     def evaluate_vec(self, env: Mapping[str, "np.ndarray | int"]) -> np.ndarray:
-        """Evaluate over NumPy grids; broadcasting applies across symbols."""
-        total: np.ndarray | int = self.const
+        """Evaluate over NumPy grids; broadcasting applies across symbols.
+
+        A unit coefficient multiplies nothing and a zero constant adds
+        nothing, so a bare symbol returns its grid itself (callers treat
+        the result as read-only) and ``i + 1`` allocates one array.
+        """
+        total: np.ndarray | int | None = None
         for s, c in self.terms.items():
             if s not in env:
                 raise IRError(f"unbound symbol {s!r} in {self}")
-            total = total + c * env[s]
-        return np.asarray(total)
+            term = env[s] if c == 1 else c * env[s]
+            total = term if total is None else total + term
+        if total is None:
+            return np.asarray(self.const)
+        return np.asarray(total + self.const if self.const else total)
 
     def substitute(self, bindings: Mapping[str, AffineLike]) -> "Affine":
         """Replace symbols with affine expressions (e.g. rename loop vars).

@@ -9,8 +9,9 @@ that fixes it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,15 +113,61 @@ class MemoryLayout:
         return p.base + linear * p.element_size
 
     def element_addresses(
-        self, name: str, subscripts: tuple[np.ndarray, ...]
+        self,
+        name: str,
+        subscripts: Sequence[np.ndarray | int],
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized byte addresses for index grids (no bounds check here;
-        the trace engine validates ranges once per loop nest)."""
+        """Vectorized byte addresses ``base + sum_d sub_d * stride_d *
+        element_size`` of array ``name``.
+
+        ``subscripts`` holds one integer array or scalar per dimension,
+        and they broadcast against each other: open grids (each varying
+        along its own axes, size 1 on the others) give the full address
+        grid without any subscript being expanded first. The result has
+        the broadcast shape. With ``out`` (int64, of a shape the
+        subscripts broadcast to, possibly a strided view) it is written
+        there and returned; temporaries are sized by the subscripts' own
+        shapes, not by ``out``. No bounds check: callers validate the
+        subscripts (the trace generator checks each one against its
+        extent once per loop nest).
+        """
         p = self[name]
-        linear = np.zeros_like(subscripts[0], dtype=np.int64)
+        if len(subscripts) != len(p.extents):
+            raise MachineError(f"rank mismatch addressing {name} with {len(subscripts)} subscripts")
+        const = p.base
+        terms: list[tuple[np.ndarray, int]] = []
         for sub, stride in zip(subscripts, p.strides):
-            linear = linear + sub.astype(np.int64) * stride
-        return p.base + linear * p.element_size
+            sub = np.asarray(sub)
+            scale = stride * p.element_size
+            if sub.ndim == 0:
+                const += int(sub) * scale
+            else:
+                terms.append((sub, scale))
+        shape = np.broadcast_shapes(*(sub.shape for sub, _ in terms))
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        if not terms:
+            out[...] = const
+            return out
+        # Sum the smaller terms first (their partial sum stays small).
+        terms.sort(key=lambda t: t[0].size)
+        *head, (last, scale) = terms
+        partial: np.ndarray | int = const
+        for sub, s in head:
+            partial = partial + np.multiply(sub, s, dtype=np.int64)
+        if last.size == out.size:
+            # The largest term is as big as out: build it there in place.
+            np.multiply(last, scale, out=out, dtype=np.int64)
+            if head or const:
+                out += partial
+        elif math.prod(shape) < out.size:
+            # The address varies along fewer axes than out spans: finish
+            # it at its own size, then one broadcasting copy fills out.
+            np.copyto(out, partial + np.multiply(last, scale, dtype=np.int64))
+        else:
+            np.add(np.multiply(last, scale, dtype=np.int64), partial, out=out)
+        return out
 
 
 def build_layout(

@@ -1,4 +1,4 @@
-"""Shared program factories for the test suite."""
+"""Shared program factories and oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -36,3 +36,32 @@ def two_loop_chain(name: str = "chain", n: int = 64):
     with b.loop("i", 0, "N") as i:
         b.assign(s, s + tmp[i])
     return b.build()
+
+
+def interpreted_accesses(program, layout) -> list[tuple[int, bool]]:
+    """The ordered ``(address, is_write)`` stream of an instrumented
+    interpretation: every array read the evaluator performs and every
+    array store, addressed through ``layout``. An oracle for the trace
+    generator that shares none of its machinery."""
+    from repro.interp.evaluator import Evaluator
+    from repro.lang.expr import ArrayRef
+
+    ev = Evaluator(program)
+    seq: list[tuple[int, bool]] = []
+    orig_eval, orig_store = ev._eval, ev._store
+
+    def address(ref, env):
+        return layout.element_address(ref.array, tuple(sub.evaluate(env) for sub in ref.index))
+
+    def recording_eval(expr, env):
+        if isinstance(expr, ArrayRef):
+            seq.append((address(expr, env), False))
+        return orig_eval(expr, env)
+
+    def recording_store(ref, env, value):
+        seq.append((address(ref, env), True))
+        return orig_store(ref, env, value)
+
+    ev._eval, ev._store = recording_eval, recording_store
+    ev.run()
+    return seq

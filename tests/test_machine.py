@@ -106,6 +106,31 @@ class TestLayout:
         out = layout.element_addresses("a", subs)
         assert list(out) == [0, 24, 56]
 
+    def test_vectorized_addresses_open_grids(self):
+        """Subscripts broadcast against each other; with ``out`` the
+        addresses land in a strided view, and scalars fold in."""
+        from repro.lang import ProgramBuilder
+
+        b = ProgramBuilder("p", params={"N": 3, "M": 4})
+        b.array("pad", 5)
+        b.array("m", ("N", "M"))
+        layout = build_layout(b.build(), None, LayoutPolicy(alignment=8))
+        base = layout["m"].base
+        i = np.arange(3).reshape(3, 1)
+        j = np.arange(4).reshape(1, 4)
+        expected = base + 8 * (4 * i + j)
+        assert np.array_equal(layout.element_addresses("m", (i, j)), expected)
+        block = np.zeros((3, 4, 2), dtype=np.int64)
+        out = layout.element_addresses("m", (i, j), out=block[..., 1])
+        assert np.shares_memory(out, block)
+        assert np.array_equal(block[..., 1], expected)
+        assert not block[..., 0].any()
+        layout.element_addresses("m", (2, j), out=block[..., 0])
+        assert np.array_equal(block[..., 0], np.broadcast_to(base + 8 * (8 + j), (3, 4)))
+        assert int(layout.element_addresses("m", (1, 3))) == base + 8 * 7
+        with pytest.raises(MachineError, match="rank mismatch"):
+            layout.element_addresses("m", (i,))
+
     def test_no_overlap(self):
         from repro.programs import nas_sp
 

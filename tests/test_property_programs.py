@@ -5,7 +5,7 @@ A hypothesis strategy builds small but structurally diverse IR programs
 three independent implementations are pitted against each other:
 
 * the vectorized trace engine vs an instrumented interpretation
-  (load/store counts must match exactly);
+  (the ordered address/write stream must match exactly);
 * the printer/parser round trip vs the interpreter (same observables);
 * the LRU hierarchy vs the intrinsic floor (traffic can never go below
   compulsory + writeback).
@@ -108,37 +108,22 @@ def programs(draw):
     )
 
 
-def _instrumented_counts(program: Program) -> tuple[int, int]:
-    from repro.interp.evaluator import Evaluator
-
-    ev = Evaluator(program)
-    loads = [0]
-    stores = [0]
-    orig_eval, orig_store = ev._eval, ev._store
-
-    def counting_eval(expr, env):
-        if isinstance(expr, ArrayRef):
-            loads[0] += 1
-        return orig_eval(expr, env)
-
-    def counting_store(ref, env, value):
-        stores[0] += 1
-        return orig_store(ref, env, value)
-
-    ev._eval, ev._store = counting_eval, counting_store
-    ev.run()
-    return loads[0], stores[0]
-
-
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_trace_matches_interpretation(program):
     from repro.machine import LayoutPolicy, build_layout
     from repro.trace import generate_trace
 
+    from tests.helpers import interpreted_accesses
+
     layout = build_layout(program, None, LayoutPolicy(alignment=8, pad_bytes=0))
     trace = generate_trace(program, layout=layout)
-    assert (trace.loads, trace.stores) == _instrumented_counts(program)
+    expected = interpreted_accesses(program, layout)
+    assert list(zip(trace.addresses.tolist(), trace.is_write.tolist())) == expected
+    assert (trace.loads, trace.stores) == (
+        sum(not w for _, w in expected),
+        sum(w for _, w in expected),
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 """Trace-engine tests: exact address sequences, guards, imperfect nests,
 tiled bounds, and cross-validation against the reference interpreter."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ExecutionError, IRError
@@ -10,7 +12,7 @@ from repro.trace import TraceGenerator, generate_trace, trace_stats
 from repro.trace.events import EMPTY_TRACE, concat_traces
 from repro.trace.stats import per_array_accesses, stride_histogram
 
-from tests.helpers import simple_stream_program
+from tests.helpers import interpreted_accesses, simple_stream_program
 
 FLAT = LayoutPolicy(alignment=8, pad_bytes=0)
 
@@ -183,9 +185,7 @@ class TestImperfectNests:
         from repro.programs import matmul_blocked
 
         p = matmul_blocked(4, tile=2)
-        t = trace_of(p)
-        ev_count = _count_accesses_by_interpretation(p)
-        assert (t.loads, t.stores) == ev_count
+        assert _stream(trace_of(p)) == _interpreted(p)
 
 
 class TestTiledLoops:
@@ -272,6 +272,90 @@ class TestValidationAndEdges:
         t = trace_of(b.build())
         assert len(t) == 0
 
+    def test_zero_trip_inner_loop_not_validated(self):
+        """An inner loop that never runs generates nothing, so its
+        subscripts (out of range here) are never checked."""
+        b = ProgramBuilder("p", params={"N": 4, "M": 0})
+        a = b.array("a", "N", output=True)
+        with b.loop("i", 0, "N") as i:
+            b.assign(a[i], 1.0)
+            with b.loop("j", 0, "M") as j:
+                b.assign(a[i + j + 10], 2.0)
+        p = b.build()
+        t = _assert_chunks_match(p)
+        assert _stream(t) == [(8 * i, True) for i in range(4)] == _interpreted(p)
+
+    def test_constant_subscript_in_2d_nest(self):
+        b = ProgramBuilder("p", params={"N": 3})
+        x = b.array("x", ("N", "N"), output=True)
+        a = b.array("a", "N")
+        with b.loop("i", 0, "N") as i:
+            with b.loop("j", 0, "N") as j:
+                b.assign(x[i, j], a[0] + a[2])
+        p = b.build()
+        t = _assert_chunks_match(p)
+        expected = []
+        for k in range(9):
+            expected += [(72, False), (88, False), (8 * k, True)]
+        assert _stream(t) == expected == _interpreted(p)
+
+    def test_reference_invariant_in_inner_loop(self):
+        b = ProgramBuilder("p", params={"N": 3, "M": 4})
+        x = b.array("x", ("N", "M"), output=True)
+        y = b.array("y", "N")
+        with b.loop("i", 0, "N") as i:
+            with b.loop("j", 0, "M") as j:
+                b.assign(x[i, j], y[i])
+        p = b.build()
+        t = _assert_chunks_match(p)
+        expected = []
+        for i in range(3):
+            for j in range(4):
+                expected += [(96 + 8 * i, False), (8 * (4 * i + j), True)]
+        assert _stream(t) == expected == _interpreted(p)
+
+    def test_inner_dimension_out_of_bounds_detected(self):
+        b = ProgramBuilder("p", params={"N": 4})
+        a = b.array("a", ("N", "N"), output=True)
+        with b.loop("i", 0, "N") as i:
+            with b.loop("j", 0, "N") as j:
+                b.assign(a[i, j + 1], 1.0)
+        p = b.build()
+        msg = r"^p: a\[i, j \+ 1\] dimension 1 ranges \[1, 4\] outside extent 4$"
+        with pytest.raises(ExecutionError, match=msg):
+            trace_of(p)
+        gen = TraceGenerator(p, layout=build_layout(p, None, FLAT))
+        with pytest.raises(ExecutionError, match=msg):
+            list(gen.chunks(5))
+
+    def test_guarded_out_of_bounds_in_2d_nest_ok(self):
+        b = ProgramBuilder("p", params={"N": 4})
+        a = b.array("a", ("N", "N"), output=True)
+        with b.loop("i", 0, "N") as i:
+            with b.loop("j", 0, "N") as j:
+                with b.if_(j < 3):
+                    b.assign(a[i, j + 1], 1.0)
+        p = b.build()
+        t = _assert_chunks_match(p)
+        expected = [(8 * (4 * i + j + 1), True) for i in range(4) for j in range(3)]
+        assert _stream(t) == expected == _interpreted(p)
+
+    def test_tiled_inner_lower_bound_depends_on_outer(self):
+        b = ProgramBuilder("p", params={"N": 8, "M": 3})
+        a = b.array("a", ("N", "M"), output=True)
+        c = b.array("c", "M")
+        with b.loop("t", 0, 2) as t:
+            with b.loop("i", t * 4, t * 4 + 4) as i:
+                with b.loop("j", 0, "M") as j:
+                    b.assign(a[i, j], a[i, j] + c[j])
+        p = b.build()
+        t = _assert_chunks_match(p)
+        expected = []
+        for i in range(8):
+            for j in range(3):
+                expected += [(8 * (3 * i + j), False), (192 + 8 * j, False), (8 * (3 * i + j), True)]
+        assert _stream(t) == expected == _interpreted(p)
+
     def test_statement_trace(self):
         from tests.helpers import two_loop_chain
 
@@ -292,6 +376,48 @@ class TestValidationAndEdges:
         t = trace_of(b.build())
         assert len(t) == 0
         assert t.flops == 8
+
+
+def _generation_peak_ratio(program):
+    """Peak traced memory of ``generate()`` over the trace's own bytes
+    (NumPy reports its buffers to tracemalloc)."""
+    gen = TraceGenerator(program)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        trace = gen.generate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / trace.nbytes
+
+
+class TestGenerationMemory:
+    """Addresses are written once, into the output trace: generation
+    holds no full-size temporaries besides the trace itself."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: __import__("repro.programs", fromlist=["matmul"]).matmul(60),
+            lambda: __import__("repro.programs", fromlist=["matmul_blocked"]).matmul_blocked(60, 10),
+            lambda: __import__("repro.programs", fromlist=["make_kernel"]).make_kernel("3w6r", 100000),
+        ],
+        ids=["mm", "mm_blocked", "3w6r"],
+    )
+    def test_guard_free_peak_close_to_trace(self, factory):
+        assert _generation_peak_ratio(factory()) <= 1.3
+
+    def test_guarded_peak_bounded_by_slab(self):
+        """A guarded statement builds slab by slab into scratch and
+        compacts each slab into the trace (measured 1.90x here)."""
+        from repro.programs import fig6_fused
+
+        assert _generation_peak_ratio(fig6_fused(200)) <= 2.1
 
 
 class TestTraceContainers:
@@ -343,31 +469,29 @@ class TestStats:
         assert hist == {8: 7}
 
 
-def _count_accesses_by_interpretation(program):
-    """Independent load/store counter: instrument the evaluator."""
-    from repro.interp.evaluator import Evaluator
+def _stream(trace):
+    return list(zip(trace.addresses.tolist(), trace.is_write.tolist()))
 
-    ev = Evaluator(program)
-    loads = [0]
-    stores = [0]
-    orig_eval = ev._eval
-    orig_store = ev._store
 
-    from repro.lang.expr import ArrayRef
+def _interpreted(program):
+    return interpreted_accesses(program, build_layout(program, None, FLAT))
 
-    def counting_eval(expr, env):
-        if isinstance(expr, ArrayRef):
-            loads[0] += 1
-        return orig_eval(expr, env)
 
-    def counting_store(ref, env, value):
-        stores[0] += 1
-        return orig_store(ref, env, value)
-
-    ev._eval = counting_eval
-    ev._store = counting_store
-    ev.run()
-    return loads[0], stores[0]
+def _assert_chunks_match(program):
+    """Concatenated ``chunks()`` output equals ``generate()``, at chunk
+    budgets from one access up to the whole trace."""
+    gen = TraceGenerator(program, layout=build_layout(program, None, FLAT))
+    full = gen.generate()
+    for budget in (1, 3, 17, 1 << 20):
+        parts = list(gen.chunks(budget))
+        joined = concat_traces(parts)
+        assert _stream(joined) == _stream(full), budget
+        assert (joined.flops, joined.loads, joined.stores) == (
+            full.flops,
+            full.loads,
+            full.stores,
+        )
+    return full
 
 
 class TestCrossValidation:
@@ -381,12 +505,22 @@ class TestCrossValidation:
             lambda: __import__("repro.programs", fromlist=["fig6_fused"]).fig6_fused(5),
             lambda: __import__("repro.programs", fromlist=["fig6_optimized"]).fig6_optimized(5),
             lambda: __import__("repro.programs", fromlist=["nas_sp"]).nas_sp(6, 5),
+            lambda: __import__("repro.programs", fromlist=["fft"]).fft(16),
+            lambda: __import__("repro.programs", fromlist=["matmul_blocked"]).matmul_blocked(6, 3),
+            lambda: __import__("repro.programs", fromlist=["jacobi"]).jacobi(6, 2),
+            lambda: __import__("repro.programs", fromlist=["dmxpy"]).dmxpy(7, 5),
         ],
-        ids=["stream", "conv", "mm", "sweep", "fig6b", "fig6c", "sp"],
+        ids=["stream", "conv", "mm", "sweep", "fig6b", "fig6c", "sp", "fft", "mmb", "jacobi", "dmxpy"],
     )
     def test_trace_counts_match_interpreter(self, factory):
-        """The vectorized trace's load/store counts equal an instrumented
-        interpretation — guards, nests and all."""
+        """The vectorized trace is the exact ordered (address, is_write)
+        stream of an instrumented interpretation — guards, nests and
+        all — and its load/store totals follow."""
         p = factory()
         t = trace_of(p)
-        assert (t.loads, t.stores) == _count_accesses_by_interpretation(p)
+        expected = _interpreted(p)
+        assert _stream(t) == expected
+        assert (t.loads, t.stores) == (
+            sum(not w for _, w in expected),
+            sum(w for _, w in expected),
+        )
