@@ -40,6 +40,7 @@ import pytest
 from conftest import attempt_rounds, once
 
 from repro.interp.executor import execute
+from repro.options import ExecOptions, use_options
 from repro.programs import matmul
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_report.py"
@@ -60,13 +61,8 @@ def workload(cfg):
 
 def _run(spec, prog, stream):
     start = time.perf_counter()
-    run = execute(
-        prog,
-        spec,
-        sim_cache=False,
-        stream=stream,
-        chunk_accesses=CHUNK if stream else None,
-    )
+    with use_options(ExecOptions(stream=stream, chunk_accesses=CHUNK if stream else None)):
+        run = execute(prog, spec, sim_cache=False)
     return time.perf_counter() - start, run
 
 

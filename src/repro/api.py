@@ -43,6 +43,7 @@ from .errors import ReproError
 from .interp.executor import MachineRun, execute
 from .lang.program import Program
 from .machine.spec import MachineSpec
+from .options import override_options, use_options
 from .transforms.pipeline import PipelineResult
 from .transforms.pipeline import optimize as _pipeline_optimize
 
@@ -157,32 +158,15 @@ def simulate(
     to serial when the hierarchy cannot be partitioned exactly).
     ``cores`` prices the run's traffic under multicore contention
     (:mod:`repro.machine.contention`); 1 — the default — is the paper's
-    uncontended model, bit-identical to omitting the argument.
+    uncontended model, bit-identical to omitting the argument.  Options
+    left ``None`` come from the active :class:`repro.options.ExecOptions`.
     """
-    run = execute(
-        program,
-        machine,
-        params=params,
-        engine=engine,
-        passes=passes,
-        warmup_passes=warmup_passes,
-        shards=shards,
-        cores=cores,
-    )
-    return SimulationResult(
-        program=run.program,
-        machine=machine.name,
-        seconds=run.seconds,
-        mflops=run.mflops,
-        flops=run.counters.graduated_flops,
-        loads=run.counters.loads,
-        stores=run.counters.stores,
-        channel_names=machine.level_names,
-        channel_bytes=run.counters.channel_bytes,
-        memory_bytes=run.counters.memory_bytes,
-        effective_bandwidth=run.effective_bandwidth,
-        run=run,
-    )
+    options = override_options(engine=engine, shards=shards, cores=cores)
+    with use_options(options):
+        run = execute(
+            program, machine, params=params, passes=passes, warmup_passes=warmup_passes
+        )
+    return _summarize(run, machine)
 
 
 def simulate_stream(
@@ -205,32 +189,18 @@ def simulate_stream(
     bit-identical to :func:`simulate` — engines persist state across
     chunks by contract.
     """
-    run = execute(
-        program,
-        machine,
-        params=params,
+    options = override_options(
         engine=engine,
-        passes=passes,
-        warmup_passes=warmup_passes,
         stream="overlap" if overlap else "serial",
         chunk_accesses=chunk_accesses,
         shards=shards,
         cores=cores,
     )
-    return SimulationResult(
-        program=run.program,
-        machine=machine.name,
-        seconds=run.seconds,
-        mflops=run.mflops,
-        flops=run.counters.graduated_flops,
-        loads=run.counters.loads,
-        stores=run.counters.stores,
-        channel_names=machine.level_names,
-        channel_bytes=run.counters.channel_bytes,
-        memory_bytes=run.counters.memory_bytes,
-        effective_bandwidth=run.effective_bandwidth,
-        run=run,
-    )
+    with use_options(options):
+        run = execute(
+            program, machine, params=params, passes=passes, warmup_passes=warmup_passes
+        )
+    return _summarize(run, machine)
 
 
 def _summarize(run: MachineRun, machine: MachineSpec) -> SimulationResult:
@@ -270,14 +240,11 @@ def simulate_batch(
     :func:`simulate` per point and come back in request order.
     ``plan=False`` degrades to exactly that pointwise loop.
     """
-    runs = run_batch(
-        list(requests),
-        plan=plan,
-        engine=engine,
-        stream=stream,
-        chunk_accesses=chunk_accesses,
-        shards=shards,
+    options = override_options(
+        plan=plan, engine=engine, stream=stream, chunk_accesses=chunk_accesses, shards=shards
     )
+    with use_options(options):
+        runs = run_batch(list(requests))
     return [_summarize(run, req.machine) for run, req in zip(runs, requests)]
 
 
@@ -294,23 +261,10 @@ def predict(
     size).  Wraps :func:`repro.balance.analytic.predict_run`; see that
     module for the model and its documented error bands.  ``run`` is the
     predicted :class:`MachineRun` under the same timing models, including
-    the contended overlay when ``cores`` (or the process default) > 1.
+    the contended overlay when ``cores`` (or the active options' count) > 1.
     """
     run = predict_run(program, machine, params=params, passes=passes, cores=cores)
-    return SimulationResult(
-        program=run.program,
-        machine=machine.name,
-        seconds=run.seconds,
-        mflops=run.mflops,
-        flops=run.counters.graduated_flops,
-        loads=run.counters.loads,
-        stores=run.counters.stores,
-        channel_names=machine.level_names,
-        channel_bytes=run.counters.channel_bytes,
-        memory_bytes=run.counters.memory_bytes,
-        effective_bandwidth=run.effective_bandwidth,
-        run=run,
-    )
+    return _summarize(run, machine)
 
 
 def measure_balance(program: Program, machine: MachineSpec) -> BalanceReport:

@@ -792,7 +792,7 @@ class AnalyticEstimate:
         """A drop-in :class:`MachineRun` under the same timing models the
         executor applies to simulated counters — including the contended
         overlay (:mod:`repro.machine.contention`) when ``cores`` (or the
-        process default) is > 1, so ``--predict`` sweeps price the shared
+        active options' count) is > 1, so ``--predict`` sweeps price the shared
         channel through the identical arithmetic."""
         counters = self.counters()
         time = bandwidth_bound_time(

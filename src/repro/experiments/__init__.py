@@ -19,7 +19,7 @@ from .fig5_mincut import random_hypergraph, run_fig5
 from .fig6_storage import run_fig6
 from .fig8_store_elim import PAPER_SECONDS, build_stages, run_fig8
 from .ladder_capacity import run_ladder
-from .plan import SimRequest, configure_plan, execute_plan, run_batch
+from .plan import SimRequest, execute_plan, run_batch
 from .orchestrator import (
     ExperimentTask,
     OrchestratorOptions,
@@ -52,7 +52,6 @@ __all__ = [
     "SimRequest",
     "Table",
     "build_stages",
-    "configure_plan",
     "execute_plan",
     "fmt",
     "random_hypergraph",

@@ -12,73 +12,31 @@ scaling — see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Any, Mapping
 
 from ..machine.presets import exemplar, origin2000
 from ..machine.spec import MachineSpec
+from ..options import ExecOptions
 
 DEFAULT_SCALE = 128
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ExecOptions):
     """Scale and derived problem sizes for one experiment run.
 
-    The simulation-environment knobs (``engine``, ``sim_cache``,
-    ``sim_cache_dir``) live here too, so a worker process can reproduce
-    the exact environment of its parent from the config alone —
-    :meth:`apply` installs them as the process defaults.
+    The execution options (engine, pipeline, shards, predict, plan,
+    cores, memo use) are inherited from :class:`~repro.options.ExecOptions`:
+    the ``@experiment`` wrapper makes the config the active options for
+    the experiment's body, so a row depends on its config alone, in
+    process and in a worker.  ``sim_cache_dir`` names the persistent
+    memo tier a battery installs before it starts
+    (:func:`~repro.experiments.orchestrator.install_sim_cache`).
     """
 
     scale: int = DEFAULT_SCALE
     array_cache_factor: int = 4  # arrays >= this multiple of the last cache
-    engine: str = "auto"  # cache-simulation engine (see repro.machine.engine)
-    sim_cache: bool = True  # content-keyed simulation memo on/off
     sim_cache_dir: str | None = None  # persistent tier directory (None = memory only)
-    stream: bool = False  # chunked trace pipeline with producer/consumer overlap
-    chunk_accesses: int | None = None  # accesses per streamed chunk (None = default)
-    shards: int = 1  # set-sharded parallel simulation workers (1 = serial)
-    predict: bool = False  # analytic fast path for sweep points (see predict.py)
-    spot_check: float = 0.05  # fraction of predicted points simulated exactly
-    predict_tolerance: float = 0.10  # max per-channel byte error before fallback
-    plan: bool = False  # sweep query planner for batched points (see plan.py)
-    cores: int = 1  # contended timing across N cores (1 = the paper's model)
-
-    def apply(self) -> None:
-        """Install this config's engine and sim-cache settings as the
-        process defaults (what the runner did ad hoc before; workers call
-        this so the environment is inherited explicitly, not by accident).
-
-        Idempotent: when the current process default already matches, the
-        cache is left alone so its in-memory memo survives across the
-        experiments of one serial battery."""
-        from ..interp.executor import configure_streaming
-        from ..machine.contention import configure_cores
-        from ..machine.engine import set_default_engine
-        from ..machine.engine.sharded import configure_sharding
-        from ..machine.engine.simcache import configure_sim_cache, get_sim_cache
-        from .plan import configure_plan
-        from .predict import configure_predict
-
-        set_default_engine(self.engine)
-        configure_streaming(self.stream, self.chunk_accesses)
-        configure_sharding(self.shards)
-        configure_cores(self.cores)
-        configure_predict(self.predict, self.spot_check, self.predict_tolerance)
-        configure_plan(self.plan)
-        current = get_sim_cache()
-        matches = (
-            current is not None
-            and self.sim_cache
-            and (
-                current.directory is None
-                if self.sim_cache_dir is None
-                else current.directory == Path(self.sim_cache_dir)
-            )
-        ) or (current is None and not self.sim_cache)
-        if not matches:
-            configure_sim_cache(enabled=self.sim_cache, directory=self.sim_cache_dir)
 
     def to_json(self) -> dict[str, Any]:
         """A JSON-serializable snapshot (every field is a plain scalar)."""

@@ -138,12 +138,7 @@ def run_contention(config: ExperimentConfig | None = None) -> ContentionResult:
     runs: dict[str, MachineRun] = {}
     for machine in _machines(config):
         for wname, prog in _workloads(config, machine):
-            run = run_or_predict(
-                prog,
-                machine,
-                stream=config.stream,
-                chunk_accesses=config.chunk_accesses,
-            )
+            run = run_or_predict(prog, machine)
             runs[f"{machine.name}:{wname}"] = run
             work = CoreWork(
                 run.counters.graduated_flops,

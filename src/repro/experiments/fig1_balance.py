@@ -111,12 +111,8 @@ def run_fig1(config: ExperimentConfig | None = None) -> Fig1Result:
     balances: list[ProgramBalance] = []
     runs: list[MachineRun] = []
     for name, prog in _workloads(config):
-        # The config decides the trace pipeline explicitly, so direct
-        # calls behave exactly like orchestrated workers.  Under
-        # --predict these points run analytically with spot checks.
-        run = run_or_predict(
-            prog, machine, stream=config.stream, chunk_accesses=config.chunk_accesses
-        )
+        # Under --predict these points run analytically with spot checks.
+        run = run_or_predict(prog, machine)
         balance = program_balance(run)
         # Report under the figure's display name.
         balances.append(

@@ -98,21 +98,12 @@ def _run_suite(
     kernels: dict[str, Program],
     n: int,
     layout_policy: LayoutPolicy | None = None,
-    config: ExperimentConfig | None = None,
 ) -> Fig3Machine:
     runs: dict[str, MachineRun] = {}
     for name, prog in kernels.items():
         # layout_policy is forwarded on both paths: the padded ablation
         # must reach the analytic conflict term too.
-        runs[name] = run_or_predict(
-            prog,
-            machine,
-            layout_policy=layout_policy,
-            # The config decides the trace pipeline explicitly, so direct
-            # calls behave exactly like orchestrated workers.
-            stream=config.stream if config is not None else None,
-            chunk_accesses=config.chunk_accesses if config is not None else None,
-        )
+        runs[name] = run_or_predict(prog, machine, layout_policy=layout_policy)
     return Fig3Machine(machine, runs, n)
 
 
@@ -134,16 +125,14 @@ def _fig3_deltas(result: Fig3Result) -> list[dict]:
 def run_fig3(config: ExperimentConfig | None = None) -> Fig3Result:
     config = config or ExperimentConfig()
     n = config.stream_elements()
-    origin = _run_suite(config.origin, _kernels(n), n, config=config)
+    origin = _run_suite(config.origin, _kernels(n), n)
     # Programs are frozen, so the Exemplar suite and its padded ablation
     # share one build; only the layouts (and sim-cache keys) differ.
     n_ex = config.exemplar_kernel_elements()
     ex_kernels = _kernels(n_ex)
-    exemplar = _run_suite(config.exemplar, ex_kernels, n_ex, config=config)
+    exemplar = _run_suite(config.exemplar, ex_kernels, n_ex)
     # Ablation: one extra cache line between arrays breaks the period-5
     # alignment, so 3w6r recovers.
     padded_policy = LayoutPolicy(alignment=32, pad_bytes=32)
-    exemplar_padded = _run_suite(
-        config.exemplar, ex_kernels, n_ex, padded_policy, config=config
-    )
+    exemplar_padded = _run_suite(config.exemplar, ex_kernels, n_ex, padded_policy)
     return Fig3Result(origin, exemplar, exemplar_padded)

@@ -158,9 +158,5 @@ def run_ladder(config: ExperimentConfig | None = None) -> LadderResult:
     names = tuple(name for name, _ in ladder_workloads(config))
     # run_batch respects --plan/--predict; pointwise it is exactly a loop
     # of run_or_predict calls, so both modes fill the same manifest rows.
-    runs = run_batch(
-        ladder_requests(config),
-        stream=config.stream,
-        chunk_accesses=config.chunk_accesses,
-    )
+    runs = run_batch(ladder_requests(config))
     return LadderResult(sizes, names, tuple(runs))

@@ -12,13 +12,15 @@ processes and collects structured :class:`ExperimentResult` records:
   recorded as ``failed``/``timeout`` in the manifest and the battery
   continues.
 
-Workers inherit the simulation environment *explicitly* from
-:class:`ExperimentConfig` (engine choice, sim-cache settings) and share
-the on-disk simulation cache, whose atomic-rename writes make concurrent
-use safe.  Results cross the process boundary as JSON — the same schema
-the run manifest stores (``results/run-<id>.json``,
-``docs/result.schema.json``) — so serial and parallel runs produce
-bit-identical rows.
+Each experiment runs under its own :class:`ExperimentConfig` as the
+active execution options (the ``@experiment`` wrapper enters it), in
+process and in a worker alike.  Before a task starts, the parent makes
+the process simulation memo the one the config names
+(:func:`install_sim_cache`); a worker inherits it at fork and shares its
+on-disk tier, whose atomic-rename writes make concurrent use safe.
+Results cross the process boundary as JSON — the same schema the run
+manifest stores (``results/run-<id>.json``, ``docs/result.schema.json``)
+— so serial and parallel runs produce bit-identical rows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .registry import EXPERIMENTS
 from .report import Table
 from .result import SCHEMA_VERSION, ExperimentResult, failed_result
 from ..errors import ReproError
+from ..machine.engine.simcache import configure_sim_cache, get_sim_cache
 
 #: Default directory for run manifests.
 DEFAULT_RESULTS_DIR = "results"
@@ -133,13 +136,27 @@ def build_plan(
 # -- worker side ---------------------------------------------------------------
 
 
+def install_sim_cache(config: ExperimentConfig) -> None:
+    """Make the process simulation memo the one ``config`` names: in
+    memory, or with the persistent tier at ``config.sim_cache_dir``.
+
+    Idempotent: a memo that already matches is left alone, so its
+    in-memory entries survive across the batteries of one process.  A
+    config with ``sim_cache`` off changes nothing — its runs skip the
+    memo through their options."""
+    if not config.sim_cache:
+        return
+    current = get_sim_cache()
+    wanted = None if config.sim_cache_dir is None else Path(config.sim_cache_dir)
+    if current is None or current.directory != wanted:
+        configure_sim_cache(directory=config.sim_cache_dir)
+
+
 def _worker(conn, fn: Callable, config_json: dict) -> None:
-    """Child-process body: rebuild the environment from the config, run the
-    experiment, ship the structured result back as JSON."""
+    """Child-process body: rebuild the config, run the experiment under it,
+    ship the structured result back as JSON."""
     try:
-        cfg = ExperimentConfig.from_json(config_json)
-        cfg.apply()
-        result = fn(cfg)
+        result = fn(ExperimentConfig.from_json(config_json))
         conn.send(("ok", result.to_json()))
     except BaseException as exc:  # noqa: BLE001 — report, parent decides
         try:
@@ -212,7 +229,7 @@ def _attempt_inline(
     attempts = options.retries + 1
     for attempt in range(1, attempts + 1):
         try:
-            task.config.apply()  # same explicit environment as a worker
+            install_sim_cache(task.config)
             result = fn(task.config)
             return replace(result, attempts=attempt)
         except Exception as exc:  # noqa: BLE001 — degrade, never abort the run
@@ -262,6 +279,7 @@ def _run_pool(
 
     def spawn(index: int, task: ExperimentTask, attempt: int) -> None:
         fn = options.resolve(task.name)
+        install_sim_cache(task.config)  # the forked worker inherits it
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker,
@@ -496,6 +514,7 @@ __all__ = [
     "build_plan",
     "comparable_manifest",
     "drain_requested",
+    "install_sim_cache",
     "new_run_id",
     "request_drain",
     "reset_drain",

@@ -63,48 +63,28 @@ from ..lang.printer import render
 from ..lang.program import Program
 from ..machine.cache import CacheGeometry, CacheStats
 from ..machine.engine import make_cache, telemetry as engine_telemetry
-from ..machine.engine.sharded import build_hierarchy, get_default_shards
+from ..machine.engine.sharded import build_hierarchy
 from ..machine.engine.simcache import (
     SimulationCache,
     SimulationResult,
-    get_sim_cache,
     machine_signature,
+    resolve_memo,
     simulation_key,
 )
 from ..machine.engine.stack import stack_profile
 from ..machine.hierarchy import Hierarchy, HierarchyResult, StreamTotals
 from ..machine.layout import LayoutPolicy, build_layout
 from ..machine.spec import MachineSpec
-from ..interp.executor import (
-    MachineRun,
-    _timed_chunks,
-    assemble_run,
-    execute,
-    get_streaming,
-)
+from ..interp.executor import MachineRun, _timed_chunks, assemble_run, execute
+from ..options import ExecOptions, current_options
 from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
 from ..trace.generator import TraceGenerator
 from ..trace.stream import prefetch_chunks
-from .predict import _session as _predict_session, _spot_check, get_predict
+from .predict import _session as _predict_session, _spot_check
 
 #: Stable rule names, in the order the planner tries them.
 RULES = ("cache", "capacity", "prefix", "trace", "fallback")
-
-
-# -- process default (installed by ExperimentConfig.apply / --plan) -----------
-_plan_default: bool = False
-
-
-def configure_plan(plan: bool = False) -> None:
-    """Set the process-default planning mode for :func:`run_batch`."""
-    global _plan_default
-    _plan_default = bool(plan)
-
-
-def get_plan() -> bool:
-    """Current process default."""
-    return _plan_default
 
 
 # -- requests -----------------------------------------------------------------
@@ -237,14 +217,6 @@ def _prefix_signature(machine: MachineSpec) -> str:
     return "chain:" + ";".join(f"{s}/{ln}/{a}" for s, ln, a in _chain(machine))
 
 
-def _resolve_memo(sim_cache: SimulationCache | bool | None) -> SimulationCache | None:
-    if sim_cache is None:
-        return get_sim_cache()
-    if isinstance(sim_cache, SimulationCache):
-        return sim_cache
-    return get_sim_cache() if sim_cache else None
-
-
 def _finish_point(
     pt: _Point,
     result: HierarchyResult,
@@ -301,30 +273,20 @@ def _flush_node(node: _TrieNode) -> None:
 def execute_plan(
     requests: Sequence[SimRequest],
     *,
-    engine: str | None = None,
     sim_cache: SimulationCache | bool | None = None,
-    stream: bool | str | None = None,
-    chunk_accesses: int | None = None,
-    shards: int | None = None,
 ) -> list[MachineRun]:
     """Execute a batch of simulation requests as a shared-work plan.
 
     Returns one :class:`MachineRun` per request, in request order,
-    bit-identical to calling :func:`execute` per point with the same
-    options.  Keyword arguments default to the same process-wide settings
-    :func:`execute` uses.
+    bit-identical to calling :func:`execute` per point under the same
+    active options; ``sim_cache`` means what it means for :func:`execute`.
     """
     requests = list(requests)
     if not requests:
         return []
     session = _session.get() or PlanSession()
-    memo = _resolve_memo(sim_cache)
-    if stream is None:
-        stream = get_streaming()[0]
-    if chunk_accesses is None:
-        chunk_accesses = get_streaming()[1]
-    if shards is None:
-        shards = get_default_shards()
+    memo = resolve_memo(sim_cache)
+    options = current_options()
 
     results: list[MachineRun | None] = [None] * len(requests)
 
@@ -396,9 +358,7 @@ def execute_plan(
 
     for pts in groups.values():
         session.groups += 1
-        _plan_group(
-            pts, results, session, memo, engine, stream, chunk_accesses, shards
-        )
+        _plan_group(pts, results, session, memo, options)
     return results  # type: ignore[return-value] — every slot is filled
 
 
@@ -408,10 +368,6 @@ def _fallback_point(
     results: list,
     session: PlanSession,
     memo: SimulationCache | None,
-    engine: str | None,
-    stream: bool | str | None,
-    chunk_accesses: int | None,
-    shards: int | None,
 ) -> None:
     req = pt.request
     run = execute(
@@ -423,11 +379,7 @@ def _fallback_point(
         warmup_passes=req.warmup_passes,
         flush=req.flush,
         validate=req.validate,
-        engine=engine,
         sim_cache=False,  # the planner owns the memo write (key in hand)
-        stream=stream,
-        chunk_accesses=chunk_accesses,
-        shards=shards,
     )
     if memo is not None and pt.key is not None and req.passes >= 1:
         result = HierarchyResult(
@@ -452,26 +404,17 @@ def _plan_group(
     results: list,
     session: PlanSession,
     memo: SimulationCache | None,
-    engine: str | None,
-    stream: bool | str | None,
-    chunk_accesses: int | None,
-    shards: int | None,
+    options: ExecOptions,
 ) -> None:
     req0 = pts[0].request
     passes, warmup, flush = req0.passes, req0.warmup_passes, req0.flush
 
     if passes < 1:
         for pt in pts:
-            _fallback_point(
-                pt, "passes < 1 is not plannable", results, session, memo,
-                engine, stream, chunk_accesses, shards,
-            )
+            _fallback_point(pt, "passes < 1 is not plannable", results, session, memo)
         return
     if len(pts) == 1:
-        _fallback_point(
-            pts[0], "no shared work in group", results, session, memo,
-            engine, stream, chunk_accesses, shards,
-        )
+        _fallback_point(pts[0], "no shared work in group", results, session, memo)
         return
 
     # Rule "capacity", per point: every single-level fully-associative
@@ -492,16 +435,8 @@ def _plan_group(
         if not pts:
             return
 
-    if shards is not None and shards > 1:
-        _multi_group(
-            pts, results, session, memo, engine, stream, chunk_accesses, shards,
-            passes, warmup, flush,
-        )
-        return
-    _trie_group(
-        pts, results, session, memo, engine, stream, chunk_accesses,
-        passes, warmup, flush,
-    )
+    group = _multi_group if options.shards > 1 else _trie_group
+    group(pts, results, session, memo, options, passes, warmup, flush)
 
 
 def _generator(pt: _Point) -> TraceGenerator:
@@ -544,13 +479,10 @@ def _capacity_group(
 
 
 def _feed_pass(
-    roots: list[_TrieNode],
-    gen: TraceGenerator,
-    stream: bool | str | None,
-    chunk_accesses: int | None,
+    roots: list[_TrieNode], gen: TraceGenerator, options: ExecOptions
 ) -> StreamTotals:
-    chunks = _timed_chunks(gen, chunk_accesses)
-    if stream in (True, "overlap"):
+    chunks = _timed_chunks(gen, options.chunk_accesses)
+    if options.stream in (True, "overlap"):
         chunks = prefetch_chunks(chunks)
     n_chunks = accesses = flops = loads = stores = 0
     with phase(SIMULATE):
@@ -570,9 +502,7 @@ def _trie_group(
     results: list,
     session: PlanSession,
     memo: SimulationCache | None,
-    engine: str | None,
-    stream: bool | str | None,
-    chunk_accesses: int | None,
+    options: ExecOptions,
     passes: int,
     warmup: int,
     flush: bool,
@@ -598,9 +528,7 @@ def _trie_group(
         paths.append(path)
 
     def instantiate(node: _TrieNode) -> None:
-        node.cache = make_cache(
-            node.name, node.geometry, last_level=not node.children, engine=engine
-        )
+        node.cache = make_cache(node.name, node.geometry, last_level=not node.children)
         for child in node.children.values():
             instantiate(child)
 
@@ -611,13 +539,13 @@ def _trie_group(
     gen = _generator(pts[0])
     totals = None
     for _ in range(warmup):
-        totals = _feed_pass(root_list, gen, stream, chunk_accesses)
+        totals = _feed_pass(root_list, gen, options)
     if warmup:
         for path in paths:
             for node in path:
                 node.cache.reset_stats()
     for _ in range(passes):
-        totals = _feed_pass(root_list, gen, stream, chunk_accesses)
+        totals = _feed_pass(root_list, gen, options)
     if totals.accesses == 0 and totals.flops == 0:
         raise ExecutionError(
             f"program {pts[0].request.program.name!r} generates no work"
@@ -649,10 +577,7 @@ def _multi_group(
     results: list,
     session: PlanSession,
     memo: SimulationCache | None,
-    engine: str | None,
-    stream: bool | str | None,
-    chunk_accesses: int | None,
-    shards: int,
+    options: ExecOptions,
     passes: int,
     warmup: int,
     flush: bool,
@@ -660,13 +585,11 @@ def _multi_group(
     """Sharded hierarchies cannot share levels, but they can share the
     trace: generate once, fan chunks to every hierarchy."""
     gen = _generator(pts[0])
-    hierarchies = [
-        build_hierarchy(pt.request.machine, engine, shards=shards) for pt in pts
-    ]
+    hierarchies = [build_hierarchy(pt.request.machine) for pt in pts]
 
     def one_pass() -> StreamTotals:
-        chunks = _timed_chunks(gen, chunk_accesses)
-        if stream in (True, "overlap"):
+        chunks = _timed_chunks(gen, options.chunk_accesses)
+        if options.stream in (True, "overlap"):
             chunks = prefetch_chunks(chunks)
         with phase(SIMULATE):
             return Hierarchy.run_stream_multi(hierarchies, chunks)
@@ -706,12 +629,13 @@ def run_batch(
     requests: Sequence[SimRequest],
     *,
     plan: bool | None = None,
-    **execute_kwargs: Any,
+    sim_cache: SimulationCache | bool | None = None,
 ) -> list[MachineRun]:
     """Run a batch of sweep points, planned or pointwise.
 
-    ``plan=None`` follows the process default (``--plan``).  When predict
-    mode is active the planner serves exactly the points
+    ``plan=None`` follows the active options (``--plan``); ``sim_cache``
+    means what it means for :func:`execute`.  When predict mode is
+    active the planner serves exactly the points
     :func:`~repro.experiments.predict.run_or_predict` would have
     simulated — the deterministic spot-check sample, unanalyzable
     programs, and everything after a tripped fallback gate — with
@@ -722,7 +646,7 @@ def run_batch(
 
     requests = list(requests)
     if plan is None:
-        plan = get_plan()
+        plan = current_options().plan
     if not plan:
         return [
             run_or_predict(
@@ -734,17 +658,17 @@ def run_batch(
                 warmup_passes=r.warmup_passes,
                 flush=r.flush,
                 validate=r.validate,
-                **execute_kwargs,
+                sim_cache=sim_cache,
             )
             for r in requests
         ]
 
     session = _predict_session.get()
-    enabled = session.enabled if session is not None else get_predict()[0]
+    enabled = session.enabled if session is not None else current_options().predict
     if not enabled:
         if session is not None:
             session.points += len(requests)
-        return execute_plan(requests, **execute_kwargs)
+        return execute_plan(requests, sim_cache=sim_cache)
 
     # Predict mode: compute the analytic estimate per point (pure), then
     # batch the exact simulations the verification schedule needs.
@@ -767,9 +691,8 @@ def run_batch(
         # No telemetry session: run_or_predict ships estimates unchecked;
         # only unanalyzable points simulate.
         exact_idx = [k for k, p in enumerate(preds) if isinstance(p, AnalysisError)]
-        exact = dict(
-            zip(exact_idx, execute_plan([requests[k] for k in exact_idx], **execute_kwargs))
-        )
+        exact_runs = execute_plan([requests[k] for k in exact_idx], sim_cache=sim_cache)
+        exact = dict(zip(exact_idx, exact_runs))
         return [exact.get(k, p) for k, p in enumerate(preds)]
 
     # Optimistic schedule: assuming no gate trip, the exact set is the
@@ -788,7 +711,8 @@ def run_batch(
             virt_index += 1
         else:
             virt_index += 1
-    exacts.update(zip(need, execute_plan([requests[k] for k in need], **execute_kwargs)))
+    need_runs = execute_plan([requests[k] for k in need], sim_cache=sim_cache)
+    exacts.update(zip(need, need_runs))
 
     results: list[MachineRun] = []
     for k, r in enumerate(requests):
@@ -799,9 +723,8 @@ def run_batch(
                 # A spot check tripped the gate mid-batch: every remaining
                 # unsimulated point now runs exactly, in one more plan.
                 rest = [j for j in range(k, len(requests)) if j not in exacts]
-                exacts.update(
-                    zip(rest, execute_plan([requests[j] for j in rest], **execute_kwargs))
-                )
+                rest_runs = execute_plan([requests[j] for j in rest], sim_cache=sim_cache)
+                exacts.update(zip(rest, rest_runs))
             results.append(exacts[k])
             continue
         if isinstance(pred, AnalysisError):
@@ -832,9 +755,7 @@ __all__ = [
     "PlanSession",
     "SimRequest",
     "collect_plan_telemetry",
-    "configure_plan",
     "execute_plan",
-    "get_plan",
     "request_key",
     "run_batch",
     "summarize_plan",

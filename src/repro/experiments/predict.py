@@ -41,41 +41,7 @@ from ..interp.executor import MachineRun, execute
 from ..lang.program import Program
 from ..machine.layout import LayoutPolicy, MemoryLayout
 from ..machine.spec import MachineSpec
-
-#: Fraction of predicted points that are also simulated exactly.
-DEFAULT_SPOT_CHECK = 0.05
-
-#: Max per-channel relative byte error a spot check may show before the
-#: experiment falls back to exact simulation.
-DEFAULT_TOLERANCE = 0.10
-
-# Process-wide predict defaults, installed by ExperimentConfig.apply()
-# (and the --predict / --spot-check / --predict-tolerance CLI flags), the
-# same pattern as executor.configure_streaming.
-_predict_default: bool = False
-_spot_check_default: float = DEFAULT_SPOT_CHECK
-_tolerance_default: float = DEFAULT_TOLERANCE
-
-
-def configure_predict(
-    predict: bool = False,
-    spot_check: float = DEFAULT_SPOT_CHECK,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> None:
-    """Set the process-default predict mode for :func:`run_or_predict`."""
-    global _predict_default, _spot_check_default, _tolerance_default
-    if not 0.0 < spot_check <= 1.0:
-        raise ValueError(f"spot_check must be in (0, 1], got {spot_check!r}")
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    _predict_default = bool(predict)
-    _spot_check_default = spot_check
-    _tolerance_default = tolerance
-
-
-def get_predict() -> tuple[bool, float, float]:
-    """Current process default (predict, spot_check, tolerance)."""
-    return _predict_default, _spot_check_default, _tolerance_default
+from ..options import current_options
 
 
 @dataclass
@@ -109,10 +75,13 @@ _session: ContextVar[PredictSession | None] = ContextVar(
 def collect_analytic_telemetry() -> Iterator[PredictSession]:
     """Collect predict-then-verify telemetry for the enclosed experiment.
 
-    The session snapshots the process defaults at entry, so a worker that
-    ran ``ExperimentConfig.apply()`` gets exactly its config's mode."""
-    predict, spot_check, tolerance = get_predict()
-    session = PredictSession(predict, spot_check, tolerance)
+    The session snapshots the active options at entry; the
+    ``@experiment`` wrapper enters the experiment's config first, so the
+    session runs exactly its config's mode."""
+    options = current_options()
+    session = PredictSession(
+        options.predict, options.spot_check, options.predict_tolerance
+    )
     token = _session.set(session)
     try:
         yield session
@@ -173,7 +142,7 @@ def run_or_predict(
 ) -> MachineRun:
     """One sweep point: analytic when predict mode allows it, exact
     otherwise.  A drop-in for :func:`execute` — extra keyword arguments
-    (``stream``, ``chunk_accesses``, ``engine``, ...) are forwarded to
+    (``warmup_passes``, ``flush``, ``sim_cache``, ...) are forwarded to
     the exact path and ignored by the analytic one.
 
     Exact simulation runs when (a) predict mode is off, (b) the
@@ -184,7 +153,7 @@ def run_or_predict(
     if session is not None:
         enabled = session.enabled and not session.fallback_active
     else:
-        enabled = get_predict()[0]
+        enabled = current_options().predict
 
     def simulate() -> MachineRun:
         return execute(
@@ -260,13 +229,9 @@ def summarize_analytic(session: PredictSession | None) -> dict[str, Any]:
 
 
 __all__ = [
-    "DEFAULT_SPOT_CHECK",
-    "DEFAULT_TOLERANCE",
     "PredictSession",
     "channel_errors",
     "collect_analytic_telemetry",
-    "configure_predict",
-    "get_predict",
     "run_or_predict",
     "summarize_analytic",
 ]

@@ -8,18 +8,19 @@ across process boundaries and writes them into run manifests; the serial
 runner renders its tables from the very same rows, so serial and parallel
 output are bit-identical.
 
-The refactor is applied by the :func:`experiment` decorator: the legacy
-result object (``Fig1Result`` & co.) is kept on ``result.detail`` and every
-attribute that is not a structured field falls through to it, with a
-:class:`DeprecationWarning` naming the new spelling — existing callers keep
-working for one release while they migrate.
+The refactor is applied by the :func:`experiment` decorator: the
+experiment-specific result object (``Fig1Result`` & co.) is kept on
+``result.detail`` in-process.  The decorator is also the one boundary
+where an experiment's config becomes the active execution options
+(:func:`repro.options.use_options`), so the inline orchestrator, its
+pool workers, served experiment jobs and direct ``run_*(cfg)`` calls all
+run under exactly the config they record.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -28,8 +29,9 @@ from ..machine.contention import (
     summarize_contention,
 )
 from ..machine.engine.sharded import collect_shard_telemetry, summarize_shards
-from ..machine.engine.simcache import get_sim_cache
+from ..machine.engine.simcache import resolve_memo
 from ..machine.engine.telemetry import collect_sim_telemetry, summarize_levels
+from ..options import use_options
 from ..phases import collect_phases
 from ..trace.telemetry import (
     collect_trace_telemetry,
@@ -199,26 +201,6 @@ class ExperimentResult:
             ]
         return data
 
-    # -- legacy passthrough --------------------------------------------------
-
-    def __getattr__(self, name: str) -> Any:
-        # Only non-field, non-dunder lookups land here.  They used to be
-        # served by the experiment-specific result classes; keep them
-        # working against ``detail`` for one release.
-        if name == "detail" or name.startswith("_") or self.detail is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value = getattr(self.detail, name)
-        warnings.warn(
-            f"ExperimentResult.{name} is a deprecated passthrough to the "
-            f"legacy result object; use ExperimentResult.detail.{name} or "
-            "the structured fields (rows/headers/paper_deltas)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return value
-
 
 def failed_result(
     experiment: str,
@@ -274,7 +256,9 @@ def experiment(
     object; the decorator measures it (total seconds, per-phase seconds,
     sim-cache counter deltas), snapshots its table into structured rows,
     evaluates the optional ``deltas`` extractor (paper-vs-measured
-    comparisons) and returns the combined record.  ``ExperimentResult``
+    comparisons) and returns the combined record.  The body runs with the
+    config as the active execution options (defaults when no config is
+    passed), reset on return.  ``ExperimentResult``
     arguments are unwrapped to their ``detail`` automatically, so
     experiments that consume other experiments' results (fig2 reuses
     fig1) keep their original signatures.
@@ -294,10 +278,11 @@ def experiment(
                 for k, v in kwargs.items()
             }
             config = _find_config(args, kwargs) or ExperimentConfig()
-            memo = get_sim_cache()
+            memo = resolve_memo(config.sim_cache)
             before = memo.counters.snapshot() if memo is not None else None
             start = time.perf_counter()
             with (
+                use_options(config),
                 collect_phases() as phases,
                 collect_sim_telemetry() as sim_tel,
                 collect_trace_telemetry() as trace_tel,

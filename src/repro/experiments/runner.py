@@ -24,6 +24,7 @@ import sys
 import warnings
 from typing import Any
 
+from ..errors import ReproError
 from .config import ExperimentConfig
 from .orchestrator import (
     DEFAULT_RESULTS_DIR,
@@ -350,33 +351,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.cores < 1:
-        parser.error("--cores must be >= 1")
-    if args.chunk_accesses is not None and args.chunk_accesses <= 0:
-        parser.error("--chunk-accesses must be positive")
-    if not 0.0 < args.spot_check <= 1.0:
-        parser.error("--spot-check must be in (0, 1]")
-    if args.predict_tolerance < 0.0:
-        parser.error("--predict-tolerance must be >= 0")
 
     wanted = list(_EXPERIMENTS) if "all" in args.experiments else args.experiments
     scales = args.scale
-    base_cfg = ExperimentConfig(
-        engine=args.engine,
-        sim_cache=not args.no_sim_cache,
-        sim_cache_dir=None if args.no_sim_cache else args.sim_cache_dir,
-        stream=args.stream,
-        chunk_accesses=args.chunk_accesses,
-        shards=args.shards,
-        predict=args.predict,
-        spot_check=args.spot_check,
-        predict_tolerance=args.predict_tolerance,
-        plan=args.plan,
-        cores=args.cores,
-    )
-    base_cfg.apply()  # in-process runs simulate in this process
+    try:
+        base_cfg = ExperimentConfig(
+            engine=args.engine,
+            sim_cache=not args.no_sim_cache,
+            sim_cache_dir=None if args.no_sim_cache else args.sim_cache_dir,
+            stream=args.stream,
+            chunk_accesses=args.chunk_accesses,
+            shards=args.shards,
+            predict=args.predict,
+            spot_check=args.spot_check,
+            predict_tolerance=args.predict_tolerance,
+            plan=args.plan,
+            cores=args.cores,
+        )
+    except (ReproError, ValueError) as exc:
+        parser.error(str(exc))
 
     tasks = build_plan(wanted, base_cfg, scales)
     options = OrchestratorOptions(

@@ -17,8 +17,8 @@ from ..lang.program import Program
 from ..machine.engine.simcache import (
     SimulationCache,
     SimulationResult,
-    get_sim_cache,
     machine_signature,
+    resolve_memo,
     simulation_key,
 )
 from ..machine.contention import (
@@ -38,6 +38,7 @@ from ..machine.timing import (
     latency_bound_time,
     overlap_time,
 )
+from ..options import current_options
 from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
 from ..trace.events import Trace
@@ -102,39 +103,6 @@ class MachineRun:
         )
 
 
-# Process-wide streaming defaults, installed by ExperimentConfig.apply()
-# (and the --stream / --chunk-accesses CLI flags) so orchestrator workers
-# and figure code pick up the pipeline without threading arguments through
-# every call site.
-_stream_default: bool | str = False
-_chunk_accesses_default: int | None = None
-
-
-def configure_streaming(
-    stream: bool | str = False, chunk_accesses: int | None = None
-) -> None:
-    """Set the process-default trace pipeline for :func:`execute`.
-
-    ``stream`` may be False (materialize the whole trace), True /
-    ``"overlap"`` (chunked generation fused with simulation, generation
-    prefetched on a background thread), or ``"serial"`` (chunked, no
-    prefetch thread).  ``chunk_accesses`` bounds accesses per chunk
-    (None = :data:`repro.trace.generator.DEFAULT_CHUNK_ACCESSES`).
-    """
-    global _stream_default, _chunk_accesses_default
-    if stream not in (False, True, "overlap", "serial"):
-        raise ValueError(f"stream must be False, True, 'overlap' or 'serial', got {stream!r}")
-    if chunk_accesses is not None and chunk_accesses <= 0:
-        raise ValueError("chunk_accesses must be positive")
-    _stream_default = stream
-    _chunk_accesses_default = chunk_accesses
-
-
-def get_streaming() -> tuple[bool | str, int | None]:
-    """Current process-default (stream, chunk_accesses)."""
-    return _stream_default, _chunk_accesses_default
-
-
 def execute(
     program: Program,
     machine: MachineSpec,
@@ -145,14 +113,25 @@ def execute(
     warmup_passes: int = 0,
     flush: bool = True,
     validate: bool = True,
-    engine: str | None = None,
     sim_cache: SimulationCache | bool | None = None,
-    stream: bool | str | None = None,
-    chunk_accesses: int | None = None,
-    shards: int | None = None,
-    cores: int | None = None,
 ) -> MachineRun:
     """Run ``program`` on ``machine`` and measure it.
+
+    How it runs comes from the active :class:`~repro.options.ExecOptions`
+    (enter one with :func:`repro.options.use_options`): ``engine`` picks
+    the cache-simulation engine (see :mod:`repro.machine.engine`);
+    ``stream`` chooses the trace pipeline — ``False`` materializes the
+    full trace before simulating, ``True`` / ``"overlap"`` generates in
+    chunks of ``chunk_accesses`` fused with simulation and prefetched on
+    a background thread, ``"serial"`` streams without the prefetch
+    thread; ``shards`` runs the set-sharded parallel simulation (see
+    :mod:`repro.machine.engine.sharded`; an infeasible request falls back
+    to serial with a telemetry flag); ``cores`` prices the traffic under
+    contention across N cores sharing the machine's bandwidth ceilings
+    (see :mod:`repro.machine.contention`; 1 is the paper's model, a
+    request above ``machine.cores`` clamps with a telemetry flag).
+    Counters are bit-identical under every pipeline, engine and shard
+    count; contention reprices the same traffic.
 
     Args:
         passes: how many times the program body is executed back to back
@@ -163,57 +142,19 @@ def execute(
             (counted as writeback traffic, as a real timed run would pay).
         layout / layout_policy: explicit placement, or a policy override;
             default is the machine's default layout policy.
-        engine: cache-simulation engine (see :mod:`repro.machine.engine`);
-            ``None`` uses the process default, ``"auto"`` picks the fastest
-            exact engine per level, ``"reference"`` forces the Python loop.
-        sim_cache: content-keyed memo of simulation results. ``None`` uses
-            the process default (in-memory, always exact), ``False``
-            disables caching for this call, or pass an explicit
+        sim_cache: content-keyed memo of simulation results. ``None``
+            uses the process memo when the active options' ``sim_cache``
+            is on, ``False`` disables caching for this call, ``True``
+            forces the process memo, or pass an explicit
             :class:`SimulationCache`.
-        stream: trace pipeline. ``False`` materializes the full trace
-            before simulating; ``True`` / ``"overlap"`` generates in
-            chunks fused with simulation, with generation prefetched on
-            a background thread; ``"serial"`` streams without the
-            prefetch thread.  ``None`` uses the process default (see
-            :func:`configure_streaming`).  Counters are bit-identical
-            either way — engines persist state across chunks.
-        chunk_accesses: accesses per streamed chunk (None = process
-            default, falling back to
-            :data:`repro.trace.generator.DEFAULT_CHUNK_ACCESSES`).
-        shards: set-sharded parallel simulation across worker processes
-            (see :mod:`repro.machine.engine.sharded`).  ``None`` uses the
-            process default (:func:`configure_sharding`), 1 is serial;
-            an infeasible request falls back to serial with a telemetry
-            flag.  Counters are bit-identical at any shard count.
-        cores: contended timing across N cores sharing the machine's
-            bandwidth ceilings (see :mod:`repro.machine.contention`).
-            ``None`` uses the process default (:func:`configure_cores`);
-            1 is the paper's uncontended model, bit-identical to not
-            passing the flag at all.  A request above ``machine.cores``
-            clamps with a telemetry flag.  Counters are unaffected —
-            contention reprices the same traffic.
     """
-    if stream is None:
-        stream = _stream_default
-    elif stream not in (False, True, "overlap", "serial"):
-        raise ExecutionError(
-            f"stream must be False, True, 'overlap' or 'serial', got {stream!r}"
-        )
-    if chunk_accesses is None:
-        chunk_accesses = _chunk_accesses_default
-    if shards is not None and shards < 1:
-        raise ExecutionError(f"shards must be >= 1, got {shards}")
-    eff_cores = resolve_cores(machine, cores)
+    options = current_options()
+    eff_cores = resolve_cores(machine)
     bound = program.bind_params(params)
     if layout is None:
         layout = build_layout(program, bound, layout_policy or machine.default_layout)
 
-    if sim_cache is None:
-        memo = get_sim_cache()
-    elif isinstance(sim_cache, SimulationCache):
-        memo = sim_cache
-    else:  # True -> process default, False -> disabled
-        memo = get_sim_cache() if sim_cache else None
+    memo = resolve_memo(sim_cache)
     key = None
     cached = None
     claimed = False
@@ -248,7 +189,7 @@ def execute(
                 cached.loads,
                 cached.stores,
             )
-        elif stream:
+        elif options.stream:
             result, trace_flops, trace_loads, trace_stores, shard_snapshots = (
                 _execute_streamed(
                     program,
@@ -256,13 +197,11 @@ def execute(
                     bound,
                     layout,
                     validate,
-                    engine,
                     passes,
                     warmup_passes,
                     flush,
-                    stream,
-                    chunk_accesses,
-                    shards,
+                    options.stream,
+                    options.chunk_accesses,
                     capture_shards=eff_cores > 1,
                 )
             )
@@ -275,7 +214,7 @@ def execute(
             trace_telemetry.record_trace_bytes(trace.nbytes)
 
             with phase(SIMULATE):
-                hierarchy = build_hierarchy(machine, engine, shards=shards)
+                hierarchy = build_hierarchy(machine)
                 try:
                     for _ in range(warmup_passes):
                         hierarchy.run_trace(trace.addresses, trace.is_write)
@@ -351,7 +290,8 @@ def assemble_run(
     Shared by :func:`execute` and the sweep planner
     (:mod:`repro.experiments.plan`) so a planned point and a pointwise
     run go through byte-identical timing-model arithmetic.  ``cores``
-    (None = process default) adds the contended overlay when > 1.
+    (None = the active options' count) adds the contended overlay when
+    > 1.
     """
     flops = trace_flops * passes
     loads = trace_loads * passes
@@ -407,13 +347,11 @@ def _execute_streamed(
     bound: Mapping[str, int],
     layout: MemoryLayout,
     validate: bool,
-    engine: str | None,
     passes: int,
     warmup_passes: int,
     flush: bool,
     stream: bool | str,
     chunk_accesses: int | None,
-    shards: int | None = None,
     capture_shards: bool = False,
 ):
     """Chunked-generation pipeline: each pass regenerates the chunk
@@ -426,7 +364,7 @@ def _execute_streamed(
         gen = TraceGenerator(program, bound, layout, validate=validate)
     # Built (and, when sharded, forked) before the prefetch thread below
     # ever starts: forking under a live producer thread is a hazard.
-    hierarchy = build_hierarchy(machine, engine, shards=shards)
+    hierarchy = build_hierarchy(machine)
 
     def one_pass():
         chunks = _timed_chunks(gen, chunk_accesses)

@@ -7,21 +7,17 @@ from .engine import (
     MissCurve,
     SetAssociativeEngine,
     StackDistanceEngine,
-    get_default_engine,
     make_cache,
     miss_curve,
     select_engine,
-    set_default_engine,
 )
 from .engine.simcache import SimulationCache, configure_sim_cache, get_sim_cache
 from .contention import (
     ContendedBreakdown,
     CoreWork,
-    configure_cores,
     contended_balance,
     contended_bound_time,
     contended_time,
-    get_default_cores,
     machine_balance_at,
     split_work,
     works_from_shards,
@@ -70,7 +66,6 @@ __all__ = [
     "bandwidth_bound_time",
     "build_layout",
     "classify_misses",
-    "configure_cores",
     "configure_sim_cache",
     "contended_balance",
     "contended_bound_time",
@@ -79,8 +74,6 @@ __all__ = [
     "exemplar",
     "future_machine",
     "future_multicore",
-    "get_default_cores",
-    "get_default_engine",
     "get_sim_cache",
     "hbm_multicore",
     "latency_bound_time",
@@ -91,7 +84,6 @@ __all__ = [
     "origin2000",
     "overlap_time",
     "select_engine",
-    "set_default_engine",
     "simulate_opt",
     "split_work",
     "works_from_shards",

@@ -27,11 +27,11 @@ that model over the counters the simulator already produces:
   sharded runs agree bit-for-bit; the honest per-shard imbalance lands
   in the ``contention`` telemetry block instead.
 
-The process-wide default core count follows the same pattern as
-``configure_streaming`` / ``configure_sharding``: installed by
-``ExperimentConfig.apply()`` (the runner's ``--cores`` flag) and read by
-the executor and the analytic predictor, so ``--predict`` sweeps price
-the contended channel identically.
+The core count is the ``cores`` execution option
+(:class:`repro.options.ExecOptions`, the runner's ``--cores`` flag),
+read by :func:`resolve_cores` for the executor and the analytic
+predictor alike, so ``--predict`` sweeps price the contended channel
+identically.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Sequence, Tuple
 
 from ..errors import MachineError
+from ..options import override_options
 from .spec import ChannelContention, MachineSpec, SaturationCurve
 from .timing import TimeBreakdown, bandwidth_bound_time
 
@@ -51,11 +52,9 @@ __all__ = [
     "CoreWork",
     "SaturationCurve",
     "collect_contention_telemetry",
-    "configure_cores",
     "contended_balance",
     "contended_bound_time",
     "contended_time",
-    "get_default_cores",
     "machine_balance_at",
     "maybe_contended",
     "record_contention",
@@ -263,33 +262,12 @@ def contended_balance(spec: MachineSpec, cores: int) -> tuple[float, ...]:
     return tuple(b / a for b, a in zip(base, at))
 
 
-# -- process-wide default core count -------------------------------------------
-
-_cores_default = 1
-
-
-def configure_cores(cores: int = 1) -> None:
-    """Set the process-default core count for contended timing (installed
-    by ``ExperimentConfig.apply()`` / the runner's ``--cores`` flag).
-    1 = uncontended, the paper's single-core model."""
-    global _cores_default
-    if cores < 1:
-        raise ValueError(f"cores must be >= 1, got {cores}")
-    _cores_default = cores
-
-
-def get_default_cores() -> int:
-    """Current process-default core count."""
-    return _cores_default
-
-
 def resolve_cores(spec: MachineSpec, cores: int | None = None) -> int:
     """Effective core count for a run on ``spec``: the request (or the
-    process default) clamped to the machine's cores, with a telemetry
-    flag when clamped — mirrors the sharded engine's serial fallback."""
-    n = _cores_default if cores is None else cores
-    if n < 1:
-        raise MachineError(f"cores must be >= 1, got {n}")
+    active options' ``cores``) clamped to the machine's cores, with a
+    telemetry flag when clamped — mirrors the sharded engine's serial
+    fallback."""
+    n = override_options(cores=cores).cores
     if n > spec.cores:
         record_contention_fallback(n, spec.cores, spec.name)
         return spec.cores

@@ -22,7 +22,7 @@ against it on randomized traces.
 
 from __future__ import annotations
 
-from ...errors import MachineError
+from ...options import current_options
 from ..cache import Cache, CacheGeometry
 from .base import BaseEngine
 from .direct import DirectMappedEngine
@@ -39,22 +39,6 @@ ENGINES = {
     "stack": StackDistanceEngine,
 }
 
-_default_engine = "auto"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide engine choice (``"auto"`` or an ENGINES key)."""
-    global _default_engine
-    if name != "auto" and name not in ENGINES:
-        raise MachineError(f"unknown engine {name!r}; choose from auto, "
-                           + ", ".join(sorted(ENGINES)))
-    _default_engine = name
-
-
-def get_default_engine() -> str:
-    return _default_engine
-
-
 def select_engine(
     geometry: CacheGeometry,
     write_back: bool = True,
@@ -65,7 +49,8 @@ def select_engine(
 ) -> type:
     """Resolve an engine name to a simulator class for one cache level.
 
-    ``engine=None`` uses the process default (:func:`set_default_engine`);
+    ``engine=None`` uses the active options' engine
+    (:func:`repro.options.current_options`);
     ``"auto"`` picks the fastest engine that is exact for the level:
 
     * associativity 1 -> :class:`DirectMappedEngine` (always exact);
@@ -78,7 +63,7 @@ def select_engine(
     * everything else (write-through set-associative) -> the reference
       ``Cache``.
     """
-    name = engine if engine is not None else _default_engine
+    name = engine if engine is not None else current_options().engine
     if name != "auto":
         return ENGINES[name]
     if geometry.associativity == 1:
@@ -97,8 +82,6 @@ _SHARDED_EXPORTS = (
     "ShardPlan",
     "ShardedHierarchy",
     "build_hierarchy",
-    "configure_sharding",
-    "get_default_shards",
     "plan_shards",
 )
 
@@ -138,15 +121,11 @@ __all__ = [
     "ShardedHierarchy",
     "StackDistanceEngine",
     "build_hierarchy",
-    "configure_sharding",
-    "get_default_shards",
     "plan_shards",
     "count_prior_leq",
-    "get_default_engine",
     "make_cache",
     "miss_curve",
     "previous_occurrences",
     "reuse_distances",
     "select_engine",
-    "set_default_engine",
 ]

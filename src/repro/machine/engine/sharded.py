@@ -65,28 +65,11 @@ from typing import Any, Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from ...errors import MachineError
+from ...options import override_options
 from ..cache import Cache
 from ..hierarchy import DEFAULT_CHUNK, Hierarchy, HierarchyResult
 from ..spec import MachineSpec
 from . import telemetry
-
-# -- process-wide default (installed by ExperimentConfig.apply / --shards) -----
-
-_default_shards = 1
-
-
-def configure_sharding(shards: int = 1) -> None:
-    """Set the process-default shard count for :func:`build_hierarchy`
-    (1 = serial, the historical behavior)."""
-    global _default_shards
-    if int(shards) < 1:
-        raise MachineError(f"shards must be >= 1, got {shards}")
-    _default_shards = int(shards)
-
-
-def get_default_shards() -> int:
-    return _default_shards
-
 
 # -- planning ------------------------------------------------------------------
 
@@ -141,13 +124,13 @@ def build_hierarchy(
 ) -> Hierarchy:
     """The executor's hierarchy factory: serial or sharded by plan.
 
-    ``shards=None`` uses the process default (:func:`configure_sharding`);
-    an infeasible request falls back to serial and records the reason.
+    ``engine``/``shards`` left ``None`` come from the active options
+    (:func:`repro.options.current_options`); an infeasible request falls
+    back to serial and records the reason.
     """
-    caches = spec.build_caches(engine)
-    requested = get_default_shards() if shards is None else int(shards)
-    if requested < 1:
-        raise MachineError(f"shards must be >= 1, got {shards}")
+    options = override_options(engine=engine, shards=shards)
+    caches = spec.build_caches(options.engine)
+    requested = options.shards
     if requested == 1:
         return Hierarchy(caches, chunk_size)
     plan = plan_shards(caches, requested)
@@ -504,8 +487,6 @@ __all__ = [
     "build_hierarchy",
     "collect_shard_telemetry",
     "collecting",
-    "configure_sharding",
-    "get_default_shards",
     "plan_shards",
     "record_shard_fallback",
     "record_shard_run",

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from ...options import current_options
 from ..cache import CacheStats
 from ..hierarchy import HierarchyResult
 
@@ -477,3 +478,17 @@ def configure_sim_cache(
     global _default
     _default = SimulationCache(directory) if enabled else None
     return _default
+
+
+def resolve_memo(
+    sim_cache: SimulationCache | bool | None = None,
+) -> SimulationCache | None:
+    """The memo one run uses: ``sim_cache`` itself when it is a cache,
+    none for ``False``, the process default for ``True``, and for
+    ``None`` the process default only if the active options'
+    ``sim_cache`` is on."""
+    if isinstance(sim_cache, SimulationCache):
+        return sim_cache
+    if sim_cache is None:
+        sim_cache = current_options().sim_cache
+    return _default if sim_cache else None

@@ -285,9 +285,9 @@ class MachineSpec:
         """Fresh simulator instances for every cache level.
 
         ``engine`` picks the simulator (see :mod:`repro.machine.engine`):
-        ``None`` uses the process default, ``"auto"`` selects the fastest
-        exact engine per level, ``"reference"`` forces the original
-        :class:`Cache` loop everywhere.
+        ``None`` uses the active options' engine, ``"auto"`` selects the
+        fastest exact engine per level, ``"reference"`` forces the
+        original :class:`Cache` loop everywhere.
         """
         from .engine import make_cache
 

@@ -16,9 +16,10 @@ batch-mates (counted as a ``fallback`` in service telemetry).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from ..errors import ReproError
+from ..experiments.config import ExperimentConfig
 from ..experiments.plan import collect_plan_telemetry, run_batch, summarize_plan
 from ..experiments.result import ExperimentResult, failed_result
 from ..interp.executor import MachineRun
@@ -117,23 +118,19 @@ def run_predict_job(points: Sequence[WirePoint]) -> dict[str, Any]:
     return {"results": results, "plan": {}, "sim_cache": {}, "fallbacks": 0}
 
 
-def run_experiment_job(name: str, config_json: Mapping[str, Any] | None) -> dict[str, Any]:
-    """One registry experiment; the result is its manifest record."""
-    from ..experiments.config import ExperimentConfig
+def run_experiment_job(name: str, config: ExperimentConfig) -> dict[str, Any]:
+    """One registry experiment; the result is its manifest record.  The
+    ``@experiment`` wrapper runs it under ``config`` as the active
+    options and resets them on return, so the job changes nothing the
+    daemon's next batch sees."""
     from ..experiments.registry import EXPERIMENTS
 
-    config = (
-        ExperimentConfig.from_json(config_json)
-        if config_json
-        else ExperimentConfig()
-    )
     if name not in EXPERIMENTS:
         result: ExperimentResult = failed_result(
             name, config, f"unknown experiment {name!r}"
         )
     else:
         try:
-            config.apply()
             result = EXPERIMENTS[name](config)
         except Exception as exc:  # noqa: BLE001 — degrade, never kill the server
             result = failed_result(name, config, f"{type(exc).__name__}: {exc}")

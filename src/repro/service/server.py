@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import ReproError
+from ..experiments.config import ExperimentConfig
 from ..experiments.orchestrator import build_manifest, write_manifest
 from ..experiments.plan import request_key
 from ..experiments.result import ExperimentResult
@@ -486,8 +487,16 @@ class Server:
         config = message.get("config")
         if config is not None and not isinstance(config, Mapping):
             raise ProtocolError("experiment config must be an object")
-        key = "experiment:" + name + ":" + repr(sorted((config or {}).items()))
-        admitted = self._admit("experiment", [(key, (name, config))], tenant)
+        config = config or {}
+        if "sim_cache_dir" in config:
+            # The daemon owns its memo; a client cannot repoint it.
+            raise ProtocolError("experiment config may not set sim_cache_dir")
+        try:
+            parsed = ExperimentConfig.from_json(config)
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad experiment config: {exc}") from None
+        key = "experiment:" + name + ":" + repr(sorted(config.items()))
+        admitted = self._admit("experiment", [(key, (name, parsed))], tenant)
         if isinstance(admitted, tuple):
             raise _Reject(*admitted)
         try:

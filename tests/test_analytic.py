@@ -37,8 +37,6 @@ from repro.experiments.orchestrator import build_manifest, run_battery
 from repro.experiments.predict import (
     channel_errors,
     collect_analytic_telemetry,
-    configure_predict,
-    get_predict,
     run_or_predict,
     summarize_analytic,
 )
@@ -46,6 +44,7 @@ from repro.experiments.result import SCHEMA_VERSION
 from repro.interp.executor import execute
 from repro.machine import exemplar, origin2000
 from repro.machine.layout import build_layout
+from repro.options import ExecOptions, use_options
 from repro import programs
 from repro.programs import (
     BLAS1_KERNELS,
@@ -67,12 +66,11 @@ SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "result.schema.json"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.fixture(autouse=True)
-def _predict_off():
-    """Leave the process defaults as we found them."""
-    saved = get_predict()
-    yield
-    configure_predict(*saved)
+def _predicting(spot_check, tolerance):
+    """Predict mode on for the enclosed block."""
+    return use_options(
+        ExecOptions(predict=True, spot_check=spot_check, predict_tolerance=tolerance)
+    )
 
 
 def _channel_rel_errors(prog, machine, **kwargs):
@@ -360,10 +358,9 @@ class TestPredictSession:
         assert summarize_analytic(session) == {}
 
     def test_spot_check_sampling(self):
-        configure_predict(True, spot_check=0.5, tolerance=0.5)
         prog = make_kernel("1w1r", 256)
         machine = origin2000(scale=512)
-        with collect_analytic_telemetry() as session:
+        with _predicting(0.5, 0.5), collect_analytic_telemetry() as session:
             assert session.stride == 2
             for _ in range(4):
                 run_or_predict(prog, machine)
@@ -377,16 +374,14 @@ class TestPredictSession:
         assert summary["outliers"] == []
 
     def test_first_point_always_checked(self):
-        configure_predict(True, spot_check=0.01, tolerance=0.5)
-        with collect_analytic_telemetry() as session:
+        with _predicting(0.01, 0.5), collect_analytic_telemetry() as session:
             run_or_predict(make_kernel("1w1r", 256), origin2000(scale=512))
         assert session.checked == 1
 
     def test_checked_point_returns_exact_run(self):
-        configure_predict(True, spot_check=1.0, tolerance=0.9)
         prog = make_kernel("1w2r", 256)
         machine = origin2000(scale=512)
-        with collect_analytic_telemetry():
+        with _predicting(1.0, 0.9), collect_analytic_telemetry():
             got = run_or_predict(prog, machine)
         exact = execute(prog, machine)
         assert got.counters.channel_bytes == exact.counters.channel_bytes
@@ -417,10 +412,9 @@ class TestPredictSession:
             )
 
         monkeypatch.setattr(predict_mod, "analyze", inflated)
-        configure_predict(True, spot_check=0.05, tolerance=0.10)
         prog = make_kernel("1w1r", 512)
         machine = origin2000(scale=512)
-        with collect_analytic_telemetry() as session:
+        with _predicting(0.05, 0.10), collect_analytic_telemetry() as session:
             got = run_or_predict(prog, machine)
             assert session.fallback_active
             run_or_predict(prog, machine)  # must simulate, not predict
@@ -442,8 +436,7 @@ class TestPredictSession:
             raise AnalysisError("injected: not affine")
 
         monkeypatch.setattr(predict_mod, "analyze", boom)
-        configure_predict(True, spot_check=0.05, tolerance=0.10)
-        with collect_analytic_telemetry() as session:
+        with _predicting(0.05, 0.10), collect_analytic_telemetry() as session:
             run_or_predict(make_kernel("1w1r", 256), origin2000(scale=512))
         assert session.fallbacks == 1
         assert not session.fallback_active  # analyzer gap, not model error
@@ -460,11 +453,11 @@ class TestPredictSession:
 
     def test_configure_predict_validates(self):
         with pytest.raises(ValueError):
-            configure_predict(True, spot_check=0.0)
+            ExecOptions(predict=True, spot_check=0.0)
         with pytest.raises(ValueError):
-            configure_predict(True, spot_check=1.5)
+            ExecOptions(predict=True, spot_check=1.5)
         with pytest.raises(ValueError):
-            configure_predict(True, tolerance=-0.1)
+            ExecOptions(predict=True, predict_tolerance=-0.1)
 
 
 class TestPredictBattery:

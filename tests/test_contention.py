@@ -47,6 +47,7 @@ from repro.machine.timing import (
     latency_bound_time,
     overlap_time,
 )
+from repro.options import ExecOptions, use_options
 
 SCALE = 128  # the experiments' default: tiny caches, fast traces
 
@@ -111,7 +112,8 @@ class TestCores1BitIdentity:
         from repro.interp.executor import execute
 
         spec = ddr_multicore(SCALE)
-        run = execute(_workload("1w2r", spec), spec, sim_cache=False, cores=1)
+        with use_options(ExecOptions(cores=1)):
+            run = execute(_workload("1w2r", spec), spec, sim_cache=False)
         assert run.contended is None
         assert run.effective_time is run.time
 
@@ -213,7 +215,8 @@ class TestAnalyticContended:
 
         spec = factory(SCALE)
         prog = _workload("convolution", spec)
-        exact = execute(prog, spec, sim_cache=False, cores=spec.cores)
+        with use_options(ExecOptions(cores=spec.cores)):
+            exact = execute(prog, spec, sim_cache=False)
         predicted = predict_run(prog, spec, cores=spec.cores)
         assert exact.contended is not None and predicted.contended is not None
         assert predicted.contended.cores == exact.contended.cores == spec.cores

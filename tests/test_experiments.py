@@ -1,6 +1,8 @@
 """End-to-end experiment tests: every headline claim of the paper, checked
 against the reproduction's measured output."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -308,22 +310,11 @@ class TestLadder:
 
     @pytest.fixture(scope="class")
     def both_modes(self, small_ladder):
-        import repro.machine.engine.simcache as simcache
         from repro.experiments.ladder_capacity import run_ladder
-        from repro.experiments.plan import configure_plan
 
+        # sim_cache=False: no cross-mode warm hits.
         cfg = ExperimentConfig(scale=128, sim_cache=False)
-        old_cache = simcache.get_sim_cache()
-        simcache.configure_sim_cache(enabled=False)  # no cross-mode warm hits
-        configure_plan(False)
-        try:
-            point = run_ladder(cfg)
-            configure_plan(True)
-            planned = run_ladder(cfg)
-        finally:
-            configure_plan(False)
-            simcache._default = old_cache
-        return point, planned
+        return run_ladder(cfg), run_ladder(replace(cfg, plan=True))
 
     def test_planned_is_bit_identical_to_pointwise(self, both_modes):
         point, planned = both_modes
@@ -339,6 +330,21 @@ class TestLadder:
         assert planned.plan["accesses_simulated"] * 3 == planned.plan["accesses_requested"]
         # The pointwise run records no plan block at all.
         assert both_modes[0].plan == {}
+
+    def test_planned_ladder_after_predict_battery(self, small_ladder):
+        """A predicting battery leaves nothing behind: the planned ladder
+        run after it in the same process still plans every point."""
+        from repro.experiments.ladder_capacity import run_ladder
+        from repro.experiments.orchestrator import run_battery
+        from repro.options import ExecOptions, current_options
+
+        (fig1,) = run_battery(
+            ["fig1"], ExperimentConfig(scale=256, sim_cache=False, predict=True)
+        )
+        assert fig1.ok and fig1.analytic["points"] > 0
+        assert current_options() == ExecOptions()
+        planned = run_ladder(ExperimentConfig(scale=128, sim_cache=False, plan=True))
+        assert planned.plan["points"] == 6
 
     def test_miss_ratio_monotone(self, both_modes):
         point, _ = both_modes

@@ -24,12 +24,11 @@ from repro.machine import (
     CacheGeometry,
     CacheStats,
     LayoutPolicy,
-    get_default_engine,
     lru_vs_opt,
     origin2000,
-    set_default_engine,
     simulate_opt,
 )
+from repro.options import ExecOptions, use_options
 from repro.transforms import regroup_arrays, regroupable_sets, verify_equivalent
 
 from tests.helpers import simple_stream_program
@@ -233,12 +232,8 @@ class TestBeladyOpt:
         for geom in (CacheGeometry(512, 32, 2), CacheGeometry(480, 32, 3),
                      CacheGeometry(512, 32, 16), CacheGeometry(320, 32, 1)):
             fast = lru_vs_opt(a, w, geom)
-            before = get_default_engine()
-            set_default_engine("reference")
-            try:
+            with use_options(ExecOptions(engine="reference")):
                 assert lru_vs_opt(a, w, geom) == fast
-            finally:
-                set_default_engine(before)
 
 
 class TestIntrinsic:

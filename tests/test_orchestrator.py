@@ -580,11 +580,16 @@ class TestResultRecord:
         data = ExperimentResult.from_json(r.to_json())
         assert data.status == "timeout" and data.attempts == 3
 
-    def test_legacy_passthrough_warns(self):
+    def test_unknown_attribute_raises_without_warning(self):
+        import warnings
+
         cfg = ExperimentConfig(sim_cache=False)
         result = run_battery(["fig4"], cfg)[0]
-        with pytest.warns(DeprecationWarning, match="deprecated passthrough"):
-            assert result.optimal_cost == 7
+        assert result.detail.optimal_cost == 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AttributeError):
+                result.optimal_cost
 
     def test_summary_table_lists_failures(self):
         ok = ExperimentResult(experiment="fig1", timings={"total": 0.1})

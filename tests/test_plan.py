@@ -22,6 +22,7 @@ from repro.machine.engine.stack import StackProfile, stack_profile
 from repro.machine.hierarchy import Hierarchy
 from repro.machine.layout import LayoutPolicy
 from repro.machine.spec import CacheLevelSpec, MachineSpec
+from repro.options import override_options, use_options
 from repro.trace.events import Trace
 from repro.trace.stream import fanout_chunks
 from repro.experiments.plan import (
@@ -95,22 +96,27 @@ def assert_same_run(a, b) -> None:
     assert a.overlap4_time == b.overlap4_time
 
 
-def pointwise(requests, **kwargs):
-    return [
-        execute(
-            r.program,
-            r.machine,
-            params=r.params,
-            layout_policy=r.layout_policy,
-            passes=r.passes,
-            warmup_passes=r.warmup_passes,
-            flush=r.flush,
-            validate=r.validate,
-            sim_cache=False,
-            **kwargs,
-        )
-        for r in requests
-    ]
+def running(**options):
+    """The given execution options (``None`` = unchanged) for a block."""
+    return use_options(override_options(**options))
+
+
+def pointwise(requests, **options):
+    with running(**options):
+        return [
+            execute(
+                r.program,
+                r.machine,
+                params=r.params,
+                layout_policy=r.layout_policy,
+                passes=r.passes,
+                warmup_passes=r.warmup_passes,
+                flush=r.flush,
+                validate=r.validate,
+                sim_cache=False,
+            )
+            for r in requests
+        ]
 
 
 # -- the all-capacity counter profile -----------------------------------------
@@ -372,9 +378,8 @@ class TestExecutePlan:
             SimRequest(prog, two_level_machine("A", 64)),
             SimRequest(prog, two_level_machine("B", 128)),
         ]
-        planned = execute_plan(
-            requests, sim_cache=False, stream="overlap", chunk_accesses=500
-        )
+        with running(stream="overlap", chunk_accesses=500):
+            planned = execute_plan(requests, sim_cache=False)
         for got, ref in zip(planned, pointwise(requests)):
             assert_same_run(got, ref)
 
@@ -385,8 +390,8 @@ class TestExecutePlan:
             two_level_machine("B", 128),
         ]
         requests = [SimRequest(prog, m) for m in machines]
-        with collect_plan_telemetry() as session:
-            planned = execute_plan(requests, sim_cache=False, shards=2)
+        with running(shards=2), collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
         refs = pointwise(requests, shards=2)
         for got, ref in zip(planned, refs):
             assert_same_run(got, ref)
@@ -485,8 +490,8 @@ class TestPerPointCapacity:
             SimRequest(prog, two_level_machine("A", 64)),
             SimRequest(prog, two_level_machine("B", 128)),
         ]
-        with collect_plan_telemetry() as session:
-            planned = execute_plan(requests, sim_cache=False, shards=2)
+        with running(shards=2), collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
         for got, ref in zip(planned, pointwise(requests, shards=2)):
             assert_same_run(got, ref)
         # Capacity collapse does not step aside under shards; the rest of
@@ -517,8 +522,8 @@ class TestPerPointCapacity:
     def test_random_mix_matches_pointwise(self, picks, shards, flush):
         prog = two_loop_chain("chain", 256)
         requests = [SimRequest(prog, self.POOL[k], flush=flush) for k in picks]
-        with collect_plan_telemetry() as session:
-            planned = execute_plan(requests, sim_cache=False, shards=shards)
+        with running(shards=shards), collect_plan_telemetry() as session:
+            planned = execute_plan(requests, sim_cache=False)
         for got, ref in zip(planned, pointwise(requests, shards=shards)):
             assert_same_run(got, ref)
         columns: dict[int, int] = {}
@@ -582,13 +587,6 @@ class TestPlanMemoization:
 
 
 class TestRunBatch:
-    def teardown_method(self):
-        from repro.experiments.plan import configure_plan
-        from repro.experiments.predict import configure_predict
-
-        configure_plan(False)
-        configure_predict(False)
-
     def test_pointwise_default_matches_execute(self):
         prog = simple_stream_program("stream", 512)
         requests = [SimRequest(prog, fa_machine(c)) for c in (2, 8)]
@@ -597,33 +595,27 @@ class TestRunBatch:
             assert_same_run(a, b)
 
     def test_plan_follows_process_default(self):
-        from repro.experiments.plan import configure_plan
-
         prog = simple_stream_program("stream", 512)
         requests = [SimRequest(prog, fa_machine(c)) for c in (2, 8)]
-        configure_plan(True)
-        with collect_plan_telemetry() as session:
+        with running(plan=True), collect_plan_telemetry() as session:
             run_batch(requests, sim_cache=False)
         assert session.points == 2
 
     def test_predict_composition_matches_pointwise_accounting(self):
-        from repro.experiments.predict import (
-            collect_analytic_telemetry,
-            configure_predict,
-        )
+        from repro.experiments.predict import collect_analytic_telemetry
         from repro.experiments.predict import run_or_predict
 
         prog = simple_stream_program("stream", 2048)
         requests = [SimRequest(prog, fa_machine(c)) for c in (2, 4, 16, 64, 256)]
-        configure_predict(True, spot_check=0.5, tolerance=10.0)
 
-        with collect_analytic_telemetry() as ref_session:
-            ref = [
-                run_or_predict(r.program, r.machine, sim_cache=False)
-                for r in requests
-            ]
-        with collect_analytic_telemetry() as plan_session:
-            got = run_batch(requests, plan=True, sim_cache=False)
+        with running(predict=True, spot_check=0.5, predict_tolerance=10.0):
+            with collect_analytic_telemetry() as ref_session:
+                ref = [
+                    run_or_predict(r.program, r.machine, sim_cache=False)
+                    for r in requests
+                ]
+            with collect_analytic_telemetry() as plan_session:
+                got = run_batch(requests, plan=True, sim_cache=False)
 
         for a, b in zip(got, ref):
             assert_same_run(a, b)
@@ -633,10 +625,8 @@ class TestRunBatch:
         assert plan_session.fallbacks == ref_session.fallbacks
 
     def test_predict_without_session_simulates_only_unanalyzable(self):
-        from repro.experiments.predict import configure_predict
-
         prog = simple_stream_program("stream", 1024)
         requests = [SimRequest(prog, fa_machine(c)) for c in (4, 16)]
-        configure_predict(True, spot_check=0.05, tolerance=10.0)
-        got = run_batch(requests, plan=True, sim_cache=False)
+        with running(predict=True, spot_check=0.05, predict_tolerance=10.0):
+            got = run_batch(requests, plan=True, sim_cache=False)
         assert len(got) == 2  # analytic estimates ship unchecked

@@ -439,3 +439,49 @@ class TestExperimentOp:
                 result = client.run_experiment("not_an_experiment")
         assert result.status == "failed"
         assert "unknown experiment" in result.error
+
+    def test_experiment_config_is_scoped_to_its_job(self, tiny_machine, monkeypatch):
+        """A served experiment runs under its own config; the daemon's
+        memo and the options its next batch runs under are untouched."""
+        from repro.machine.engine.simcache import get_sim_cache
+        from repro.options import ExecOptions, current_options
+
+        seen = []
+        run = executor.run_simulate_job
+
+        def recording(*args, **kwargs):
+            seen.append(current_options())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_simulate_job", recording)
+        memo = get_sim_cache()
+        program = simple_stream_program(n=128)
+        request = SimRequest(program=program, machine=tiny_machine, params={"N": 64})
+        config = {"engine": "reference", "sim_cache": False, "predict": True, "cores": 4}
+        with BackgroundServer(ServeConfig()) as bg:
+            with ServiceClient(bg.address) as client:
+                result = client.run_experiment("fig4", config)
+                served = client.simulate(program, tiny_machine, params={"N": 64})
+        assert result.status == "ok"
+        assert result.config["engine"] == "reference" and result.config["cores"] == 4
+        assert get_sim_cache() is memo
+        assert seen == [ExecOptions()]
+        assert current_options() == ExecOptions()
+        (direct,) = repro.simulate_batch([request])
+        assert _counters(served) == _counters(direct)
+
+    def test_bad_experiment_config_is_rejected_invalid(self):
+        from repro.machine.engine.simcache import get_sim_cache
+
+        memo = get_sim_cache()
+        with BackgroundServer(ServeConfig()) as bg:
+            with ServiceClient(bg.address) as client:
+                for config in ({"sim_cache_dir": "elsewhere"}, {"cores": 0}, {"shards": "x"}):
+                    with pytest.raises(ServiceError) as info:
+                        client.run_experiment("fig4", config)
+                    assert info.value.code == "invalid"
+                assert client.ping()
+                stats = client.stats()
+        assert stats["rejected"].get("invalid") == 3
+        assert "internal" not in stats["rejected"]
+        assert get_sim_cache() is memo

@@ -27,21 +27,13 @@ from repro.machine.engine.sharded import (
     ShardedHierarchy,
     build_hierarchy,
     collect_shard_telemetry,
-    configure_sharding,
-    get_default_shards,
     plan_shards,
     summarize_shards,
 )
 from repro.machine.hierarchy import Hierarchy
 from repro.machine.presets import origin2000
 from repro.machine.spec import CacheLevelSpec, MachineSpec
-
-
-@pytest.fixture(autouse=True)
-def _serial_default():
-    """No test may leak a process-wide shard default into the suite."""
-    yield
-    configure_sharding(1)
+from repro.options import ExecOptions, current_options, use_options
 
 
 def machine_of(*geometries: CacheGeometry, name: str = "M") -> MachineSpec:
@@ -148,9 +140,10 @@ class TestPlanning:
         with pytest.raises(MachineError):
             build_hierarchy(origin2000(32), shards=0)
         with pytest.raises(MachineError):
-            configure_sharding(0)
-        configure_sharding(3)
-        assert get_default_shards() == 3
+            ExecOptions(shards=0)
+        with use_options(ExecOptions(shards=3)):
+            assert current_options().shards == 3
+        assert current_options().shards == 1
 
 
 # -- differential bit-identity -------------------------------------------------
@@ -366,15 +359,28 @@ class TestWorkerLifecycle:
 
 class TestConfigAndApi:
     def test_experiment_config_applies_default(self):
+        from types import SimpleNamespace
+
+        from repro.experiments.report import Table
+        from repro.experiments.result import experiment
+
         cfg = ExperimentConfig(shards=3)
         assert cfg.to_json()["shards"] == 3
         assert ExperimentConfig.from_json(cfg.to_json()).shards == 3
-        cfg.apply()
-        assert get_default_shards() == 3
+        seen = []
+
+        @experiment("probe")
+        def probe(config):
+            seen.append(current_options().shards)
+            return SimpleNamespace(table=lambda: Table("probe", ("shards",)))
+
+        assert probe(cfg).ok
+        assert seen == [3]  # the config is the active options inside the run
+        assert current_options().shards == 1  # and is reset after it
 
     def test_default_feeds_build_hierarchy(self):
-        configure_sharding(2)
-        h = build_hierarchy(origin2000(32))
+        with use_options(ExecOptions(shards=2)):
+            h = build_hierarchy(origin2000(32))
         try:
             assert isinstance(h, ShardedHierarchy)
             assert h.plan.shards == 2

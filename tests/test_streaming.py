@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from repro.errors import ExecutionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.result import SCHEMA_VERSION, ExperimentResult
-from repro.interp.executor import configure_streaming, execute, get_streaming
+from repro.interp.executor import execute
+from repro.options import ExecOptions, current_options, use_options
 from repro.machine import LayoutPolicy, build_layout
 from repro.machine.cache import Cache, CacheGeometry
 from repro.machine.engine import (
@@ -305,15 +306,8 @@ class TestStreamedExecute:
         prog = matmul(18)
         machine = origin2000(256)
         base = execute(prog, machine, sim_cache=False, passes=2, warmup_passes=1)
-        run = execute(
-            prog,
-            machine,
-            sim_cache=False,
-            passes=2,
-            warmup_passes=1,
-            stream=mode,
-            chunk_accesses=500,
-        )
+        with use_options(ExecOptions(stream=mode, chunk_accesses=500)):
+            run = execute(prog, machine, sim_cache=False, passes=2, warmup_passes=1)
         assert run.counters == base.counters
         assert run.time == base.time
 
@@ -325,33 +319,35 @@ class TestStreamedExecute:
         with b.loop("i", 0, "N") as i:
             b.assign(a[i], a[i])
         with pytest.raises(ExecutionError, match="no work"):
-            execute(b.build(), origin2000(256), sim_cache=False, stream=True)
+            with use_options(ExecOptions(stream=True)):
+                execute(b.build(), origin2000(256), sim_cache=False)
 
     def test_invalid_stream_value(self):
         with pytest.raises(ExecutionError, match="stream"):
-            execute(matmul(6), origin2000(256), sim_cache=False, stream="bogus")
+            ExecOptions(stream="bogus")
 
     def test_process_default_roundtrip(self):
-        old = get_streaming()
-        try:
-            configure_streaming("serial", 123)
-            assert get_streaming() == ("serial", 123)
+        with use_options(ExecOptions(stream="serial", chunk_accesses=123)):
+            assert (current_options().stream, current_options().chunk_accesses) == (
+                "serial",
+                123,
+            )
             run = execute(matmul(12), origin2000(256), sim_cache=False)
-            base = execute(matmul(12), origin2000(256), sim_cache=False, stream=False)
-            assert run.counters == base.counters
-            with pytest.raises(ValueError):
-                configure_streaming("nope")
-            with pytest.raises(ValueError):
-                configure_streaming(True, 0)
-        finally:
-            configure_streaming(*old)
+        assert current_options() == ExecOptions()
+        base = execute(matmul(12), origin2000(256), sim_cache=False)
+        assert run.counters == base.counters
+        with pytest.raises(ExecutionError):
+            ExecOptions(stream="nope")
+        with pytest.raises(ValueError):
+            ExecOptions(stream=True, chunk_accesses=0)
 
     def test_sim_cache_shared_between_pipelines(self):
         from repro.machine.engine.simcache import SimulationCache
 
         memo = SimulationCache()
-        first = execute(matmul(12), origin2000(256), sim_cache=memo, stream="overlap")
-        second = execute(matmul(12), origin2000(256), sim_cache=memo, stream=False)
+        with use_options(ExecOptions(stream="overlap")):
+            first = execute(matmul(12), origin2000(256), sim_cache=memo)
+        second = execute(matmul(12), origin2000(256), sim_cache=memo)
         assert first.counters == second.counters
         assert memo.counters.hits == 1
 
@@ -403,12 +399,11 @@ class TestExperimentPlumbing:
     def test_config_roundtrip_and_apply(self):
         cfg = ExperimentConfig(scale=256, stream=True, chunk_accesses=4096)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
-        old = get_streaming()
-        try:
-            cfg.apply()
-            assert get_streaming() == (True, 4096)
-        finally:
-            configure_streaming(*old)
+        with use_options(cfg):
+            assert (current_options().stream, current_options().chunk_accesses) == (
+                True,
+                4096,
+            )
 
     def test_result_schema_has_memory_and_stream(self):
         assert SCHEMA_VERSION >= 3  # v3 introduced memory/stream telemetry
@@ -433,11 +428,7 @@ class TestExperimentPlumbing:
         cfg = ExperimentConfig(
             scale=256, sim_cache=False, stream=True, chunk_accesses=10_000
         )
-        old = get_streaming()
-        try:
-            result = run_fig1(cfg)
-        finally:
-            configure_streaming(*old)
+        result = run_fig1(cfg)
         assert result.ok
         assert result.memory.get("trace_bytes", 0) > 0
         assert result.stream.get("runs", 0) > 0

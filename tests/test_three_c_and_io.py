@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError, ReproError
-from repro.machine import (
-    CacheGeometry,
-    MissClassification,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.machine import CacheGeometry, MissClassification
 from repro.machine.three_c import classify_misses as classify
+from repro.options import ExecOptions, use_options
 from repro.trace import generate_trace, load_trace, save_trace
 
 from tests.helpers import simple_stream_program
@@ -105,12 +101,8 @@ class TestThreeC:
                     data.draw(st.lists(st.booleans(), min_size=len(addrs),
                                        max_size=len(addrs))))
         fast = classify(a, w, geom)
-        before = get_default_engine()
-        set_default_engine("reference")
-        try:
+        with use_options(ExecOptions(engine="reference")):
             assert classify(a, w, geom) == fast
-        finally:
-            set_default_engine(before)
 
 
 class TestTraceIO:

@@ -201,7 +201,7 @@ def measure_sharded(scale: int = 8, shards: int = 4, rounds: int = 3) -> dict:
 
 # -- streaming-pipeline benchmark ---------------------------------------------
 
-#: Pipeline label -> ``execute(stream=...)`` argument.
+#: Pipeline label -> the ``stream`` execution option.
 STREAM_MODES = {
     "materialized": False,
     "streamed": "serial",
@@ -233,6 +233,7 @@ def streaming_worker(
     """Subprocess body: run the workload under one pipeline, best-of-N,
     and report seconds + counters digest + this process's peak RSS."""
     from repro.interp.executor import execute
+    from repro.options import ExecOptions, use_options
     from repro.trace.telemetry import peak_rss_bytes
 
     spec, programs = _streaming_workload(scale)
@@ -245,13 +246,11 @@ def streaming_worker(
         digests = []
         accesses = 0
         for _, prog in programs:
-            run = execute(
-                prog,
-                spec,
-                sim_cache=False,
-                stream=stream,
-                chunk_accesses=chunk_accesses if stream else None,
+            options = ExecOptions(
+                stream=stream, chunk_accesses=chunk_accesses if stream else None
             )
+            with use_options(options):
+                run = execute(prog, spec, sim_cache=False)
             accesses += run.counters.loads + run.counters.stores
             digests.append(
                 [
