@@ -44,8 +44,15 @@ class ExperimentConfig(ExecOptions):
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Rebuild a config; an unknown key raises ``ValueError`` naming
+        it, so a misspelled option is never silently the default."""
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(cls.__dataclass_fields__)}"
+            )
+        return cls(**data)
 
     @property
     def origin(self) -> MachineSpec:

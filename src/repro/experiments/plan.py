@@ -55,27 +55,28 @@ import contextlib
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..balance.analytic import analyze
 from ..errors import AnalysisError, ExecutionError
-from ..lang.printer import render
 from ..lang.program import Program
 from ..machine.cache import CacheGeometry, CacheStats
 from ..machine.engine import make_cache, telemetry as engine_telemetry
 from ..machine.engine.sharded import build_hierarchy
-from ..machine.engine.simcache import (
-    SimulationCache,
-    SimulationResult,
-    machine_signature,
-    resolve_memo,
-    simulation_key,
-)
+from ..machine.engine.simcache import SimulationCache, SimulationResult, resolve_memo
 from ..machine.engine.stack import stack_profile
 from ..machine.hierarchy import Hierarchy, HierarchyResult, StreamTotals
-from ..machine.layout import LayoutPolicy, build_layout
+from ..machine.layout import LayoutPolicy
 from ..machine.spec import MachineSpec
-from ..interp.executor import MachineRun, _timed_chunks, assemble_run, execute
+from ..interp.executor import (
+    MachineRun,
+    PointIdentity,
+    _timed_chunks,
+    assemble_run,
+    execute,
+    point_identity,
+)
 from ..options import ExecOptions, current_options
 from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
@@ -90,7 +91,13 @@ RULES = ("cache", "capacity", "prefix", "trace", "fallback")
 # -- requests -----------------------------------------------------------------
 @dataclass(frozen=True)
 class SimRequest:
-    """One sweep point: everything :func:`execute` needs to run it."""
+    """One sweep point: everything :func:`execute` needs to run it.
+
+    ``params`` is snapshotted (copied) at construction, so mutating the
+    mapping a caller passed in cannot change the point afterwards.  The
+    point's :attr:`identity` — bound params, layout, program text and
+    sim-cache key — is derived on first use and cached on the request.
+    """
 
     program: Program
     machine: MachineSpec
@@ -101,28 +108,34 @@ class SimRequest:
     flush: bool = True
     validate: bool = True
 
+    def __post_init__(self) -> None:
+        if self.params is not None:
+            object.__setattr__(self, "params", dict(self.params))
+
+    @cached_property
+    def identity(self) -> PointIdentity:
+        """The point's derived identity (:func:`point_identity`), once."""
+        return point_identity(
+            self.program,
+            self.machine,
+            self.params,
+            self.layout_policy,
+            passes=self.passes,
+            warmup_passes=self.warmup_passes,
+            flush=self.flush,
+        )
+
 
 def request_key(request: SimRequest) -> str:
     """Content key identifying one request's exact simulation.
 
     The same ``(program text, bound params, placements, machine signature,
-    schedule)`` tuple the planner and simcache use — two requests with
-    equal keys are guaranteed bit-identical, which is what lets the
-    service collapse them onto one in-flight future.
+    schedule)`` key the planner and simcache use, read off the request's
+    cached :attr:`~SimRequest.identity` (derived on the first call only).
+    Two requests with equal keys are guaranteed bit-identical, which is
+    what lets the service collapse them onto one in-flight future.
     """
-    bound = request.program.bind_params(request.params)
-    layout = build_layout(
-        request.program, bound, request.layout_policy or request.machine.default_layout
-    )
-    return simulation_key(
-        render(request.program),
-        bound,
-        layout.placements,
-        machine_signature(request.machine),
-        passes=request.passes,
-        warmup_passes=request.warmup_passes,
-        flush=request.flush,
-    )
+    return request.identity.key
 
 
 # -- telemetry ----------------------------------------------------------------
@@ -294,39 +307,18 @@ def execute_plan(
     # name-independent prefix key) before any grouping.
     groups: dict[tuple, list[_Point]] = {}
     for i, req in enumerate(requests):
-        bound = req.program.bind_params(req.params)
-        layout = build_layout(
-            req.program, bound, req.layout_policy or req.machine.default_layout
-        )
-        text = render(req.program)
+        identity = req.identity
+        bound, layout = identity.bound, identity.layout
         key = prefix_key = None
         if memo is not None:
-            key = simulation_key(
-                text,
-                bound,
-                layout.placements,
-                machine_signature(req.machine),
-                passes=req.passes,
-                warmup_passes=req.warmup_passes,
-                flush=req.flush,
-            )
-            prefix_key = simulation_key(
-                text,
-                bound,
-                layout.placements,
-                _prefix_signature(req.machine),
-                passes=req.passes,
-                warmup_passes=req.warmup_passes,
-                flush=req.flush,
-            )
+            key = identity.key
             cached = memo.get(key)
-            hit_via_prefix = False
             if cached is None:
+                prefix_key = identity.key_for(_prefix_signature(req.machine))
                 cached = memo.get(prefix_key)
-                hit_via_prefix = cached is not None
-            if cached is not None:
-                if hit_via_prefix:
+                if cached is not None:
                     memo.put(key, cached)
+            if cached is not None:
                 results[i] = assemble_run(
                     req.program.name,
                     req.machine,
@@ -341,7 +333,7 @@ def execute_plan(
                 continue
         pt = _Point(i, req, bound, layout, key, prefix_key)
         gkey = (
-            text,
+            identity.text,
             tuple(sorted((k, int(v)) for k, v in bound.items())),
             tuple(
                 sorted(
@@ -374,7 +366,7 @@ def _fallback_point(
         req.program,
         req.machine,
         params=req.params,
-        layout_policy=req.layout_policy,
+        layout=pt.layout,
         passes=req.passes,
         warmup_passes=req.warmup_passes,
         flush=req.flush,
@@ -753,9 +745,11 @@ def run_batch(
 
 __all__ = [
     "PlanSession",
+    "PointIdentity",
     "SimRequest",
     "collect_plan_telemetry",
     "execute_plan",
+    "point_identity",
     "request_key",
     "run_batch",
     "summarize_plan",

@@ -9,6 +9,7 @@ the bandwidth-bound model (plus the latency models for comparison runs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from ..errors import ExecutionError
@@ -103,6 +104,72 @@ class MachineRun:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PointIdentity:
+    """What one simulation instance *is*, derived once.
+
+    Holds the bound parameters and the memory layout a run needs, and
+    derives on first use the program text and the sim-cache key, so
+    every caller that keys a point — :func:`execute`, the sweep
+    planner's cache rule, :func:`repro.experiments.plan.request_key` —
+    renders and hashes it at most once.  A
+    :class:`~repro.experiments.plan.SimRequest` caches its identity, so a
+    point reused across batches (or admitted by the service) is never
+    re-derived; it pickles with its cached values across a fork pool.
+    """
+
+    program: Program
+    machine: MachineSpec
+    bound: Mapping[str, int]
+    layout: MemoryLayout
+    passes: int
+    warmup_passes: int
+    flush: bool
+
+    @cached_property
+    def text(self) -> str:
+        """The program as mini-language text (its content identity)."""
+        return render(self.program)
+
+    def key_for(self, machine_desc: str) -> str:
+        """The simulation key of this trace on the machine ``machine_desc``
+        describes (the planner also keys by a name-independent chain)."""
+        return simulation_key(
+            self.text,
+            self.bound,
+            self.layout.placements,
+            machine_desc,
+            passes=self.passes,
+            warmup_passes=self.warmup_passes,
+            flush=self.flush,
+        )
+
+    @cached_property
+    def key(self) -> str:
+        """The full sim-cache key: text, bound params, placements, machine
+        signature and schedule."""
+        return self.key_for(machine_signature(self.machine))
+
+
+def point_identity(
+    program: Program,
+    machine: MachineSpec,
+    params: Mapping[str, int] | None = None,
+    layout_policy: LayoutPolicy | None = None,
+    *,
+    layout: MemoryLayout | None = None,
+    passes: int = 1,
+    warmup_passes: int = 0,
+    flush: bool = True,
+) -> PointIdentity:
+    """Bind ``params`` and lay the program out (``layout``, when given,
+    overrides the policy) — the one place a point's identity is derived."""
+    bound = program.bind_params(params)
+    if layout is None:
+        layout = build_layout(program, bound, layout_policy or machine.default_layout)
+    return PointIdentity(program, machine, bound, layout, passes, warmup_passes, flush)
+
+
 def execute(
     program: Program,
     machine: MachineSpec,
@@ -150,24 +217,24 @@ def execute(
     """
     options = current_options()
     eff_cores = resolve_cores(machine)
-    bound = program.bind_params(params)
-    if layout is None:
-        layout = build_layout(program, bound, layout_policy or machine.default_layout)
+    identity = point_identity(
+        program,
+        machine,
+        params,
+        layout_policy,
+        layout=layout,
+        passes=passes,
+        warmup_passes=warmup_passes,
+        flush=flush,
+    )
+    bound, layout = identity.bound, identity.layout
 
     memo = resolve_memo(sim_cache)
     key = None
     cached = None
     claimed = False
     if memo is not None:
-        key = simulation_key(
-            render(program),
-            bound,
-            layout.placements,
-            machine_signature(machine),
-            passes=passes,
-            warmup_passes=warmup_passes,
-            flush=flush,
-        )
+        key = identity.key
         cached = memo.get(key)
         if cached is None:
             # Cross-process in-flight guard: if another process already

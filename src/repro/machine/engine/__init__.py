@@ -22,7 +22,8 @@ against it on randomized traces.
 
 from __future__ import annotations
 
-from ...options import current_options
+from ...errors import MachineError
+from ...options import ENGINE_NAMES, current_options
 from ..cache import Cache, CacheGeometry
 from .base import BaseEngine
 from .direct import DirectMappedEngine
@@ -65,7 +66,12 @@ def select_engine(
     """
     name = engine if engine is not None else current_options().engine
     if name != "auto":
-        return ENGINES[name]
+        try:
+            return ENGINES[name]
+        except KeyError:
+            raise MachineError(
+                f"unknown engine {name!r}; choose from {', '.join(ENGINE_NAMES)}"
+            ) from None
     if geometry.associativity == 1:
         return DirectMappedEngine
     if write_back and write_allocate:

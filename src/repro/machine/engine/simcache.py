@@ -14,9 +14,9 @@ Two tiers share one interface: a process-wide in-memory dict (always
 cheap, enabled by default) and an optional on-disk store under
 ``.repro_cache/`` (JSON, one file per key) that persists across
 processes — a second ``runner fig1`` performs zero simulation work.
-Entries are deep-copied on both put and get because ``CacheStats`` is
-mutable.  Any change to simulation semantics must bump
-:data:`FORMAT_VERSION` to invalidate stale entries.
+Entries are copied on both put and get (:meth:`SimulationResult.copy`)
+because ``CacheStats`` is mutable.  Any change to simulation semantics
+must bump :data:`FORMAT_VERSION` to invalidate stale entries.
 
 The disk tier is size-capped (``REPRO_CACHE_MAX_BYTES``, default 2 GB):
 after every :data:`_EVICT_EVERY` disk puts the least-recently-used
@@ -26,7 +26,6 @@ fits.  ``tools/cache_stats.py`` reports occupancy and age.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -84,6 +83,15 @@ class SimulationResult:
     flops: int
     loads: int
     stores: int
+
+    def copy(self) -> "SimulationResult":
+        """A copy sharing nothing mutable: every ``CacheStats`` block is
+        copied; the byte counts and totals are ints, immutable already."""
+        result = HierarchyResult(
+            tuple(CacheStats(**vars(st)) for st in self.result.level_stats),
+            tuple(self.result.downstream_bytes),
+        )
+        return SimulationResult(result, self.flops, self.loads, self.stores)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -233,11 +241,11 @@ class SimulationCache:
             self.counters.misses += 1
             return None
         self.counters.hits += 1
-        return copy.deepcopy(entry)
+        return entry.copy()
 
     def put(self, key: str, value: SimulationResult) -> None:
         self.counters.puts += 1
-        self._memory[key] = copy.deepcopy(value)
+        self._memory[key] = value.copy()
         if self.directory is not None:
             path = self._path(key)
             # Lock-free multi-process safety: each writer stages the entry

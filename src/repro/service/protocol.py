@@ -159,7 +159,9 @@ class WirePoint(dict):
     """One wire sweep point as sent, plus its parse in ``.request``.  It
     stays the wire dict, so a batch serializes as the JSON its clients
     sent (the traced benchmark fingerprints batches so), and it pickles
-    with its request across the ``jobs > 0`` fork pool."""
+    with its request — and the request's cached identity — across the
+    ``jobs > 0`` fork pool.  The server memoizes it by wire content, so
+    one ``WirePoint`` may answer many requests."""
 
     def __init__(self, data: Mapping[str, Any]):
         self.request = sim_request_from_json(data)

@@ -7,10 +7,13 @@ simulation:
   socket (one message per line, many requests per connection);
 - every sweep point is parsed once, into a
   :class:`~repro.service.protocol.WirePoint`, and **content-keyed**
-  (:func:`~repro.experiments.plan.request_key`); identical in-flight
-  points — within one request or across clients — collapse onto one
-  :class:`asyncio.Future`, so the work runs once and every subscriber
-  gets the same answer (``dedup_hits`` telemetry);
+  (:func:`~repro.experiments.plan.request_key`); a bounded LRU memo
+  from a point's wire content to its parsed ``WirePoint`` lets a point
+  sent again skip parsing and keying altogether, on the event loop and
+  in the worker; identical in-flight points — within one request or
+  across clients — collapse onto one :class:`asyncio.Future`, so the
+  work runs once and every subscriber gets the same answer
+  (``dedup_hits`` telemetry);
 - admitted points enter a bounded queue; the **batch loop** is
   continuous: whenever the worker is free it takes the oldest point plus
   every compatible point already queued (same kind, up to ``max_batch``;
@@ -34,9 +37,10 @@ import asyncio
 import concurrent.futures
 import contextlib
 import functools
+import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -58,6 +62,11 @@ from .protocol import (
     ok_response,
     progress_event,
 )
+
+#: Parsed points the admission memo keeps (least recently sent evicted
+#: first).  A parsed, keyed point is about 10 kB, so the memo stays near
+#: 10 MB at most.
+_ADMISSION_MEMO_POINTS = 1024
 
 _PLAN_COUNTER_KEYS = (
     "groups",
@@ -112,6 +121,8 @@ class Server:
         self._pool: concurrent.futures.Executor | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._experiment_results: list[ExperimentResult] = []
+        # Wire content -> parsed, keyed point; touched on the loop thread only.
+        self._admission_memo: OrderedDict[str, WirePoint] = OrderedDict()
         # -- telemetry ------------------------------------------------------
         self._t0 = time.monotonic()
         self._requests = 0
@@ -452,14 +463,8 @@ class Server:
                 raise ProtocolError(f"{op} needs a non-empty 'requests' list")
         keyed: list[tuple[str, Any]] = []
         for data in points:
-            try:
-                point = WirePoint(data)
-                key = f"{kind}:{request_key(point.request)}"
-            except ProtocolError:
-                raise
-            except ReproError as exc:
-                raise ProtocolError(f"bad request: {exc}") from None
-            keyed.append((key, point))
+            point = self._admission_point(data)
+            keyed.append((f"{kind}:{request_key(point.request)}", point))
         admitted = self._admit(kind, keyed, tenant)
         if isinstance(admitted, tuple):
             raise _Reject(*admitted)
@@ -477,6 +482,29 @@ class Server:
             if "error" in point:
                 raise ReproError(f"point {i} failed: {point['error']}")
         return results
+
+    def _admission_point(self, data: Any) -> WirePoint:
+        """One wire sweep point, parsed and keyed, memoized by its exact
+        wire content: a point sent again is the same ``WirePoint``, with
+        its identity already derived.  Malformed points raise
+        :class:`ProtocolError` and are never stored."""
+        content = json.dumps(data, separators=(",", ":"))
+        memo = self._admission_memo
+        point = memo.get(content)
+        if point is not None:
+            memo.move_to_end(content)
+            return point
+        try:
+            point = WirePoint(data)
+            request_key(point.request)  # derive (and cache) the identity now
+        except ProtocolError:
+            raise
+        except ReproError as exc:
+            raise ProtocolError(f"bad request: {exc}") from None
+        memo[content] = point
+        if len(memo) > _ADMISSION_MEMO_POINTS:
+            memo.popitem(last=False)
+        return point
 
     async def _serve_experiment(
         self, message: Mapping[str, Any], tenant: str

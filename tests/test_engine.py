@@ -447,6 +447,17 @@ class TestSelectionAndHierarchy:
         assert make_cache("L", direct).engine == "direct"
         assert make_cache("L", twoway).engine == "setassoc"
 
+    def test_unknown_engine_name_is_a_machine_error(self):
+        from repro.errors import MachineError
+
+        geometry = CacheGeometry(8 * LINE, LINE, 2)
+        with pytest.raises(MachineError, match="unknown engine 'bogus'.*setassoc"):
+            select_engine(geometry, engine="bogus")
+        with pytest.raises(MachineError, match="unknown engine 'bogus'"):
+            make_cache("L", geometry, engine="bogus")
+        with pytest.raises(MachineError, match="unknown engine 'bogus'"):
+            origin2000(128).build_caches("bogus")
+
     def test_spec_builds_selected_engines(self):
         spec = exemplar(128)  # direct-mapped single level
         caches = spec.build_caches()
@@ -542,6 +553,25 @@ class TestSimulationCache:
         r1.counters.level_stats[0].misses += 999  # vandalize the returned copy
         r2 = execute(prog, spec, params={"N": 512}, sim_cache=memo)
         assert r2.counters.level_stats[0].misses != r1.counters.level_stats[0].misses
+
+    def test_memo_hits_are_isolated_from_the_stored_entry(self):
+        from repro.machine.cache import CacheStats
+        from repro.machine.engine.simcache import SimulationResult
+        from repro.machine.hierarchy import HierarchyResult
+
+        stats = CacheStats(accesses=10, hits=6, misses=4, events_out=4)
+        value = SimulationResult(HierarchyResult((stats,), (128,)), 5, 6, 7)
+        memo = SimulationCache()
+        memo.put("k", value)
+        stats.misses += 100  # the caller's block, mutated after the put
+        hit = memo.get("k")
+        assert hit == SimulationResult(
+            HierarchyResult((CacheStats(10, 6, 4, events_out=4),), (128,)), 5, 6, 7
+        )
+        hit.result.level_stats[0].misses += 999  # vandalize the returned copy
+        again = memo.get("k")
+        assert again.result.level_stats[0].misses == 4
+        assert again.result.level_stats[0] is not hit.result.level_stats[0]
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         memo = SimulationCache(tmp_path / "simc")

@@ -45,6 +45,13 @@ def test_every_option_is_validated_when_built(field, value, error):
         ExperimentConfig.from_json({field: value})
 
 
+def test_experiment_config_from_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="'coers'"):
+        ExperimentConfig.from_json({"coers": 4, "engine": "reference"})
+    config = ExperimentConfig(engine="reference", cores=4, scale=64)
+    assert ExperimentConfig.from_json(config.to_json()) == config
+
+
 def test_use_options_scopes_and_resets_on_error():
     assert current_options() == ExecOptions()
     with pytest.raises(RuntimeError):

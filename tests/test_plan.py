@@ -29,6 +29,7 @@ from repro.experiments.plan import (
     SimRequest,
     collect_plan_telemetry,
     execute_plan,
+    request_key,
     run_batch,
     summarize_plan,
 )
@@ -584,6 +585,31 @@ class TestPlanMemoization:
             assert_same_run(again, planned_run)
         delta = memo.counters.since(before)
         assert delta.hits == 2 and delta.misses == 0
+
+
+class TestPointIdentity:
+    def test_params_are_snapshotted_at_construction(self):
+        prog = simple_stream_program("stream", 1024)
+        params = {"N": 512}
+        request = SimRequest(prog, fa_machine(8), params=params)
+        key = request_key(request)
+        params["N"] = 256  # the caller's dict, mutated after the fact
+        assert request.params == {"N": 512}
+        assert request_key(request) == key
+        assert request.identity.bound["N"] == 512
+        assert key == request_key(SimRequest(prog, fa_machine(8), params={"N": 512}))
+        assert key != request_key(SimRequest(prog, fa_machine(8), params={"N": 256}))
+
+    def test_identity_is_derived_once_and_keys_like_execute(self):
+        prog = simple_stream_program("stream", 1024)
+        memo = SimulationCache()
+        request = SimRequest(prog, fa_machine(8), params={"N": 512})
+        assert request.identity is request.identity
+        run = execute(prog, fa_machine(8), params={"N": 512}, sim_cache=memo)
+        # execute stored the point under the key the request derives.
+        cached = memo.get(request_key(request))
+        assert cached is not None
+        assert cached.result.level_stats == run.counters.level_stats
 
 
 class TestRunBatch:

@@ -285,7 +285,9 @@ class TestContinuousBatching:
         with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
             client.simulate_batch(requests)
             client.predict_batch(requests[:2])
-        assert len(calls) == 5
+        # The predict points repeat two simulate points: the admission
+        # memo answers them without a second parse.
+        assert len(calls) == 3
 
     def test_fork_pool_server_is_bit_identical(self, tiny_machine):
         """``jobs=1``: parsed points cross a pickle boundary to a forked
@@ -300,6 +302,81 @@ class TestContinuousBatching:
             served_predict = client.predict_batch(requests[:1])
         assert [_counters(s) for s in served] == direct
         assert _counters(served_predict[0]) == _counters(predicted)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestAdmissionMemo:
+    def test_point_sent_in_many_requests_is_parsed_and_keyed_once(
+        self, tiny_machine, monkeypatch
+    ):
+        from repro.experiments import plan as plan_module
+        from repro.interp import executor as interp_executor
+
+        parses = _counting(monkeypatch, protocol, "sim_request_from_json")
+        identities = _counting(monkeypatch, plan_module, "point_identity")
+        keys = _counting(monkeypatch, interp_executor, "simulation_key")
+        requests = _requests(tiny_machine, sizes=(16, 32, 48))
+        direct = [_counters(r) for r in repro.simulate_batch(requests, plan=True)]
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
+            first = client.simulate_batch(requests)
+            parsed, derived, keyed = len(parses), len(identities), len(keys)
+            again = [client.simulate_batch(requests) for _ in range(4)]
+            stats = client.stats()
+        assert [_counters(r) for r in first] == direct
+        assert all([_counters(r) for r in served] == direct for served in again)
+        assert parsed == 3 and derived == 3 + len(requests)  # + the local run
+        # Four more requests of the same points: no parse, no identity,
+        # no hash — only sim-cache hits in the worker.
+        assert (len(parses), len(identities), len(keys)) == (parsed, derived, keyed)
+        assert stats["sim_cache"]["hits"] >= 4 * len(requests)
+
+    def test_memo_evicts_past_its_bound_and_stays_bit_identical(
+        self, tiny_machine, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_ADMISSION_MEMO_POINTS", 2)
+        parses = _counting(monkeypatch, protocol, "sim_request_from_json")
+        requests = _requests(tiny_machine, sizes=(8, 16, 24, 32))
+        direct = [_counters(r) for r in repro.simulate_batch(requests, plan=True)]
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
+            for request in requests:
+                client.simulate_batch([request])
+            memo = bg.server._admission_memo
+            assert len(memo) == 2
+            assert [p.request.params for p in memo.values()] == [{"N": 24}, {"N": 32}]
+            # The evicted points are parsed again and answer as before.
+            served = client.simulate_batch(requests[:2])
+            assert [p.request.params for p in memo.values()] == [{"N": 8}, {"N": 16}]
+        assert [_counters(r) for r in served] == direct[:2]
+        assert len(parses) == 4 + 2
+
+    def test_malformed_point_is_rejected_every_time_never_memoized(
+        self, tiny_machine, monkeypatch
+    ):
+        parses = _counting(monkeypatch, protocol, "sim_request_from_json")
+        good = sim_request_to_json(_requests(tiny_machine, sizes=(16,))[0])
+        unknown = dict(good, params={"M": 4})  # parses, but fails binding
+        with BackgroundServer(ServeConfig()) as bg, ServiceClient(bg.address) as client:
+            for bad in ({"program": "x("}, unknown, unknown, {"program": "x("}):
+                with pytest.raises(ServiceError) as info:
+                    client._call({"op": "simulate", "request": bad})
+                assert info.value.code == "invalid"
+            assert len(bg.server._admission_memo) == 0
+            assert client._call({"op": "simulate", "request": good})
+            assert len(bg.server._admission_memo) == 1
+            assert client.stats()["rejected"] == {"invalid": 4}
+        assert len(parses) == 5  # a rejected point is parsed anew each time
 
 
 class TestAdmissionControl:
@@ -469,6 +546,15 @@ class TestExperimentOp:
         assert current_options() == ExecOptions()
         (direct,) = repro.simulate_batch([request])
         assert _counters(served) == _counters(direct)
+
+    def test_misspelled_experiment_option_is_rejected_invalid(self):
+        with BackgroundServer(ServeConfig()) as bg:
+            with ServiceClient(bg.address) as client:
+                with pytest.raises(ServiceError) as info:
+                    client.run_experiment("fig4", {"coers": 4})
+                assert info.value.code == "invalid"
+                assert "'coers'" in str(info.value)
+                assert client.stats()["rejected"] == {"invalid": 1}
 
     def test_bad_experiment_config_is_rejected_invalid(self):
         from repro.machine.engine.simcache import get_sim_cache

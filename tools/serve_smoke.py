@@ -17,6 +17,10 @@ SIGTERMs it.  Four properties are enforced, each fatal on failure:
 Exits 0 only when all four hold::
 
     PYTHONPATH=src python tools/serve_smoke.py --clients 4 --results-dir results/serve
+
+``--jobs N`` is passed through to ``repro serve --jobs``: 0 (the
+default) runs batches on the daemon's worker thread, N > 0 on a fork
+pool of N processes, so parsed points cross a pickle boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.experiments.ladder_capacity import ladder_requests  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 
-def _spawn(sock: str, results_dir: str) -> subprocess.Popen:
+def _spawn(sock: str, results_dir: str, jobs: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
@@ -50,6 +54,7 @@ def _spawn(sock: str, results_dir: str) -> subprocess.Popen:
             "--unix", sock,
             "--max-batch", "64",
             "--results-dir", results_dir,
+            "--jobs", str(jobs),
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -68,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--scale", type=int, default=128)
     parser.add_argument("--results-dir", default="results/serve")
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="daemon worker processes (0 = in-process thread)")
     args = parser.parse_args(argv)
 
     requests = ladder_requests(ExperimentConfig(scale=args.scale))
@@ -75,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     reference = [(r.run.counters, r.run.time) for r in direct]
 
     sock = tempfile.mktemp(suffix=".sock", prefix="repro-smoke-")
-    proc = _spawn(sock, args.results_dir)
+    proc = _spawn(sock, args.results_dir, args.jobs)
     try:
         results: dict[int, list] = {}
         errors: list[BaseException] = []
