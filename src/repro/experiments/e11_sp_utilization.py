@@ -82,7 +82,7 @@ def run_e11(
     for idx, name in enumerate(SUBROUTINES):
         trace = gen.statement_trace(idx)
         hierarchy = Hierarchy.from_spec(machine)
-        hierarchy.run_trace(trace.addresses, trace.is_write)
+        hierarchy.run_trace(trace.addresses, trace.is_write, spans=trace.spans)
         hierarchy.flush()
         hres = hierarchy.result()
         counters = HardwareCounters(

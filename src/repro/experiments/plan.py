@@ -60,6 +60,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from ..balance.analytic import analyze
 from ..errors import AnalysisError, ExecutionError
+from ..lang.printer import render
 from ..lang.program import Program
 from ..machine.cache import CacheGeometry, CacheStats
 from ..machine.engine import make_cache, telemetry as engine_telemetry
@@ -96,7 +97,9 @@ class SimRequest:
     ``params`` is snapshotted (copied) at construction, so mutating the
     mapping a caller passed in cannot change the point afterwards.  The
     point's :attr:`identity` — bound params, layout, program text and
-    sim-cache key — is derived on first use and cached on the request.
+    sim-cache key — is derived on first use and cached on the request;
+    its program text is the request's own :attr:`text`, which the wire
+    form reads too, so a point is rendered once however often it is sent.
     """
 
     program: Program
@@ -113,9 +116,14 @@ class SimRequest:
             object.__setattr__(self, "params", dict(self.params))
 
     @cached_property
+    def text(self) -> str:
+        """The program as mini-language text, rendered once."""
+        return render(self.program)
+
+    @cached_property
     def identity(self) -> PointIdentity:
         """The point's derived identity (:func:`point_identity`), once."""
-        return point_identity(
+        identity = point_identity(
             self.program,
             self.machine,
             self.params,
@@ -124,6 +132,8 @@ class SimRequest:
             warmup_passes=self.warmup_passes,
             flush=self.flush,
         )
+        identity.__dict__["text"] = self.text  # seed its cached text: one render
+        return identity
 
 
 def request_key(request: SimRequest) -> str:
@@ -256,17 +266,18 @@ def _finish_point(
     )
 
 
-def _run_node(node: _TrieNode, addrs, writes) -> None:
+def _run_node(node: _TrieNode, addrs, writes, spans=()) -> None:
+    # Only a root is fed the trace itself, so only roots get its span hints.
     collect = bool(node.children)
     if engine_telemetry.collecting():
         n = len(addrs)
         start = time.perf_counter()
-        out = node.cache.run(addrs, writes, collect_events=collect)
+        out = node.cache.run(addrs, writes, collect, spans)
         engine_telemetry.record_level(
             node.cache.name, node.cache.engine, n, time.perf_counter() - start
         )
     else:
-        out = node.cache.run(addrs, writes, collect_events=collect)
+        out = node.cache.run(addrs, writes, collect, spans)
     for child in node.children.values():
         _run_node(child, out[0], out[1])
 
@@ -480,7 +491,7 @@ def _feed_pass(
     with phase(SIMULATE):
         for chunk in chunks:
             for root in roots:
-                _run_node(root, chunk.addresses, chunk.is_write)
+                _run_node(root, chunk.addresses, chunk.is_write, chunk.spans)
             n_chunks += 1
             accesses += len(chunk)
             flops += chunk.flops

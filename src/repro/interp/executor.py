@@ -284,12 +284,16 @@ def execute(
                 hierarchy = build_hierarchy(machine)
                 try:
                     for _ in range(warmup_passes):
-                        hierarchy.run_trace(trace.addresses, trace.is_write)
+                        hierarchy.run_trace(
+                            trace.addresses, trace.is_write, spans=trace.spans
+                        )
                     if warmup_passes:
                         hierarchy.reset_stats()
 
                     for _ in range(passes):
-                        hierarchy.run_trace(trace.addresses, trace.is_write)
+                        hierarchy.run_trace(
+                            trace.addresses, trace.is_write, spans=trace.spans
+                        )
                     if flush:
                         hierarchy.flush()
                     result = hierarchy.result()

@@ -153,6 +153,7 @@ class Cache:
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         collect_events: bool = True,
+        spans: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Process an ordered address stream.
 
@@ -161,7 +162,8 @@ class Cache:
         write-throughs as writes, interleaved in the order they occur.
         ``collect_events=False`` declares that the caller will discard the
         stream (last hierarchy level); the reference implementation builds
-        it regardless — it is the specification, not the fast path.
+        it regardless — it is the specification, not the fast path — and
+        for the same reason ignores the ``spans`` hints.
         """
         if len(byte_addrs) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)

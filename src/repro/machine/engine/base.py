@@ -46,6 +46,7 @@ class BaseEngine:
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         collect_events: bool = True,
+        spans: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate an ordered access batch; state carries across calls.
 
@@ -54,6 +55,10 @@ class BaseEngine:
         discards that stream (the last hierarchy level): an engine may
         then skip building it and return empty arrays, but its counters
         and state must come out exactly as with ``True``.
+
+        ``spans`` are the batch's loop-span hints (``Trace.spans``): an
+        engine may use them to go faster and must otherwise ignore them;
+        they never change a counter or an event.
         """
         raise NotImplementedError
 

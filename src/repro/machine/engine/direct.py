@@ -71,6 +71,7 @@ class DirectMappedEngine(BaseEngine):
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         collect_events: bool = True,
+        spans: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         n = len(byte_addrs)
         if n == 0:

@@ -51,6 +51,15 @@ are contiguous-group-local and no per-set loop is ever needed:
   remedy, applied to the simulator.  Much smaller blocks pay the
   per-call overhead instead.  State carries exactly across calls, so a
   block is just one more call and the event streams concatenate.
+* **Periodic extrapolation**: given the trace's loop-span hints
+  (``spans``, from :attr:`Trace.spans`), ``run`` hands the batch to
+  :func:`~repro.machine.engine.periodic.run_spans`, which simulates a
+  hinted loop window by window until one window provably repeats (the
+  state after it is the state before it with every line moved by whole
+  set spans), then emits the remaining whole windows from that template:
+  counters times the window count, events and end state renamed.  Every
+  hint is checked against the addresses, so a wrong or missing one only
+  costs time.
 * **The ordered event stream** (victim writeback then miss fill, in
   trace order) falls out of the head positions: each head carries its
   index in the block through the grouping sort, one sort restores
@@ -60,9 +69,10 @@ are contiguous-group-local and no per-set loop is ever needed:
   fill.
 
 No Python loop runs per access.  Counters, events, flush
-drain, and chunk-boundary state are bit-identical to the reference
-``Cache`` (the equivalence harness and the Hypothesis suite enforce it);
-throughput is an order of magnitude above the reference dict loop.
+drain, and chunk-boundary state — with or without hints — are
+bit-identical to the reference ``Cache`` (the equivalence harness and
+the Hypothesis suite enforce it); throughput is an order of magnitude
+above the reference dict loop.
 """
 
 from __future__ import annotations
@@ -73,6 +83,7 @@ from ...errors import MachineError
 from ..cache import CacheGeometry
 from .base import BaseEngine
 from .distinct import reuse_distances
+from .periodic import run_spans
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
@@ -121,21 +132,27 @@ class SetAssociativeEngine(BaseEngine):
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         collect_events: bool = True,
+        spans: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        # State carries exactly across blocks, so a block is one more call.
-        block = self._block
-        parts = [
-            self._run_block(byte_addrs[s : s + block], is_write[s : s + block], collect_events)
-            for s in range(0, len(byte_addrs), block)
-        ]
+        parts = run_spans(self, byte_addrs, is_write, collect_events, spans)
         if not collect_events or not parts:
             return _EMPTY_EVENTS
         if len(parts) == 1:
             return parts[0]
         out_lines, out_writes = zip(*parts)
         return np.concatenate(out_lines), np.concatenate(out_writes)
+
+    def _run_blocks(
+        self, byte_addrs: np.ndarray, is_write: np.ndarray, collect_events: bool
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        # State carries exactly across blocks, so a block is one more call.
+        block = self._block
+        return [
+            self._run_block(byte_addrs[s : s + block], is_write[s : s + block], collect_events)
+            for s in range(0, len(byte_addrs), block)
+        ]
 
     def _run_block(
         self, byte_addrs: np.ndarray, is_write: np.ndarray, collect_events: bool

@@ -296,7 +296,8 @@ class ShardedHierarchy(Hierarchy):
 
     # -- Hierarchy interface ------------------------------------------------
 
-    def _run_levels(self, addrs: np.ndarray, writes: np.ndarray) -> None:
+    def _run_levels(self, addrs: np.ndarray, writes: np.ndarray, spans=()) -> None:
+        # Span hints describe the whole stream, not a shard's share: dropped.
         self._require_workers()
         key = addrs >> self._key_shift
         if self._mask is not None:

@@ -348,6 +348,7 @@ class StackDistanceEngine(BaseEngine):
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         collect_events: bool = True,
+        spans: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         if collect_events and len(byte_addrs):
             raise MachineError(

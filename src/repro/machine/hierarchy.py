@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from ..trace.events import Span, slice_spans
 from .cache import Cache, CacheStats
 from .engine import telemetry
 from .spec import MachineSpec
@@ -84,37 +85,46 @@ class Hierarchy:
     ) -> "Hierarchy":
         return cls(spec.build_caches(engine), chunk_size)
 
-    def _run_levels(self, addrs: np.ndarray, writes: np.ndarray) -> None:
+    def _run_levels(
+        self, addrs: np.ndarray, writes: np.ndarray, spans: tuple[Span, ...] = ()
+    ) -> None:
         last = len(self.caches) - 1
         measure = telemetry.collecting()
         for i, cache in enumerate(self.caches):
             # Nothing consumes the last level's stream; telling the engine
             # lets it skip materializing events (counters stay exact).
+            # Span hints describe the trace, so only the first level gets
+            # them.
             if measure:
                 n = len(addrs)
                 start = time.perf_counter()
-                addrs, writes = cache.run(addrs, writes, collect_events=i < last)
+                addrs, writes = cache.run(addrs, writes, i < last, spans)
                 telemetry.record_level(
                     cache.name, cache.engine, n, time.perf_counter() - start
                 )
             else:
-                addrs, writes = cache.run(addrs, writes, collect_events=i < last)
+                addrs, writes = cache.run(addrs, writes, i < last, spans)
+            spans = ()
 
     def run_trace(
         self,
         byte_addrs: np.ndarray,
         is_write: np.ndarray,
         chunk_size: int | None = None,
+        spans: tuple[Span, ...] = (),
     ) -> None:
-        """Push one ordered access stream through all levels (no flush)."""
+        """Push one ordered access stream through all levels (no flush).
+        ``spans`` are the stream's loop-span hints (``Trace.spans``)."""
         chunk = chunk_size or self.chunk_size
         n = len(byte_addrs)
         if n <= chunk:
-            self._run_levels(byte_addrs, is_write)
+            self._run_levels(byte_addrs, is_write, spans)
             return
         for start in range(0, n, chunk):
             self._run_levels(
-                byte_addrs[start : start + chunk], is_write[start : start + chunk]
+                byte_addrs[start : start + chunk],
+                is_write[start : start + chunk],
+                slice_spans(spans, start, start + chunk),
             )
 
     def run_stream(self, chunks: Iterable["Trace"]) -> "StreamTotals":
@@ -128,7 +138,7 @@ class Hierarchy:
         """
         n_chunks = accesses = flops = loads = stores = 0
         for chunk in chunks:
-            self.run_trace(chunk.addresses, chunk.is_write)
+            self.run_trace(chunk.addresses, chunk.is_write, spans=chunk.spans)
             n_chunks += 1
             accesses += len(chunk)
             flops += chunk.flops
@@ -158,7 +168,7 @@ class Hierarchy:
                 chunk = next(streams[0])
             except StopIteration:
                 break
-            hierarchies[0].run_trace(chunk.addresses, chunk.is_write)
+            hierarchies[0].run_trace(chunk.addresses, chunk.is_write, spans=chunk.spans)
             n_chunks += 1
             accesses += len(chunk)
             flops += chunk.flops
@@ -166,7 +176,7 @@ class Hierarchy:
             stores += chunk.stores
             for h, s in zip(hierarchies[1:], streams[1:]):
                 same = next(s)
-                h.run_trace(same.addresses, same.is_write)
+                h.run_trace(same.addresses, same.is_write, spans=same.spans)
         return StreamTotals(n_chunks, accesses, flops, loads, stores)
 
     def flush(self) -> None:

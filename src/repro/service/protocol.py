@@ -13,6 +13,9 @@ Every request is one JSON object terminated by ``\\n``::
     {"op": "ping",           "id": 5}
     {"op": "shutdown",       "id": 6}
 
+A ``stats`` reply is the manifest's ``service`` telemetry block plus
+``"draining"``: whether the server has begun its drain.
+
 ``<sim_request>`` carries everything
 :class:`~repro.experiments.plan.SimRequest` holds, in portable form: the
 program as mini-language text (:func:`repro.lang.printer.render`), the
@@ -49,7 +52,6 @@ from typing import Any, Mapping
 from ..errors import ReproError
 from ..experiments.plan import SimRequest
 from ..lang.parser import parse
-from ..lang.printer import render
 from ..machine.layout import LayoutPolicy
 from ..machine.spec import MachineSpec
 
@@ -90,7 +92,7 @@ def decode(line: bytes | str) -> dict[str, Any]:
 def sim_request_to_json(request: SimRequest) -> dict[str, Any]:
     """Portable form of one sweep point."""
     return {
-        "program": render(request.program),
+        "program": request.text,
         "machine": request.machine.to_json(),
         "params": dict(request.params) if request.params else None,
         "layout": (

@@ -422,7 +422,7 @@ class Server:
         if op == "ping":
             return ok_response(rid, "pong")
         if op == "stats":
-            return ok_response(rid, self.stats_block())
+            return ok_response(rid, {**self.stats_block(), "draining": self._draining})
         if op == "shutdown":
             self.request_shutdown()
             return ok_response(rid, "draining")

@@ -4,6 +4,16 @@ A :class:`Trace` is the ordered element-granularity access stream of one
 program run, plus the executed operation counts the balance model needs
 (flops, element loads/stores). Traces are plain NumPy arrays so the cache
 simulator can consume them directly.
+
+A trace may also carry ``spans``: hints, each ``(start, trip, width)``,
+naming ``trip`` consecutive rows of ``width`` accesses from ``start`` that
+one guard-free loop generated, so each row is expected to be the
+previous one with every column's address moved by a fixed byte delta.
+The set-associative engine uses them to find periodic stretches it may
+extrapolate (:mod:`repro.machine.engine.periodic`); it verifies every
+hint against the addresses, so a wrong or missing hint costs time, never
+a counter; :meth:`Trace.concat`, :meth:`Trace.repeated` and
+:func:`concat_traces` drop them.
 """
 
 from __future__ import annotations
@@ -12,6 +22,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+#: One loop-span hint: (first access, rows, accesses per row).
+Span = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -23,6 +36,7 @@ class Trace:
     flops: int
     loads: int  # executed array-element reads
     stores: int  # executed array-element writes
+    spans: tuple[Span, ...] = ()  # loop-span hints, sorted by start
 
     def __post_init__(self) -> None:
         assert self.addresses.dtype == np.int64
@@ -73,6 +87,21 @@ EMPTY_TRACE = Trace(
 )
 
 
+def slice_spans(spans: tuple[Span, ...], lo: int, hi: int) -> tuple[Span, ...]:
+    """The whole rows of ``spans`` that fall inside accesses ``[lo, hi)``,
+    re-based to ``lo`` (a span left with fewer than two rows is dropped:
+    it cannot repeat)."""
+    out = []
+    for start, trip, width in spans:
+        if width <= 0:
+            continue
+        first = max(0, -(-(lo - start) // width))
+        stop = min(trip, (hi - start) // width)
+        if stop - first >= 2:
+            out.append((start + first * width - lo, stop - first, width))
+    return tuple(out)
+
+
 def concat_traces(traces: list[Trace]) -> Trace:
     if not traces:
         return EMPTY_TRACE
@@ -109,4 +138,11 @@ def iter_chunks(trace: Trace, max_accesses: int) -> Iterator[Trace]:
         writes = trace.is_write[start : start + max_accesses]
         stores = int(writes.sum())
         last = start + max_accesses >= n
-        yield Trace(addrs, writes, trace.flops if last else 0, len(addrs) - stores, stores)
+        yield Trace(
+            addrs,
+            writes,
+            trace.flops if last else 0,
+            len(addrs) - stores,
+            stores,
+            slice_spans(trace.spans, start, start + len(addrs)),
+        )

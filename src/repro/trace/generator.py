@@ -42,6 +42,13 @@ masked and checked again. An empty grid checks nothing.
 Trip counts must be grid-invariant (parameters only); lower bounds may
 use enclosing loop variables, which is what tiled loops produce.
 
+**Span hints.** Every trace of a guard-free top-level loop carries
+``Trace.spans``: the loop's rows (start, trip, row width) and, one level
+down, each row's inner loops of at least ``_DESCENT_ACCESSES`` accesses.
+The widths come from the same sizing the counting pass does, so hints
+cost no address work; the set-associative engine verifies them before
+it extrapolates anything.
+
 Two generation modes share the machinery:
 
 * :meth:`TraceGenerator.generate` materializes the whole trace into one
@@ -67,7 +74,7 @@ from ..lang.expr import ArrayRef, array_refs, flop_count
 from ..lang.program import Program
 from ..lang.stmt import Assign, ExternalRead, If, Loop, Stmt
 from ..machine.layout import MemoryLayout, build_layout
-from .events import EMPTY_TRACE, Trace
+from .events import EMPTY_TRACE, Span, Trace
 
 #: Default accesses per streamed chunk (~36 MB of trace at 9 B/access).
 DEFAULT_CHUNK_ACCESSES = 4 << 20
@@ -76,6 +83,11 @@ DEFAULT_CHUNK_ACCESSES = 4 << 20
 #: guarded statement: its scratch block (addresses, write flags, activity
 #: mask) stays cache-sized however large the statement.
 _GUARDED_SLAB_ACCESSES = 1 << 17
+
+#: An inner loop of a top-level loop's body gets its own span hints (one
+#: per outer row) only when it generates at least this many accesses:
+#: shorter inner loops cost more to check than extrapolation can save.
+_DESCENT_ACCESSES = 1 << 15
 
 #: Executed (flops, loads, stores) of a statement over its grid.
 _Counts = tuple[int, int, int]
@@ -170,14 +182,16 @@ class TraceGenerator:
         flops, loads, stores = (sum(c) for c in zip(*counts))
         addrs = np.empty(loads + stores, dtype=np.int64)
         writes = np.empty(loads + stores, dtype=np.bool_)
+        spans: list[Span] = []
         pos = 0
         for stmt in body:
             slabs = self._slabs(stmt, _GUARDED_SLAB_ACCESSES) if _guarded(stmt) else [None]
             for step_range in slabs:
                 piece = self._statement(stmt, step_range, out=(addrs[pos:], writes[pos:]))
+                spans.extend((start + pos, trip, width) for start, trip, width in piece.spans)
                 pos += len(piece)
         assert pos == len(addrs), f"counting pass sized {len(addrs)}, emitted {pos}"
-        return Trace(addrs, writes, flops, loads, stores)
+        return Trace(addrs, writes, flops, loads, stores, tuple(spans))
 
     def chunks(self, max_accesses: int = DEFAULT_CHUNK_ACCESSES) -> Iterator[Trace]:
         """The program trace as a stream of execution-ordered chunks.
@@ -240,6 +254,10 @@ class TraceGenerator:
         else:
             width = (step_range[1] - step_range[0]) * self._body_width(stmt.body)
         guarded = _guarded(stmt)
+        spans: tuple[Span, ...] = ()
+        if isinstance(stmt, Loop) and not guarded and width:
+            rows = self._trip(stmt) if step_range is None else step_range[1] - step_range[0]
+            spans = self._spans(stmt, rows)
         if out is None or guarded:
             dest = _Dest(
                 np.empty(width, dtype=np.int64),
@@ -261,7 +279,29 @@ class TraceGenerator:
                 n = len(addrs)
                 out[0][:n], out[1][:n] = addrs, writes
                 addrs, writes = out[0][:n], out[1][:n]
-        return Trace(addrs, writes, *counts)
+        return Trace(addrs, writes, *counts, spans)
+
+    def _spans(self, stmt: Loop, rows: int) -> tuple[Span, ...]:
+        """Span hints of ``rows`` iterations of a guard-free top-level
+        loop: the loop's own rows, then, one level down, each row's inner
+        loops that generate at least ``_DESCENT_ACCESSES`` accesses.
+        Every width is already known from the counting pass's sizing, so
+        hints cost no address work; the engine verifies them anyway.  A
+        loop of one row cannot repeat and gets no hint."""
+        row = self._body_width(stmt.body)
+        inner = []
+        col = 0
+        for s in stmt.body:
+            width = self._width(s)
+            if isinstance(s, Loop) and width >= _DESCENT_ACCESSES and (trip := self._trip(s)) >= 2:
+                inner.append((col, trip, width // trip))
+            col += width
+        outer = ((0, rows, row),) if rows >= 2 else ()
+        if not inner:
+            return outer
+        return outer + tuple(
+            (r * row + col, trip, width) for r in range(rows) for col, trip, width in inner
+        )
 
     # -- shape ---------------------------------------------------------------------
     def _trip(self, stmt: Loop) -> int:

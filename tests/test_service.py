@@ -110,6 +110,21 @@ class TestProtocol:
         assert request_key(clone) == request_key(request)
         assert clone.passes == 2 and clone.warmup_passes == 1 and clone.flush is False
 
+    def test_a_resent_request_is_rendered_once(self, tiny_machine, monkeypatch):
+        from repro.experiments import plan
+        from repro.lang.printer import render
+
+        calls = []
+        monkeypatch.setattr(plan, "render", lambda p: calls.append(p) or render(p))
+        request = SimRequest(program=simple_stream_program(), machine=tiny_machine)
+        wires = [sim_request_to_json(request) for _ in range(5)]
+        assert len(calls) == 1
+        assert all(w["program"] == render(request.program) for w in wires)
+        # The identity's content key reads the same text: still one render.
+        assert request.identity.text is request.text
+        plan.request_key(request)
+        assert len(calls) == 1
+
     def test_sim_request_validation(self, tiny_machine):
         good = sim_request_to_json(
             SimRequest(program=simple_stream_program(), machine=tiny_machine)

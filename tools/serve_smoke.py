@@ -8,8 +8,9 @@ SIGTERMs it.  Four properties are enforced, each fatal on failure:
 1. every client's every point is bit-identical to a local
    ``repro.simulate_batch`` of the same requests;
 2. the daemon deduplicated concurrent work (``dedup_hits > 0``);
-3. new work after shutdown gets an explicit ``draining`` reject,
-   never a hang;
+3. new work sent after SIGTERM, while an uncached batch is still in
+   flight, gets an explicit ``draining`` reject on a connection opened
+   before the signal — never a hang, and never a refused connection;
 4. SIGTERM drains cleanly — exit code 0, a ``drained`` banner, a
    manifest in ``--results-dir`` with the service telemetry block and
    no leftover ``*.tmp``.
@@ -42,6 +43,9 @@ if not any((Path(p) / "repro").is_dir() for p in sys.path if p):
 import repro  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.ladder_capacity import ladder_requests  # noqa: E402
+from repro.experiments.plan import SimRequest  # noqa: E402
+from repro.machine.presets import origin2000  # noqa: E402
+from repro.programs import matmul  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 
@@ -127,17 +131,59 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dedup: {stats['dedup_hits']} hits across {total} points "
               f"({stats['batches']} batches, max {stats['batch_max']})")
 
-        # 3+4. SIGTERM drains: explicit rejects for new work, clean exit.
-        proc.send_signal(signal.SIGTERM)
+        # 3. New work after SIGTERM gets an explicit draining reject.  An
+        # uncached batch is put in flight first, so the drain is still
+        # waiting on it when the probe's request arrives; the probe's
+        # connection is opened before the signal.  A refused or closed
+        # connection is a failure, not a pass.
+        slow_result: list = []
+
+        def slow_client() -> None:
+            try:
+                with ServiceClient(f"unix:{sock}", tenant="slow") as c:
+                    slow_result.extend(c.simulate_batch(slow))
+            except BaseException as exc:  # noqa: BLE001 — checked below
+                errors.append(exc)
+
+        slow = [
+            SimRequest(matmul(96, order), origin2000(args.scale), passes=2)
+            for order in ("ijk", "ikj", "jik", "kij", "kji")
+        ]
+        slow_thread = threading.Thread(target=slow_client)
         try:
-            with ServiceClient(f"unix:{sock}") as c:
-                c.simulate_batch(requests[:1])
-        except ServiceError as exc:
-            if exc.code != "draining":
-                raise SystemExit(f"expected a draining reject, got {exc.code}")
-            print("draining reject: explicit, immediate")
-        except (ConnectionError, OSError):
-            print("draining reject: daemon already gone")  # drain won the race
+            with ServiceClient(f"unix:{sock}") as probe:
+                slow_thread.start()
+                deadline = time.monotonic() + 30
+                while not probe.stats()["inflight"]:
+                    if time.monotonic() > deadline:
+                        raise SystemExit("uncached batch never went in flight")
+                    time.sleep(0.005)
+                proc.send_signal(signal.SIGTERM)
+                # New work sent before the daemon handles the signal would be
+                # admitted (and answered), so wait for the drain to begin.
+                while not (stats := probe.stats())["draining"]:
+                    if time.monotonic() > deadline:
+                        raise SystemExit("daemon never began draining after SIGTERM")
+                    time.sleep(0.005)
+                if not stats["inflight"]:
+                    raise SystemExit("uncached batch finished before the probe: no drain to observe")
+                try:
+                    probe.simulate_batch(requests[:1])
+                except ServiceError as exc:
+                    if exc.code != "draining":
+                        raise SystemExit(f"expected a draining reject, got {exc.code}")
+                else:
+                    raise SystemExit("work sent during the drain was admitted")
+        except (ConnectionError, OSError) as exc:
+            raise SystemExit(f"connection failed during the drain: {exc!r}") from None
+        slow_thread.join(timeout=600)
+        if errors:
+            raise SystemExit(f"in-flight batch failed during the drain: {errors[0]!r}")
+        if len(slow_result) != len(slow):
+            raise SystemExit("in-flight batch was not answered before the drain finished")
+        print(f"draining reject: explicit, while {len(slow)} uncached points drained")
+
+        # 4. SIGTERM drains cleanly.
         out, _ = proc.communicate(timeout=60)
         if proc.returncode != 0:
             raise SystemExit(f"daemon exited {proc.returncode}:\n{out}")
