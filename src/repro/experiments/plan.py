@@ -63,7 +63,7 @@ from ..errors import AnalysisError, ExecutionError
 from ..lang.printer import render
 from ..lang.program import Program
 from ..machine.cache import CacheGeometry, CacheStats
-from ..machine.engine import make_cache, telemetry as engine_telemetry
+from ..machine.engine import make_cache, periodic, telemetry as engine_telemetry
 from ..machine.engine.sharded import build_hierarchy
 from ..machine.engine.simcache import SimulationCache, SimulationResult, resolve_memo
 from ..machine.engine.stack import stack_profile
@@ -267,19 +267,21 @@ def _finish_point(
 
 
 def _run_node(node: _TrieNode, addrs, writes, spans=()) -> None:
-    # Only a root is fed the trace itself, so only roots get its span hints.
+    # A root gets the trace's span hints, every child the hints its
+    # parent derived for the events they share.
     collect = bool(node.children)
+    hints: list = []
     if engine_telemetry.collecting():
         n = len(addrs)
         start = time.perf_counter()
-        out = node.cache.run(addrs, writes, collect, spans)
+        out = node.cache.run(addrs, writes, collect, spans, hints)
         engine_telemetry.record_level(
             node.cache.name, node.cache.engine, n, time.perf_counter() - start
         )
     else:
-        out = node.cache.run(addrs, writes, collect, spans)
+        out = node.cache.run(addrs, writes, collect, spans, hints)
     for child in node.children.values():
-        _run_node(child, out[0], out[1])
+        _run_node(child, out[0], out[1], tuple(hints))
 
 
 def _flush_node(node: _TrieNode) -> None:
@@ -534,6 +536,7 @@ def _trie_group(
         node.cache = make_cache(node.name, node.geometry, last_level=not node.children)
         for child in node.children.values():
             instantiate(child)
+        periodic.link(node.cache, [c.cache for c in node.children.values()])
 
     root_list = list(roots.values())
     for root in root_list:

@@ -154,6 +154,7 @@ class Cache:
         is_write: np.ndarray,
         collect_events: bool = True,
         spans: tuple = (),
+        out_spans: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Process an ordered address stream.
 
@@ -163,7 +164,8 @@ class Cache:
         ``collect_events=False`` declares that the caller will discard the
         stream (last hierarchy level); the reference implementation builds
         it regardless — it is the specification, not the fast path — and
-        for the same reason ignores the ``spans`` hints.
+        for the same reason ignores the ``spans`` hints and derives none
+        for ``out_spans``.
         """
         if len(byte_addrs) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)

@@ -47,6 +47,7 @@ class BaseEngine:
         is_write: np.ndarray,
         collect_events: bool = True,
         spans: tuple = (),
+        out_spans: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate an ordered access batch; state carries across calls.
 
@@ -56,9 +57,18 @@ class BaseEngine:
         then skip building it and return empty arrays, but its counters
         and state must come out exactly as with ``True``.
 
-        ``spans`` are the batch's loop-span hints (``Trace.spans``): an
-        engine may use them to go faster and must otherwise ignore them;
-        they never change a counter or an event.
+        ``spans`` are the batch's loop-span hints: the trace's own
+        (``Trace.spans``) at the first level, those the level above put in
+        its ``out_spans`` below it.  An engine may use them to go faster
+        and must otherwise ignore them; they never change a counter or an
+        event.
+
+        ``out_spans``, when a list, receives the hints of the returned
+        stream: an engine that emitted a stretch of it from one simulated
+        template (each row the template's events, each moved by a fixed
+        per-event delta) appends it as ``(offset, rows, events per row)``.
+        They are advisory like trace hints (the next level checks every
+        one); engines that ignore hints append none.
         """
         raise NotImplementedError
 

@@ -72,6 +72,7 @@ class DirectMappedEngine(BaseEngine):
         is_write: np.ndarray,
         collect_events: bool = True,
         spans: tuple = (),
+        out_spans: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         n = len(byte_addrs)
         if n == 0:

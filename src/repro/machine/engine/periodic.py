@@ -38,6 +38,15 @@ is simulated as usual when any one fails:
     before it renamed: the same lines in the same LRU order with the
     same dirty bits.
 
+The windows emitted from one template are, with it, a span of the
+engine's *output*: ``m + 1`` rows of the template's events, each event
+moved by a fixed delta per row.  :func:`run_spans` returns them as hints
+for the next level, which checks them like any other.  They repeat
+there only when the window's shift is a whole number of that level's set
+spans too, so :func:`link` gives each engine a *window span*, the lcm of
+its own set span and those of the set-associative levels it feeds, and
+a long enough span takes a window whose shift is a multiple of it.
+
 Shifts are whole set spans, so the renaming keeps sets, and the engine's
 state arrays (sorted by set, oldest first) compare elementwise.  The
 checks cost one blocked pass over the span's addresses plus one sort of
@@ -49,6 +58,7 @@ the sort by comparing the states alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -70,6 +80,16 @@ _MAX_WINDOW = 1 << 20
 #: Lead-in before the first template, in accesses per cache line.
 _LEAD = 16
 
+#: Fewest windows a span must hold before its first template is tried:
+#: for the trace's own loop-span hints, and for the hints an upper level
+#: derived from its extrapolated windows.
+_MIN_WINDOWS_TRACE = 2
+_MIN_WINDOWS_DERIVED = 8
+
+#: Fewest windows a span must hold for the window aligned to the lower
+#: levels' set spans to be used instead of the engine's own.
+_ALIGN_WINDOWS = 32
+
 #: Windows simulated without a certificate before a span is given up.
 _MAX_TRIES = 4
 
@@ -79,17 +99,40 @@ _CHECK_BLOCK = 1 << 16
 _FIELDS = [f.name for f in dataclasses.fields(CacheStats)]
 
 
+def link(upper, lowers: Sequence) -> None:
+    """Declare that ``upper``'s event stream feeds each of ``lowers``
+    (already linked to the levels below them).
+
+    A set-associative ``upper`` then picks, where a span is long enough,
+    windows whose shift is a whole set span of every set-associative
+    level below it too, so that the hints it derives for its events
+    (whole windows, one per row) describe rows those levels can repeat;
+    and each set-associative lower level tries such derived hints only
+    where ``_MIN_WINDOWS_DERIVED`` of its own windows fit."""
+    if upper.engine != "setassoc":
+        return
+    below = [c for c in lowers if c.engine == "setassoc"]
+    for lower in below:
+        lower._min_windows = _MIN_WINDOWS_DERIVED
+    upper._window_span = math.lcm(upper._set_span, *(c._window_span for c in below))
+
+
 def run_spans(
     engine: "SetAssociativeEngine",
     addrs: np.ndarray,
     writes: np.ndarray,
     collect: bool,
     spans: Sequence["Span"],
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[list, list["Span"]]:
     """Simulate ``addrs`` on ``engine``, extrapolating certified windows of
-    the hinted spans; returns the ordered event parts.  Counters, events
-    and end state are exactly those of simulating every access."""
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    the hinted spans; returns the ordered event parts (joined by
+    :func:`join_parts`) and, when ``collect``, the spans of the joined
+    event stream that were emitted from a template: ``(offset, m + 1, E)``
+    for a template of E events and the m windows renamed from it.
+    Counters, events and end state are exactly those of simulating every
+    access."""
+    parts: list = []
+    hints: list["Span"] = []
     n = len(addrs)
     pos = 0
     # Outer spans first: a span that starts where its inner spans do
@@ -100,31 +143,94 @@ def run_spans(
         trip = min(trip, (n - start) // width)
         if trip < 2:
             continue
-        rows = _window_rows(addrs, start, width, engine)
-        if rows is None or trip < 2 * rows:
+        rows = _window_rows(addrs, start, width, trip, engine)
+        if rows is None:
             continue
         span = _Span(engine, addrs, writes, start, trip, width, rows)
-        pos = span.run(collect, parts, pos)
+        pos = span.run(collect, parts, pos, hints)
     parts += engine._run_blocks(addrs[pos:], writes[pos:], collect)
-    return parts
+    return parts, hints
 
 
 def _window_rows(
-    addrs: np.ndarray, start: int, width: int, engine: "SetAssociativeEngine"
+    addrs: np.ndarray, start: int, width: int, trip: int, engine: "SetAssociativeEngine"
 ) -> int | None:
     """Rows per window: the least multiple of the period holding at least
     ``_MIN_WINDOW`` accesses (and 8x the line capacity), or None when
-    that exceeds ``_MAX_WINDOW``."""
+    that exceeds ``_MAX_WINDOW`` or ``trip`` holds fewer than the
+    engine's minimum of windows.
+
+    The period is that of the engine's window span (its own set span and
+    those of the set-associative levels it feeds) when ``trip`` holds at
+    least ``_ALIGN_WINDOWS`` such windows; otherwise that of its own set
+    span, which needs fewer rows but leaves the events it emits without
+    rows the levels below can repeat."""
     if width > _MAX_WINDOW:
         return None
-    set_span = engine._n_sets * engine.geometry.line_size
     delta = addrs[start + width : start + 2 * width] - addrs[start : start + width]
-    # Column c needs set_span / gcd(delta_c, set_span) rows; the lcm of
-    # those is set_span / gcd(set_span, every delta_c).
-    period = set_span // int(np.gcd(set_span, np.gcd.reduce(delta)))
+    common = int(np.gcd.reduce(delta))
     least = max(_MIN_WINDOW, 8 * engine.geometry.n_lines)
-    rows = period * -(-least // (period * width))
-    return rows if rows * width <= _MAX_WINDOW else None
+
+    def rows_for(span: int) -> int:
+        # Column c needs span / gcd(delta_c, span) rows; the lcm of those
+        # is span / gcd(span, every delta_c).
+        period = span // math.gcd(span, common)
+        return period * -(-least // (period * width))
+
+    rows = rows_for(engine._set_span)
+    if engine._window_span != engine._set_span:
+        aligned = rows_for(engine._window_span)
+        if trip >= _ALIGN_WINDOWS * aligned and aligned * width <= _MAX_WINDOW:
+            rows = aligned
+    if rows * width > _MAX_WINDOW or trip < engine._min_windows * rows:
+        return None
+    return rows
+
+
+class _Windows:
+    """The events of ``m`` windows renamed from a template's: window j's
+    are ``lines + j * step`` with the template's write flags.  Written
+    straight into the engine's joined output (:func:`join_parts`), never
+    built on their own."""
+
+    __slots__ = ("lines", "writes", "step", "m")
+
+    def __init__(self, lines: np.ndarray, writes: np.ndarray, step: np.ndarray, m: int):
+        self.lines, self.writes, self.step, self.m = lines, writes, step, m
+
+    def __len__(self) -> int:
+        return self.m * len(self.lines)
+
+    def fill(self, out_lines: np.ndarray, out_writes: np.ndarray) -> None:
+        rows = out_lines.reshape(self.m, len(self.lines))
+        np.multiply.outer(np.arange(1, self.m + 1, dtype=np.int64), self.step, out=rows)
+        rows += self.lines
+        out_writes.reshape(self.m, len(self.writes))[:] = self.writes
+
+
+def _length(part) -> int:
+    return len(part) if isinstance(part, _Windows) else len(part[0])
+
+
+def join_parts(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered event stream of :func:`run_spans`'s parts, allocated
+    once: extrapolated windows are written in place, not built and then
+    copied."""
+    if len(parts) == 1 and not isinstance(parts[0], _Windows):
+        return parts[0]
+    n = sum(_length(p) for p in parts)
+    out_lines = np.empty(n, dtype=np.int64)
+    out_writes = np.empty(n, dtype=bool)
+    pos = 0
+    for part in parts:
+        k = _length(part)
+        if isinstance(part, _Windows):
+            part.fill(out_lines[pos : pos + k], out_writes[pos : pos + k])
+        else:
+            out_lines[pos : pos + k] = part[0]
+            out_writes[pos : pos + k] = part[1]
+        pos += k
+    return out_lines, out_writes
 
 
 #: Sorted distinct lines and each one's shift in lines per window.
@@ -164,35 +270,49 @@ class _Span:
         self.wtable = writes[start : start + trip * width].reshape(trip, width)
         self.delta = self.table[1] - self.table[0]
         self.good = 1  # leading rows known to repeat (check a)
+        self._check: tuple | None = None  # check (a)'s block buffers
 
     def repeats_to(self, stop: int) -> int:
         """Extend check (a) towards row ``stop``; returns how many leading
         rows repeat, at most ``stop``."""
-        step = max(1, _CHECK_BLOCK // self.width)
-        t, w = self.table, self.wtable
         stop = min(stop, self.trip)
-        # Preallocated: fresh block-sized temporaries would each be a
-        # fresh mapping, paid for in page faults.
-        diff = np.empty((step, self.width), dtype=np.int64)
-        same = np.empty((step, self.width), dtype=bool)
-        wsame = np.empty((step, self.width), dtype=bool)
+        if self.good >= stop:
+            return stop
+        width = self.width
+        step = max(1, _CHECK_BLOCK // width)
+        # Flat, so that every pass runs over one contiguous block rather
+        # than broadcasting over rows a few accesses wide; against the
+        # delta and the first row's flags tiled to a block.
+        t, w = self.table.reshape(-1), self.wtable.reshape(-1)
+        if self._check is None:
+            # Built once per span: fresh block-sized temporaries would
+            # each be a fresh mapping, paid for in page faults.
+            self._check = (
+                np.tile(self.delta, step),
+                np.tile(self.wtable[0], step),
+                np.empty(step * width, dtype=np.int64),
+                np.empty(step * width, dtype=bool),
+                np.empty(step * width, dtype=bool),
+            )
+        dtile, wtile, diff, same, wsame = self._check
         while self.good < stop:
-            lo, hi = self.good, min(stop, self.good + step)
+            lo, hi = self.good * width, min(stop, self.good + step) * width
             k = hi - lo
-            np.subtract(t[lo:hi], t[lo - 1 : hi - 1], out=diff[:k])
-            np.equal(diff[:k], self.delta, out=same[:k])
-            np.equal(w[lo:hi], w[0], out=wsame[:k])
+            np.subtract(t[lo:hi], t[lo - width : hi - width], out=diff[:k])
+            np.equal(diff[:k], dtile[:k], out=same[:k])
+            np.equal(w[lo:hi], wtile[:k], out=wsame[:k])
             same[:k] &= wsame[:k]
             if not same[:k].all():
-                self.good = lo + int(np.argmin(same[:k].all(axis=1)))
+                self.good += int(np.argmin(same[:k])) // width
                 break
-            self.good = hi
+            self.good = hi // width
         return min(self.good, stop)
 
-    def run(self, collect: bool, parts: list, pos: int) -> int:
+    def run(self, collect: bool, parts: list, pos: int, hints: list) -> int:
         """Simulate from access ``pos`` (at or before the span) through
         windows until one certifies, then emit the rest of the span;
-        appends the event parts and returns the first access left."""
+        appends the event parts (and the emitted span to ``hints``) and
+        returns the first access left."""
         eng, P = self.engine, self.rows
         # Each column's shift over one window, in lines: whole set spans.
         shift = (P * self.delta) >> eng._line_shift
@@ -230,7 +350,7 @@ class _Span:
             if table is not None:
                 table = _certify(table, line0, line1, m)
             if table is not None:
-                self._emit(table, template, stats0, m, collect, parts)
+                self._emit(table, template, stats0, m, collect, parts, hints)
                 return self.start + (row + P * m) * self.width
         return self.start + row * self.width
 
@@ -255,9 +375,18 @@ class _Span:
         return _unique_shifts(np.concatenate(lines), np.concatenate(shifts))
 
     def _emit(
-        self, table: _Table, template: list, stats0: list, m: int, collect: bool, parts: list
+        self,
+        table: _Table,
+        template: list,
+        stats0: list,
+        m: int,
+        collect: bool,
+        parts: list,
+        hints: list,
     ) -> None:
-        """Windows 1..m after the template, without simulating them."""
+        """Windows 1..m after the template, without simulating them.  Their
+        events are the template's, each moved by j times its line's shift
+        in window j: with the template, a span of m + 1 rows."""
         eng = self.engine
         ulines, ushift = table
         st = eng.stats
@@ -274,9 +403,9 @@ class _Span:
             return
         ls = eng._line_shift
         step = ushift[np.searchsorted(ulines, ev_lines >> ls)] << ls
-        out = np.multiply.outer(np.arange(1, m + 1, dtype=np.int64), step)
-        out += ev_lines
-        parts.append((out.ravel(), np.tile(ev_writes, m)))
+        n_out = sum(_length(p) for p in parts)
+        hints.append((n_out - len(ev_lines), m + 1, len(ev_lines)))
+        parts.append(_Windows(ev_lines, ev_writes, step, m))
 
 
 def _certify(table: _Table, line0: np.ndarray, line1: np.ndarray, m: int) -> _Table | None:

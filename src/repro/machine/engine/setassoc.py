@@ -59,7 +59,10 @@ are contiguous-group-local and no per-set loop is ever needed:
   set spans), then emits the remaining whole windows from that template:
   counters times the window count, events and end state renamed.  Every
   hint is checked against the addresses, so a wrong or missing one only
-  costs time.
+  costs time.  The emitted windows come back through ``out_spans`` as
+  hints for the next level's input, and a level linked above other
+  set-associative levels (``periodic.link``) picks windows they can
+  repeat too.
 * **The ordered event stream** (victim writeback then miss fill, in
   trace order) falls out of the head positions: each head carries its
   index in the block through the grouping sort, one sort restores
@@ -83,7 +86,7 @@ from ...errors import MachineError
 from ..cache import CacheGeometry
 from .base import BaseEngine
 from .distinct import reuse_distances
-from .periodic import run_spans
+from . import periodic
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
@@ -113,6 +116,12 @@ class SetAssociativeEngine(BaseEngine):
         self._assoc = geometry.associativity
         # Residents ride in every block's prologue: keep them <= 1/8 of it.
         self._block = max(_BLOCK, 8 * geometry.n_lines)
+        # Extrapolated windows shift by whole multiples of the window span;
+        # ``periodic.link`` widens it (and raises the minimum of windows
+        # of a level that is fed derived hints).
+        self._set_span = self._n_sets * geometry.line_size
+        self._window_span = self._set_span
+        self._min_windows = periodic._MIN_WINDOWS_TRACE
         self._reset_state()
 
     def _reset_state(self) -> None:
@@ -133,16 +142,16 @@ class SetAssociativeEngine(BaseEngine):
         is_write: np.ndarray,
         collect_events: bool = True,
         spans: tuple = (),
+        out_spans: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        parts = run_spans(self, byte_addrs, is_write, collect_events, spans)
+        parts, hints = periodic.run_spans(self, byte_addrs, is_write, collect_events, spans)
+        if out_spans is not None:
+            out_spans += hints
         if not collect_events or not parts:
             return _EMPTY_EVENTS
-        if len(parts) == 1:
-            return parts[0]
-        out_lines, out_writes = zip(*parts)
-        return np.concatenate(out_lines), np.concatenate(out_writes)
+        return periodic.join_parts(parts)
 
     def _run_blocks(
         self, byte_addrs: np.ndarray, is_write: np.ndarray, collect_events: bool

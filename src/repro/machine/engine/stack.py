@@ -349,6 +349,7 @@ class StackDistanceEngine(BaseEngine):
         is_write: np.ndarray,
         collect_events: bool = True,
         spans: tuple = (),
+        out_spans: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         if collect_events and len(byte_addrs):
             raise MachineError(

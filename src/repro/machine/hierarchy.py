@@ -19,7 +19,7 @@ import numpy as np
 
 from ..trace.events import Span, slice_spans
 from .cache import Cache, CacheStats
-from .engine import telemetry
+from .engine import periodic, telemetry
 from .spec import MachineSpec
 
 if TYPE_CHECKING:
@@ -75,6 +75,9 @@ class Hierarchy:
             raise ValueError("chunk size must be positive")
         self.caches = caches
         self.chunk_size = chunk_size
+        # Bottom up: each level's windows align with every level below.
+        for upper, lower in reversed(list(zip(caches, caches[1:]))):
+            periodic.link(upper, [lower])
 
     @classmethod
     def from_spec(
@@ -93,18 +96,19 @@ class Hierarchy:
         for i, cache in enumerate(self.caches):
             # Nothing consumes the last level's stream; telling the engine
             # lets it skip materializing events (counters stay exact).
-            # Span hints describe the trace, so only the first level gets
-            # them.
+            # The first level gets the trace's span hints, each level below
+            # the hints the level above derived for its events.
+            hints: list[Span] = []
             if measure:
                 n = len(addrs)
                 start = time.perf_counter()
-                addrs, writes = cache.run(addrs, writes, i < last, spans)
+                addrs, writes = cache.run(addrs, writes, i < last, spans, hints)
                 telemetry.record_level(
                     cache.name, cache.engine, n, time.perf_counter() - start
                 )
             else:
-                addrs, writes = cache.run(addrs, writes, i < last, spans)
-            spans = ()
+                addrs, writes = cache.run(addrs, writes, i < last, spans, hints)
+            spans = tuple(hints)
 
     def run_trace(
         self,

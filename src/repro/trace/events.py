@@ -10,7 +10,9 @@ naming ``trip`` consecutive rows of ``width`` accesses from ``start`` that
 one guard-free loop generated, so each row is expected to be the
 previous one with every column's address moved by a fixed byte delta.
 The set-associative engine uses them to find periodic stretches it may
-extrapolate (:mod:`repro.machine.engine.periodic`); it verifies every
+extrapolate (:mod:`repro.machine.engine.periodic`), and derives hints of
+the same form for the event stream it sends on, so hints reach every
+level of a hierarchy, not only the first.  Every engine verifies every
 hint against the addresses, so a wrong or missing hint costs time, never
 a counter; :meth:`Trace.concat`, :meth:`Trace.repeated` and
 :func:`concat_traces` drop them.

@@ -11,6 +11,7 @@ nests and layouts through the generator's hints.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -19,17 +20,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.plan import SimRequest, execute_plan
+from repro.interp.executor import execute
 from repro.lang import ProgramBuilder
 from repro.machine.cache import Cache, CacheGeometry
 from repro.machine.engine import SetAssociativeEngine, periodic
 from repro.machine.engine.verify import STAT_FIELDS
+from repro.machine.hierarchy import Hierarchy
 from repro.machine.layout import LayoutPolicy, build_layout
 from repro.machine.presets import origin2000
-from repro.programs import dmxpy, fft, matmul, matmul_blocked, nas_sp
+from repro.options import override_options, use_options
+from repro.programs import dmxpy, fft, make_kernel, matmul, matmul_blocked, nas_sp
 from repro.programs.paper_examples import fig6_fused, fig6_original
 from repro.trace import TraceGenerator
 from repro.trace import generator as trace_generator
-from repro.trace.events import slice_spans
+from repro.trace.events import Trace, slice_spans
 
 LINE = 32
 
@@ -396,3 +401,271 @@ def test_random_affine_nests_match_reference(spec):
         trace = TraceGenerator(program, None, layout).generate()
         cuts = [c for c in spec["cuts"] if c < len(trace)]
         assert_exact(geometry, trace.addresses, trace.is_write, trace.spans, cuts)
+
+
+# -- derived hints: extrapolated windows feed the level below ---------------
+
+
+def record_streams(hierarchy):
+    """Per level, every stream it returns (run and flush), in order."""
+    logs = [[] for _ in hierarchy.caches]
+    for cache, log in zip(hierarchy.caches, logs):
+        for name in ("run", "flush"):
+            real = getattr(cache, name)
+
+            def wrapper(*args, _real=real, _log=log, **kwargs):
+                out = _real(*args, **kwargs)
+                _log.append(out)
+                return out
+
+            setattr(cache, name, wrapper)
+    return logs
+
+
+def concat_streams(log):
+    return tuple(
+        np.concatenate([out[i] for out in log]) if log else np.empty(0) for i in range(2)
+    )
+
+
+def assert_hierarchy_exact(geometries, trace, chunk_size):
+    """An all-``setassoc`` hierarchy fed ``trace`` with its hints, in
+    chunks of ``chunk_size``, and a ``Cache``-only one agree on every
+    level's counters and on every intermediate level's event stream,
+    flush drains included."""
+    ref = Hierarchy([Cache(f"L{k}", g) for k, g in enumerate(geometries, 1)])
+    eng = Hierarchy(
+        [SetAssociativeEngine(f"L{k}", g) for k, g in enumerate(geometries, 1)], chunk_size
+    )
+    logs = [record_streams(h) for h in (ref, eng)]
+    for h in (ref, eng):
+        h.run_trace(trace.addresses, trace.is_write, spans=trace.spans)
+        h.flush()
+    for level in range(len(geometries) - 1):
+        want, got = (concat_streams(log[level]) for log in logs)
+        np.testing.assert_array_equal(want[0], got[0])
+        np.testing.assert_array_equal(want[1], got[1])
+    for a, b in zip(ref.caches, eng.caches):
+        for f in STAT_FIELDS:
+            assert getattr(a.stats, f) == getattr(b.stats, f), (a.name, f)
+
+
+def kernel_trace(name: str, n: int, spec=None):
+    spec = spec or origin2000(128)
+    program = make_kernel(name, n)
+    layout = build_layout(program, None, spec.default_layout)
+    return TraceGenerator(program, None, layout).generate()
+
+
+def emitted_by(emits):
+    """Accesses each engine emitted without simulating them, by level."""
+    out: dict[str, int] = {}
+    for args, _ in emits:
+        span, m = args[0], args[4]
+        out[span.engine.name] = out.get(span.engine.name, 0) + span.rows * span.width * m
+    return out
+
+
+def l1_stream(trace, spec=None):
+    """The L1 events of ``trace`` on ``spec`` (linked above its L2, as in
+    a hierarchy), with the hints L1 derived for them."""
+    spec = spec or origin2000(128)
+    l1, l2 = (SetAssociativeEngine(lvl.name, lvl.geometry) for lvl in spec.cache_levels)
+    periodic.link(l1, [l2])
+    hints: list = []
+    addrs, writes = l1.run(trace.addresses, trace.is_write, True, trace.spans, hints)
+    return addrs, writes, hints
+
+
+class TestDerivedHints:
+    SPEC = origin2000(128)
+
+    def test_kernel_l2_extrapolates_and_stays_exact(self):
+        # 1w2r rows are 3 accesses moving 8 B: L1's own window (1376 rows)
+        # shifts by 11008 B, no whole number of 16 KB L2 set spans; the
+        # aligned one (2048 rows) does, and 65536+ rows hold 32 of them.
+        trace = kernel_trace("1w2r", 70000)
+        geos = [lvl.geometry for lvl in self.SPEC.cache_levels]
+        with spy("_emit") as emits:
+            assert_hierarchy_exact(geos, trace, 1 << 20)
+        emitted = emitted_by(emits)
+        # L1 sends about one event per 4 accesses (3 fills, 1 writeback
+        # per 12): most of that is emitted at L2 without simulating it.
+        assert emitted["L2"] > 0.8 * emitted["L1"] / 4
+
+    def test_derived_hints_describe_repeating_rows(self):
+        addrs, writes, hints = l1_stream(kernel_trace("1w1r", 70000))
+        assert hints
+        loads, stores = int((~writes).sum()), int(writes.sum())
+        assert_hints_hold(Trace(addrs, writes, 0, loads, stores, tuple(hints)))
+
+    @pytest.mark.parametrize(
+        "program", [matmul(90, "jki"), make_kernel("1w2r", 20000)], ids=lambda p: p.name
+    )
+    def test_span_shorter_than_the_aligned_windows_keeps_its_own_window(self, program):
+        # mm_jki's 720 B rows repeat every 8 rows at L1 but need 1,024 to
+        # shift by whole 16 KB L2 set spans, against a trip of 90.  A
+        # 1w2r sweep's aligned window (2,048 rows) fits only 9 times in
+        # 20,000 rows, fewer than _ALIGN_WINDOWS.  Either way L1 keeps
+        # its own window and extrapolates exactly as unlinked.
+        layout = build_layout(program, None, self.SPEC.default_layout)
+        trace = TraceGenerator(program, None, layout).generate()
+        hierarchy = Hierarchy.from_spec(self.SPEC)
+        assert hierarchy.caches[0]._window_span == 16384
+        alone = SetAssociativeEngine("L1", self.SPEC.cache_levels[0].geometry)
+        with spy("_emit") as linked:
+            hierarchy.run_trace(trace.addresses, trace.is_write, spans=trace.spans)
+        with spy("_emit") as unlinked:
+            alone.run(trace.addresses, trace.is_write, True, trace.spans)
+        rows = [
+            [args[0].rows for args, _ in emits if args[0].engine.name == "L1"]
+            for emits in (linked, unlinked)
+        ]
+        assert rows[0] == rows[1] and rows[0]
+        assert emitted_by(linked)["L1"] == emitted_by(unlinked)["L1"] > 0
+        assert vars(hierarchy.caches[0].stats) == vars(alone.stats)
+
+    def test_forged_derived_hints_give_identical_results(self):
+        addrs, writes, hints = l1_stream(kernel_trace("1w1r", 70000))
+        (off, trip, width), *_ = hints
+        geo = self.SPEC.cache_levels[1].geometry
+        for spans in (
+            [(off + 1, trip, width)],  # wrong offset
+            [(off, trip, len(addrs))],  # width past the stream end
+            [(off, trip + 10**6, width)],  # rows past the stream end
+            [(off, trip, width), (off + width, trip - 1, width), (off, trip, width)],
+            [(off + width // 2, trip - 1, width), (off, trip, width)],  # overlapping
+        ):
+            assert_exact(geo, addrs, writes, spans)
+
+    def test_rows_that_stop_repeating_are_simulated(self):
+        addrs, writes, hints = l1_stream(kernel_trace("1w1r", 70000))
+        (off, trip, width), *_ = hints
+        broken = 2 * trip // 3
+        addrs = addrs.copy()
+        addrs[off + broken * width + 5] += 4096 * LINE
+        with spy("_emit") as emits:
+            assert_exact(self.SPEC.cache_levels[1].geometry, addrs, writes, [(off, trip, width)])
+        spans = [args[0] for args, _ in emits]
+        assert spans and all(s.good == broken for s in spans)
+
+    def test_planner_root_feeds_two_lower_set_spans(self):
+        # One L1 node, two L2 children: 16 KB (2-way, 128 B lines) and
+        # 6 KB (3-way, 64 B lines, 96 sets) set spans.  The L1 window
+        # aligns with both (their lcm, 48 KB; the alignment threshold is
+        # lowered so that this short kernel takes it), so each child
+        # extrapolates its share.
+        l1 = self.SPEC.cache_levels[0]
+        l2 = self.SPEC.cache_levels[1]
+        machines = [
+            dataclasses.replace(
+                self.SPEC, name=name, cache_levels=(l1, dataclasses.replace(l2, geometry=geo))
+            )
+            for name, geo in (
+                ("o128", l2.geometry),
+                ("o128-3way", CacheGeometry(3 * 64 * 96, 64, 3)),
+            )
+        ]
+        program = make_kernel("1w2r", 60000)
+        requests = [SimRequest(program, m, validate=False) for m in machines]
+        with mock.patch.object(periodic, "_ALIGN_WINDOWS", 4), spy("_emit") as emits:
+            planned = execute_plan(requests, sim_cache=False)
+        lower = {args[0].engine.geometry for args, _ in emits if args[0].engine.name == "L2"}
+        assert lower == {m.cache_levels[1].geometry for m in machines}
+        for engine in ("auto", "reference"):
+            with mock.patch.object(periodic, "_ALIGN_WINDOWS", 4), use_options(
+                override_options(engine=engine)
+            ):
+                for req, got in zip(requests, planned):
+                    want = execute(req.program, req.machine, validate=False, sim_cache=False)
+                    assert got.counters.downstream_bytes == want.counters.downstream_bytes
+                    for a, b in zip(got.counters.level_stats, want.counters.level_stats):
+                        assert vars(a) == vars(b)
+
+
+#: A 1w2r sweep through three levels (the middle one 3-way) whose
+#: windows each level below repeats in turn.
+THREE_LEVELS = {
+    "spec": {
+        "stmts": [(0, 3000, 0, [(0, 1, 0, 0, False), (1, 1, 0, 0, False), (0, 1, 0, 0, True)])],
+        "n_arrays": 2,
+        "layout": (32, 0),
+        "geometry": None,
+        "window": 16,
+        "cuts": (),
+    },
+    "geometries": [
+        CacheGeometry(16 * 2 * 2, 16, 2),
+        CacheGeometry(32 * 3 * 2, 32, 3),
+        CacheGeometry(64 * 2 * 4, 64, 2),
+    ],
+    "chunk": 97,
+    "align": 2,
+    "derived": 2,
+}
+
+
+def test_three_levels_each_extrapolate():
+    case = THREE_LEVELS
+    program = build_nest(case["spec"])
+    layout = build_layout(program, None, LayoutPolicy(alignment=32, pad_bytes=0))
+    with (
+        mock.patch.object(periodic, "_MIN_WINDOW", 16),
+        mock.patch.object(trace_generator, "_DESCENT_ACCESSES", 16),
+        spy("_emit") as emits,
+    ):
+        trace = TraceGenerator(program, None, layout).generate()
+        assert_hierarchy_exact(case["geometries"], trace, 1 << 20)
+    assert set(emitted_by(emits)) == {"L1", "L2", "L3"}
+
+
+@st.composite
+def hierarchy_geometries(draw):
+    """2 or 3 set-associative levels, line sizes non-decreasing, one lower
+    level with associativity 3 or 4."""
+    n = draw(st.integers(2, 3))
+    wide = draw(st.integers(1, n - 1))
+    line = draw(st.sampled_from([16, 32]))
+    geos = []
+    for k in range(n):
+        if k:
+            line *= draw(st.sampled_from([1, 2]))
+        assoc = draw(st.sampled_from([3, 4])) if k == wide else draw(st.integers(1, 4))
+        sets = draw(st.sampled_from([1, 2, 3, 4, 8]))
+        geos.append(CacheGeometry(line * assoc * sets, line, assoc))
+    return geos
+
+
+@st.composite
+def long_nests(draw):
+    """:func:`nests` with trips up to 16x longer, so that a level's
+    extrapolated windows leave the level below rows to repeat."""
+    spec = draw(nests())
+    scale = draw(st.sampled_from([1, 4, 16]))
+    spec["stmts"] = [(lo, trip * scale, inner, refs) for lo, trip, inner, refs in spec["stmts"]]
+    return spec
+
+
+@given(
+    spec=long_nests(),
+    geometries=hierarchy_geometries(),
+    chunk=st.sampled_from([97, 640, 2000, 1 << 20]),
+    align=st.sampled_from([1, 2, 32]),
+    derived=st.sampled_from([2, 8]),
+)
+@example(**THREE_LEVELS)
+@settings(settings.get_profile("repro-thorough"))
+def test_random_affine_nests_through_hierarchies_match_reference(
+    spec, geometries, chunk, align, derived
+):
+    program = build_nest(spec)
+    align_bytes, pad = spec["layout"]
+    layout = build_layout(program, None, LayoutPolicy(alignment=align_bytes, pad_bytes=pad))
+    with (
+        mock.patch.object(periodic, "_MIN_WINDOW", spec["window"]),
+        mock.patch.object(periodic, "_ALIGN_WINDOWS", align),
+        mock.patch.object(periodic, "_MIN_WINDOWS_DERIVED", derived),
+        mock.patch.object(trace_generator, "_DESCENT_ACCESSES", 16),
+    ):
+        trace = TraceGenerator(program, None, layout).generate()
+        assert_hierarchy_exact(geometries, trace, chunk)
