@@ -14,9 +14,9 @@ Three claims are asserted here:
 * dedup fired (hits > 0) — concurrency collapsed onto shared work;
 * the served side is several times faster end to end.
 
-The committed trajectory (``BENCH_serve.json``, written by
-``tools/bench_report.py --serve``) records the headline figure at the
-acceptance scale; here a moderate scale keeps CI fast and the assertion
+``docs/bench_history.md`` archives the headline figure at the acceptance
+scale; the repository benchmark's serve workload (``perfbench/``) tracks
+it now.  Here a moderate scale keeps the run fast and the assertion
 conservative.
 """
 
@@ -146,5 +146,5 @@ def test_bench_serve_concurrent_clients(benchmark):
     # the (fresh) sim cache rather than re-simulating.
     assert stats["dedup_hits"] > 0, "no in-flight dedup across clients"
     assert reduction >= 3.0, "service lost its simulated-access reduction"
-    # Conservative wall-clock bar; BENCH_serve.json carries the headline.
+    # Conservative wall-clock bar; docs/bench_history.md has the headline.
     assert pw_s / sv_s >= 3.0, "served sweep regressed against pointwise"

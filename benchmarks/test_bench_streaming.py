@@ -16,13 +16,12 @@ Two claims are asserted here:
   per-chunk overhead and saves the page faults of one trace-sized
   buffer).
 
-Peak RSS is measured in subprocess workers (``tools/bench_report.py
---streaming-worker``) because ``ru_maxrss`` is a process-lifetime
-high-water mark — measuring all modes in one process would charge the
-streamed modes with the materialized mode's footprint.  The committed
-trajectory (``BENCH_streaming.json``) records the headline ≥5x reduction
-at the largest scale; here a moderate scale keeps CI fast and the
-assertion conservative.
+Peak RSS is measured in one subprocess per pipeline (this module run
+as a script, see ``_streaming_worker``) because the peak is a
+process-lifetime high-water mark: measuring all modes in one process
+would charge the streamed modes with the materialized mode's footprint.
+``docs/bench_history.md`` archives the ≥5x reduction measured at scale
+16; here a moderate scale keeps CI fast and the assertion conservative.
 
 Timing uses best-of-N on both sides: container wall clocks are noisy and
 a single round can swing either comparison by tens of percent.
@@ -34,16 +33,13 @@ import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from conftest import attempt_rounds, once
 
 from repro.interp.executor import execute
 from repro.options import ExecOptions, use_options
-from repro.programs import matmul
-
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_report.py"
+from repro.programs import KERNEL_NAMES, blas1, make_kernel, matmul
 
 #: Accesses per streamed chunk — small enough that the RSS gap is visible
 #: even at benchmark scale.
@@ -109,20 +105,37 @@ def test_bench_streaming_throughput(benchmark, workload):
     assert ovl_s <= mat_s * 1.25, "overlap pipeline regressed throughput"
 
 
+def _streaming_worker(stream) -> dict:
+    """Subprocess body: the fig1/fig3 Origin2000/32 programs (mm, the
+    BLAS-1 quartet, the fig3 kernel suite) once under one pipeline, and
+    this process's peak RSS with a digest of every program's counters."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.trace.telemetry import peak_rss_bytes
+
+    cfg = ExperimentConfig(scale=32)
+    programs = [matmul(cfg.mm_side())]
+    programs += [blas1(kind, cfg.stream_elements()) for kind in ("copy", "scal", "axpy", "dot")]
+    programs += [make_kernel(name, cfg.exemplar_kernel_elements()) for name in KERNEL_NAMES]
+    digest = []
+    with use_options(ExecOptions(stream=stream, chunk_accesses=CHUNK if stream else None)):
+        for prog in programs:
+            c = execute(prog, cfg.origin, sim_cache=False).counters
+            digest.append([
+                c.memory_bytes, c.graduated_flops, c.loads, c.stores,
+                [st.misses for st in c.level_stats],
+                [st.writebacks for st in c.level_stats],
+            ])
+    return {"peak_rss_bytes": peak_rss_bytes(), "digest": digest}
+
+
 def test_bench_streaming_peak_rss(benchmark):
     """Subprocess-per-mode RSS comparison at benchmark scale."""
 
     def measure():
         results = {}
-        for mode in ("materialized", "streamed"):
+        for mode, stream in (("materialized", "false"), ("streamed", "serial")):
             out = subprocess.run(
-                [
-                    sys.executable, str(_TOOL),
-                    "--streaming-worker", mode,
-                    "--scale", "32",
-                    "--rounds", "1",
-                    "--chunk-accesses", str(CHUNK),
-                ],
+                [sys.executable, __file__, stream],
                 capture_output=True, text=True, timeout=600, check=True,
             )
             results[mode] = json.loads(out.stdout)
@@ -139,5 +152,10 @@ def test_bench_streaming_peak_rss(benchmark):
     print(f"\n  peak RSS: materialized {mat_rss / 2**20:.0f} MB, "
           f"streamed {str_rss / 2**20:.0f} MB ({reduction:.1f}x reduction)")
     # At this moderate scale the interpreter baseline (~40 MB) dilutes the
-    # ratio; the committed BENCH_streaming.json shows >=5x at scale 16.
+    # ratio; docs/bench_history.md archives >=5x at scale 16.
     assert reduction >= 2.0, "streaming no longer bounds generation memory"
+
+
+if __name__ == "__main__":
+    stream = sys.argv[1]
+    print(json.dumps(_streaming_worker(False if stream == "false" else stream)))

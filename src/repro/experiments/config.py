@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from ..machine.presets import exemplar, origin2000
 from ..machine.spec import MachineSpec
-from ..options import ExecOptions
+from ..options import ExecOptions, _positive_int
 
 DEFAULT_SCALE = 128
 
@@ -37,6 +37,13 @@ class ExperimentConfig(ExecOptions):
     scale: int = DEFAULT_SCALE
     array_cache_factor: int = 4  # arrays >= this multiple of the last cache
     sim_cache_dir: str | None = None  # persistent tier directory (None = memory only)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("scale", "array_cache_factor"):
+            value = getattr(self, name)
+            if not _positive_int(value):
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
 
     def to_json(self) -> dict[str, Any]:
         """A JSON-serializable snapshot (every field is a plain scalar)."""

@@ -35,6 +35,12 @@ from .errors import ExecutionError, MachineError
 ENGINE_NAMES = ("auto", "direct", "reference", "setassoc", "stack")
 
 
+def _positive_int(value: object) -> bool:
+    """An int >= 1; a bool, float or string is not one (wire configs
+    arrive as JSON, where ``2.5`` and ``true`` are easy to send)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class ExecOptions:
     """How one run executes.  Every value gives bit-identical counters
@@ -63,12 +69,14 @@ class ExecOptions:
             raise ExecutionError(
                 f"stream must be False, True, 'overlap' or 'serial', got {self.stream!r}"
             )
-        if self.chunk_accesses is not None and self.chunk_accesses <= 0:
-            raise ValueError(f"chunk_accesses must be positive, got {self.chunk_accesses}")
-        if self.shards < 1:
-            raise MachineError(f"shards must be >= 1, got {self.shards}")
-        if self.cores < 1:
-            raise MachineError(f"cores must be >= 1, got {self.cores}")
+        if self.chunk_accesses is not None and not _positive_int(self.chunk_accesses):
+            raise ValueError(
+                f"chunk_accesses must be a positive int, got {self.chunk_accesses!r}"
+            )
+        if not _positive_int(self.shards):
+            raise MachineError(f"shards must be an int >= 1, got {self.shards!r}")
+        if not _positive_int(self.cores):
+            raise MachineError(f"cores must be an int >= 1, got {self.cores!r}")
         if not 0.0 < self.spot_check <= 1.0:
             raise ValueError(f"spot_check must be in (0, 1], got {self.spot_check!r}")
         if self.predict_tolerance < 0.0:

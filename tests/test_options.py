@@ -29,8 +29,15 @@ def test_engine_names_match_the_engine_table():
         ("engine", "bogus", MachineError),
         ("stream", "bogus", ExecutionError),
         ("chunk_accesses", 0, ValueError),
+        ("chunk_accesses", "5", ValueError),
+        ("chunk_accesses", 2.5, ValueError),
         ("shards", 0, MachineError),
+        ("shards", 2.5, MachineError),
+        ("shards", True, MachineError),
+        ("shards", "2", MachineError),
         ("cores", 0, MachineError),
+        ("cores", 2.0, MachineError),
+        ("cores", True, MachineError),
         ("spot_check", 0.0, ValueError),
         ("spot_check", 1.5, ValueError),
         ("predict_tolerance", -0.1, ValueError),
@@ -42,6 +49,25 @@ def test_every_option_is_validated_when_built(field, value, error):
     with pytest.raises(error):
         dataclasses.replace(ExperimentConfig(), **{field: value})
     with pytest.raises(error):
+        ExperimentConfig.from_json({field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", 0),
+        ("scale", -8),
+        ("scale", "x"),
+        ("scale", 2.5),
+        ("scale", True),
+        ("array_cache_factor", 0),
+        ("array_cache_factor", 4.0),
+    ],
+)
+def test_experiment_config_needs_positive_int_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_json({field: value})
 
 

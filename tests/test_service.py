@@ -574,15 +574,24 @@ class TestExperimentOp:
     def test_bad_experiment_config_is_rejected_invalid(self):
         from repro.machine.engine.simcache import get_sim_cache
 
+        bad = (
+            {"sim_cache_dir": "elsewhere"},
+            {"cores": 0},
+            {"shards": "x"},
+            {"shards": 2.5},
+            {"chunk_accesses": "5"},
+            {"scale": 0},
+            {"scale": "x"},
+        )
         memo = get_sim_cache()
         with BackgroundServer(ServeConfig()) as bg:
             with ServiceClient(bg.address) as client:
-                for config in ({"sim_cache_dir": "elsewhere"}, {"cores": 0}, {"shards": "x"}):
+                for config in bad:
                     with pytest.raises(ServiceError) as info:
                         client.run_experiment("fig4", config)
                     assert info.value.code == "invalid"
                 assert client.ping()
                 stats = client.stats()
-        assert stats["rejected"].get("invalid") == 3
+        assert stats["rejected"].get("invalid") == len(bad)
         assert "internal" not in stats["rejected"]
         assert get_sim_cache() is memo
