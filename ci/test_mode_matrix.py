@@ -37,7 +37,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
-from unittest import mock
 
 import pytest
 
@@ -60,10 +59,10 @@ _spec = importlib.util.spec_from_file_location(
 validate_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(validate_manifest)
 
-#: Options whose runner flag is a bare switch (only ``True`` has a flag).
+#: Options whose runner flag is a bare switch for ``True``.
 SWITCHES = ("stream", "plan", "predict")
-#: Options whose runner flag takes the value.
-VALUED = ("engine", "chunk_accesses", "shards", "cores")
+#: Options whose runner flag takes the value (``--stream serial`` too).
+VALUED = ("engine", "chunk_accesses", "shards", "cores", "stream")
 #: What tells the default's cold memo run from a ``--no-sim-cache`` variant.
 MEMO_KEYS = ("sim_cache", "sim_cache_dir")
 
@@ -74,22 +73,12 @@ class Run:
     manifest: dict[str, Any]
 
 
-def run_runner(
-    results_dir: Path, argv: list[str], injected: dict[str, Any] | None = None
-) -> Run:
+def run_runner(results_dir: Path, argv: list[str]) -> Run:
     """``runner.main(argv)`` in process: its stdout and its validated
-    manifest.  ``injected`` options have no runner flag, so they are set
-    on the config the runner builds."""
+    manifest."""
     simcache.configure_sim_cache()
-    patch = contextlib.nullcontext()
-    if injected:
-        patch = mock.patch.object(
-            runner,
-            "ExperimentConfig",
-            lambda **kw: ExperimentConfig(**{**kw, **injected}),
-        )
     out = io.StringIO()
-    with patch, contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out):
         code = runner.main([*argv, "--results-dir", str(results_dir)])
     log = out.getvalue()
     assert code == 0, log
@@ -102,19 +91,17 @@ def run_runner(
     return Run(log, manifest)
 
 
-def flags(options: dict[str, Any]) -> tuple[list[str], dict[str, Any]]:
-    """The runner flags that set ``options``, and the options no flag sets
-    (``stream="serial"``: ``--stream`` selects the overlap pipeline)."""
-    argv, injected = [], {}
+def flags(options: dict[str, Any]) -> list[str]:
+    """The runner flags that set ``options``."""
+    argv = []
     for key, value in options.items():
         flag = "--" + key.replace("_", "-")
         if key in SWITCHES and value is True:
             argv.append(flag)
-        elif key in VALUED:
-            argv += [flag, str(value)]
         else:
-            injected[key] = value
-    return argv, injected
+            assert key in VALUED, f"no runner flag sets {key}={value!r}"
+            argv += [flag, str(value)]
+    return argv
 
 
 def scale_flags(scale: int | None) -> list[str]:
@@ -240,9 +227,8 @@ CASES = [
     Case(("ladder", "fig1"), {"plan": True}, scale=16,
          expect=(r"plan \d+ pts/\d+ groups", r"[\d.]+x fewer accesses"),
          check=check_plan, warm=True),
-    # The serial pipeline records no stream telemetry; the config check
-    # shows it was selected.
-    Case(FIGS, {"stream": "serial", **CHUNK}),
+    # The serial pipeline hides none of its generation.
+    Case(FIGS, {"stream": "serial", **CHUNK}, expect=(r"stream \d+ chunks, 0% gen hidden",)),
     Case(FIGS, {"stream": True, **CHUNK}, expect=(r"stream \d+ chunks, \d+% gen hidden",)),
     Case(FIGS, {"cores": 1}, expect=(r"timing: 1 core",), warm=True),
     Case(FIGS, {"predict": True}, expect=(r"analytic \d+/\d+ predicted",),
@@ -254,11 +240,9 @@ CASES = [
 
 
 def run_variant(case: Case, defaults: Defaults, memo: list[str]) -> Run:
-    argv, injected = flags(case.options)
     return run_runner(
         defaults.results_dir(),
-        [*case.experiments, *argv, *scale_flags(case.scale), *memo],
-        injected,
+        [*case.experiments, *flags(case.options), *scale_flags(case.scale), *memo],
     )
 
 

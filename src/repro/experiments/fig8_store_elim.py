@@ -26,7 +26,7 @@ from ..interp.executor import MachineRun, execute
 from ..lang.program import Program
 from ..programs.paper_examples import fig7_original
 from ..transforms.store_elim import eliminate_stores
-from ..transforms.verify import verify_equivalent
+from ..transforms.verify import ReferenceRuns, verify_equivalent
 from .config import ExperimentConfig
 from .report import Table
 from .result import delta, experiment
@@ -71,8 +71,9 @@ def build_stages(n: int) -> tuple[Program, Program, Program]:
         original, Partitioning.of([{0, 1}]), graph, name="fig7_fused"
     )
     eliminated = eliminate_stores(fused, name="fig7_se")
-    verify_equivalent(original, fused, sizes=(5, 16))
-    verify_equivalent(original, eliminated, sizes=(5, 16))
+    reference = ReferenceRuns(original)
+    verify_equivalent(original, fused, sizes=(5, 16), reference=reference)
+    verify_equivalent(original, eliminated, sizes=(5, 16), reference=reference)
     if "res" in {  # the store must actually be gone
         w
         for s in eliminated.walk()

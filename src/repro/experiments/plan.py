@@ -82,7 +82,7 @@ from ..options import ExecOptions, current_options
 from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
 from ..trace.generator import TraceGenerator
-from ..trace.stream import prefetch_chunks
+from ..trace.stream import stream_chunks
 from .predict import _session as _predict_session, _spot_check
 
 #: Stable rule names, in the order the planner tries them.
@@ -486,9 +486,7 @@ def _capacity_group(
 def _feed_pass(
     roots: list[_TrieNode], gen: TraceGenerator, options: ExecOptions
 ) -> StreamTotals:
-    chunks = _timed_chunks(gen, options.chunk_accesses)
-    if options.stream in (True, "overlap"):
-        chunks = prefetch_chunks(chunks)
+    chunks = stream_chunks(_timed_chunks(gen, options.chunk_accesses), options.stream)
     n_chunks = accesses = flops = loads = stores = 0
     with phase(SIMULATE):
         for chunk in chunks:
@@ -594,9 +592,7 @@ def _multi_group(
     hierarchies = [build_hierarchy(pt.request.machine) for pt in pts]
 
     def one_pass() -> StreamTotals:
-        chunks = _timed_chunks(gen, options.chunk_accesses)
-        if options.stream in (True, "overlap"):
-            chunks = prefetch_chunks(chunks)
+        chunks = stream_chunks(_timed_chunks(gen, options.chunk_accesses), options.stream)
         with phase(SIMULATE):
             return Hierarchy.run_stream_multi(hierarchies, chunks)
 

@@ -249,9 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--stream",
-        action="store_true",
-        help="stream traces: chunked generation fused with simulation and "
-        "prefetched on a background thread (bounded memory, identical counters)",
+        nargs="?",
+        const=True,
+        default=False,
+        choices=("overlap", "serial"),
+        help="stream traces: chunked generation fused with simulation "
+        "(bounded memory, identical counters), prefetched on a background "
+        "thread (overlap, the default) or on the simulating one (serial)",
     )
     parser.add_argument(
         "--chunk-accesses",

@@ -44,7 +44,7 @@ from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
 from ..trace.events import Trace
 from ..trace.generator import TraceGenerator
-from ..trace.stream import prefetch_chunks
+from ..trace.stream import stream_chunks
 from .counters import HardwareCounters
 
 
@@ -284,16 +284,12 @@ def execute(
                 hierarchy = build_hierarchy(machine)
                 try:
                     for _ in range(warmup_passes):
-                        hierarchy.run_trace(
-                            trace.addresses, trace.is_write, spans=trace.spans
-                        )
+                        hierarchy.run_trace(trace.stream, spans=trace.spans)
                     if warmup_passes:
                         hierarchy.reset_stats()
 
                     for _ in range(passes):
-                        hierarchy.run_trace(
-                            trace.addresses, trace.is_write, spans=trace.spans
-                        )
+                        hierarchy.run_trace(trace.stream, spans=trace.spans)
                     if flush:
                         hierarchy.flush()
                     result = hierarchy.result()
@@ -438,9 +434,7 @@ def _execute_streamed(
     hierarchy = build_hierarchy(machine)
 
     def one_pass():
-        chunks = _timed_chunks(gen, chunk_accesses)
-        if stream in (True, "overlap"):
-            chunks = prefetch_chunks(chunks)
+        chunks = stream_chunks(_timed_chunks(gen, chunk_accesses), stream)
         # SIMULATE here is consumer wall-clock; with prefetch it runs
         # concurrently with TRACE_GEN, so phase sums can exceed elapsed.
         with phase(SIMULATE):

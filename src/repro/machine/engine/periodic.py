@@ -23,7 +23,11 @@ is simulated as usual when any one fails:
     row's equal one constant vector, and every row's write flags equal
     the first row's, over the template and every extrapolated window.
     Bytes, not lines: a 720 B row over 32 B lines moves lines by an
-    alternating 22/23, yet by exactly 45 set spans every 8 rows.
+    alternating 22/23, yet by exactly 45 set spans every 8 rows.  A span
+    on whole rows of one :class:`~repro.trace.events.Rows` part of its
+    width (a generated loop, or windows a level above extrapolated) holds
+    this by construction, so its rows are computed, not claimed: the
+    check is skipped and only the rows simulated are ever built.
 (b) **Shifts are well defined.**  Every line the template touches is
     touched by columns of one shift only.  A line resident when the
     template starts shifts by its columns' shift if the template touches
@@ -40,8 +44,10 @@ is simulated as usual when any one fails:
 
 The windows emitted from one template are, with it, a span of the
 engine's *output*: ``m + 1`` rows of the template's events, each event
-moved by a fixed delta per row.  :func:`run_spans` returns them as hints
-for the next level, which checks them like any other.  They repeat
+moved by a fixed delta per row.  :func:`run_spans` returns them as one
+:class:`~repro.trace.events.Rows` part of its output, never built, and
+as a hint for the next level, which therefore reads only the rows it
+simulates.  They repeat
 there only when the window's shift is a whole number of that level's set
 spans too, so :func:`link` gives each engine a *window span*, the lcm of
 its own set span and those of the set-associative levels it feeds, and
@@ -63,6 +69,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ...trace.events import LazyStream, Rows, part_len
 from ..cache import CacheStats
 
 if TYPE_CHECKING:
@@ -119,21 +126,20 @@ def link(upper, lowers: Sequence) -> None:
 
 def run_spans(
     engine: "SetAssociativeEngine",
-    addrs: np.ndarray,
-    writes: np.ndarray,
+    stream: LazyStream,
     collect: bool,
     spans: Sequence["Span"],
 ) -> tuple[list, list["Span"]]:
-    """Simulate ``addrs`` on ``engine``, extrapolating certified windows of
-    the hinted spans; returns the ordered event parts (joined by
-    :func:`join_parts`) and, when ``collect``, the spans of the joined
-    event stream that were emitted from a template: ``(offset, m + 1, E)``
-    for a template of E events and the m windows renamed from it.
-    Counters, events and end state are exactly those of simulating every
-    access."""
+    """Simulate ``stream`` on ``engine``, extrapolating certified windows
+    of the hinted spans; returns the ordered event parts (a
+    :class:`LazyStream`'s) and, when ``collect``, the spans of the event
+    stream that were emitted from a template: ``(offset, m + 1, E)`` for
+    a template of E events and the m windows renamed from it, one
+    :class:`Rows` part.  Counters, events and end state are exactly
+    those of simulating every access."""
     parts: list = []
     hints: list["Span"] = []
-    n = len(addrs)
+    n = len(stream)
     pos = 0
     # Outer spans first: a span that starts where its inner spans do
     # covers more, and inner spans after ``pos`` still get their turn.
@@ -143,22 +149,28 @@ def run_spans(
         trip = min(trip, (n - start) // width)
         if trip < 2:
             continue
-        rows = _window_rows(addrs, start, width, trip, engine)
+        step = stream.row_step(start, trip, width)
+        if step is None:
+            row0, row1 = stream.read(start, start + 2 * width)[0].reshape(2, width)
+            delta = row1 - row0
+        else:
+            delta = step
+        rows = _window_rows(delta, width, trip, engine)
         if rows is None:
             continue
-        span = _Span(engine, addrs, writes, start, trip, width, rows)
+        span = _Span(engine, stream, start, trip, width, rows, delta, step is not None)
         pos = span.run(collect, parts, pos, hints)
-    parts += engine._run_blocks(addrs[pos:], writes[pos:], collect)
+    parts += engine._run_blocks(stream, pos, n, collect)
     return parts, hints
 
 
 def _window_rows(
-    addrs: np.ndarray, start: int, width: int, trip: int, engine: "SetAssociativeEngine"
+    delta: np.ndarray, width: int, trip: int, engine: "SetAssociativeEngine"
 ) -> int | None:
-    """Rows per window: the least multiple of the period holding at least
-    ``_MIN_WINDOW`` accesses (and 8x the line capacity), or None when
-    that exceeds ``_MAX_WINDOW`` or ``trip`` holds fewer than the
-    engine's minimum of windows.
+    """Rows per window of a span whose rows move by ``delta``: the least
+    multiple of the period holding at least ``_MIN_WINDOW`` accesses (and
+    8x the line capacity), or None when that exceeds ``_MAX_WINDOW`` or
+    ``trip`` holds fewer than the engine's minimum of windows.
 
     The period is that of the engine's window span (its own set span and
     those of the set-associative levels it feeds) when ``trip`` holds at
@@ -167,7 +179,6 @@ def _window_rows(
     rows the levels below can repeat."""
     if width > _MAX_WINDOW:
         return None
-    delta = addrs[start + width : start + 2 * width] - addrs[start : start + width]
     common = int(np.gcd.reduce(delta))
     least = max(_MIN_WINDOW, 8 * engine.geometry.n_lines)
 
@@ -185,52 +196,6 @@ def _window_rows(
     if rows * width > _MAX_WINDOW or trip < engine._min_windows * rows:
         return None
     return rows
-
-
-class _Windows:
-    """The events of ``m`` windows renamed from a template's: window j's
-    are ``lines + j * step`` with the template's write flags.  Written
-    straight into the engine's joined output (:func:`join_parts`), never
-    built on their own."""
-
-    __slots__ = ("lines", "writes", "step", "m")
-
-    def __init__(self, lines: np.ndarray, writes: np.ndarray, step: np.ndarray, m: int):
-        self.lines, self.writes, self.step, self.m = lines, writes, step, m
-
-    def __len__(self) -> int:
-        return self.m * len(self.lines)
-
-    def fill(self, out_lines: np.ndarray, out_writes: np.ndarray) -> None:
-        rows = out_lines.reshape(self.m, len(self.lines))
-        np.multiply.outer(np.arange(1, self.m + 1, dtype=np.int64), self.step, out=rows)
-        rows += self.lines
-        out_writes.reshape(self.m, len(self.writes))[:] = self.writes
-
-
-def _length(part) -> int:
-    return len(part) if isinstance(part, _Windows) else len(part[0])
-
-
-def join_parts(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered event stream of :func:`run_spans`'s parts, allocated
-    once: extrapolated windows are written in place, not built and then
-    copied."""
-    if len(parts) == 1 and not isinstance(parts[0], _Windows):
-        return parts[0]
-    n = sum(_length(p) for p in parts)
-    out_lines = np.empty(n, dtype=np.int64)
-    out_writes = np.empty(n, dtype=bool)
-    pos = 0
-    for part in parts:
-        k = _length(part)
-        if isinstance(part, _Windows):
-            part.fill(out_lines[pos : pos + k], out_writes[pos : pos + k])
-        else:
-            out_lines[pos : pos + k] = part[0]
-            out_writes[pos : pos + k] = part[1]
-        pos += k
-    return out_lines, out_writes
 
 
 #: Sorted distinct lines and each one's shift in lines per window.
@@ -256,21 +221,29 @@ class _Span:
     def __init__(
         self,
         engine: "SetAssociativeEngine",
-        addrs: np.ndarray,
-        writes: np.ndarray,
+        stream: LazyStream,
         start: int,
         trip: int,
         width: int,
         rows: int,
+        delta: np.ndarray,
+        computed: bool,
     ):
         self.engine = engine
-        self.addrs, self.writes = addrs, writes
+        self.stream = stream
         self.start, self.trip, self.width, self.rows = start, trip, width, rows
-        self.table = addrs[start : start + trip * width].reshape(trip, width)
-        self.wtable = writes[start : start + trip * width].reshape(trip, width)
-        self.delta = self.table[1] - self.table[0]
-        self.good = 1  # leading rows known to repeat (check a)
+        self.delta = delta
+        # Leading rows known to repeat (check a): all of computed rows.
+        self.good = trip if computed else 1
+        self._table: tuple | None = None  # the span's rows, for check (a)
         self._check: tuple | None = None  # check (a)'s block buffers
+
+    def _rows(self, r0: int, r1: int) -> np.ndarray:
+        """Addresses of rows ``[r0, r1)``, ``(r1 - r0, width)``."""
+        if self._table is not None:
+            return self._table[0][r0 * self.width : r1 * self.width].reshape(-1, self.width)
+        lo = self.start + r0 * self.width
+        return self.stream.read(lo, lo + (r1 - r0) * self.width)[0].reshape(-1, self.width)
 
     def repeats_to(self, stop: int) -> int:
         """Extend check (a) towards row ``stop``; returns how many leading
@@ -280,16 +253,19 @@ class _Span:
             return stop
         width = self.width
         step = max(1, _CHECK_BLOCK // width)
+        if self._table is None:
+            # Only claimed rows get here: they are checked where they lie.
+            self._table = self.stream.read(self.start, self.start + self.trip * width)
         # Flat, so that every pass runs over one contiguous block rather
         # than broadcasting over rows a few accesses wide; against the
         # delta and the first row's flags tiled to a block.
-        t, w = self.table.reshape(-1), self.wtable.reshape(-1)
+        t, w = self._table
         if self._check is None:
             # Built once per span: fresh block-sized temporaries would
             # each be a fresh mapping, paid for in page faults.
             self._check = (
                 np.tile(self.delta, step),
-                np.tile(self.wtable[0], step),
+                np.tile(w[:width], step),
                 np.empty(step * width, dtype=np.int64),
                 np.empty(step * width, dtype=bool),
                 np.empty(step * width, dtype=bool),
@@ -323,7 +299,7 @@ class _Span:
         if row + 2 * P > self.trip or self.repeats_to(row) < row:
             row = 0
         lead = self.start + row * self.width
-        parts += eng._run_blocks(self.addrs[pos:lead], self.writes[pos:lead], collect)
+        parts += eng._run_blocks(self.stream, pos, lead, collect)
         for _ in range(_MAX_TRIES):
             if row + 2 * P > self.trip or self.repeats_to(row + 2 * P) < row + 2 * P:
                 break
@@ -331,7 +307,7 @@ class _Span:
             stats0 = [getattr(eng.stats, f) for f in _FIELDS]
             lo = self.start + row * self.width
             hi = lo + P * self.width
-            template = eng._run_blocks(self.addrs[lo:hi], self.writes[lo:hi], collect)
+            template = eng._run_blocks(self.stream, lo, hi, collect)
             parts += template
             row += P
             line1 = eng._res_line
@@ -362,7 +338,7 @@ class _Span:
         step = max(1, _CHECK_BLOCK // self.width)
         lines, shifts = [], []
         for r in range(row, row + self.rows, step):
-            block = self.table[r : min(row + self.rows, r + step)]
+            block = self._rows(r, min(row + self.rows, r + step))
             part = _unique_shifts(
                 (block >> ls).ravel(), np.broadcast_to(shift, block.shape).ravel()
             )
@@ -386,7 +362,8 @@ class _Span:
     ) -> None:
         """Windows 1..m after the template, without simulating them.  Their
         events are the template's, each moved by j times its line's shift
-        in window j: with the template, a span of m + 1 rows."""
+        in window j: with the template, a span of m + 1 rows, which
+        replaces the template's parts as one :class:`Rows` part."""
         eng = self.engine
         ulines, ushift = table
         st = eng.stats
@@ -403,9 +380,9 @@ class _Span:
             return
         ls = eng._line_shift
         step = ushift[np.searchsorted(ulines, ev_lines >> ls)] << ls
-        n_out = sum(_length(p) for p in parts)
-        hints.append((n_out - len(ev_lines), m + 1, len(ev_lines)))
-        parts.append(_Windows(ev_lines, ev_writes, step, m))
+        del parts[len(parts) - len(template) :]
+        hints.append((sum(part_len(p) for p in parts), m + 1, len(ev_lines)))
+        parts.append(Rows(ev_lines, ev_writes, step, m + 1))
 
 
 def _certify(table: _Table, line0: np.ndarray, line1: np.ndarray, m: int) -> _Table | None:

@@ -52,17 +52,19 @@ are contiguous-group-local and no per-set loop is ever needed:
   per-call overhead instead.  State carries exactly across calls, so a
   block is just one more call and the event streams concatenate.
 * **Periodic extrapolation**: given the trace's loop-span hints
-  (``spans``, from :attr:`Trace.spans`), ``run`` hands the batch to
-  :func:`~repro.machine.engine.periodic.run_spans`, which simulates a
-  hinted loop window by window until one window provably repeats (the
-  state after it is the state before it with every line moved by whole
-  set spans), then emits the remaining whole windows from that template:
-  counters times the window count, events and end state renamed.  Every
-  hint is checked against the addresses, so a wrong or missing one only
-  costs time.  The emitted windows come back through ``out_spans`` as
-  hints for the next level's input, and a level linked above other
-  set-associative levels (``periodic.link``) picks windows they can
-  repeat too.
+  (``spans``, from :attr:`Trace.spans`), ``run`` hands the batch (plain
+  arrays, or a :class:`~repro.trace.events.LazyStream` read a block at a
+  time) to :func:`~repro.machine.engine.periodic.run_spans`, which
+  simulates a hinted loop window by window until one window provably
+  repeats (the state after it is the state before it with every line
+  moved by whole set spans), then emits the remaining whole windows from
+  that template: counters times the window count, events and end state
+  renamed.  Every hint is checked against the addresses, unless it lies
+  on rows a lazy stream computes, so a wrong or missing one only costs
+  time.  The emitted windows come back as one unbuilt ``Rows`` part of
+  the event stream and through ``out_spans`` as hints for the next
+  level's input, and a level linked above other set-associative levels
+  (``periodic.link``) picks windows they can repeat too.
 * **The ordered event stream** (victim writeback then miss fill, in
   trace order) falls out of the head positions: each head carries its
   index in the block through the grouping sort, one sort restores
@@ -83,6 +85,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import MachineError
+from ...trace.events import LazyStream
 from ..cache import CacheGeometry
 from .base import BaseEngine
 from .distinct import reuse_distances
@@ -138,29 +141,42 @@ class SetAssociativeEngine(BaseEngine):
     # -- batch simulation -----------------------------------------------------
     def run(
         self,
-        byte_addrs: np.ndarray,
-        is_write: np.ndarray,
+        byte_addrs: np.ndarray | LazyStream,
+        is_write: np.ndarray | None,
         collect_events: bool = True,
         spans: tuple = (),
         out_spans: list | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        byte_addrs = np.asarray(byte_addrs, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        parts, hints = periodic.run_spans(self, byte_addrs, is_write, collect_events, spans)
+    ) -> tuple[np.ndarray, np.ndarray] | LazyStream:
+        """As :meth:`BaseEngine.run`; ``byte_addrs`` may also be a
+        :class:`LazyStream` (``is_write`` None), which is read only where
+        simulated, and the events then come back as one, their
+        extrapolated windows unbuilt."""
+        if isinstance(byte_addrs, LazyStream):
+            stream = byte_addrs
+        else:
+            stream = LazyStream.of(
+                np.asarray(byte_addrs, dtype=np.int64), np.asarray(is_write, dtype=bool)
+            )
+        parts, hints = periodic.run_spans(self, stream, collect_events, spans)
         if out_spans is not None:
             out_spans += hints
-        if not collect_events or not parts:
+        events = LazyStream(parts if collect_events else ())
+        if isinstance(byte_addrs, LazyStream):
+            return events
+        if not len(events):
             return _EMPTY_EVENTS
-        return periodic.join_parts(parts)
+        return events.arrays()
 
     def _run_blocks(
-        self, byte_addrs: np.ndarray, is_write: np.ndarray, collect_events: bool
+        self, stream: LazyStream, lo: int, hi: int, collect_events: bool
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        # State carries exactly across blocks, so a block is one more call.
+        """Accesses ``[lo, hi)`` of ``stream``, read and simulated a block
+        at a time; state carries exactly across blocks, so a block is one
+        more call."""
         block = self._block
         return [
-            self._run_block(byte_addrs[s : s + block], is_write[s : s + block], collect_events)
-            for s in range(0, len(byte_addrs), block)
+            self._run_block(*stream.read(s, min(hi, s + block)), collect_events)
+            for s in range(lo, hi, block)
         ]
 
     def _run_block(

@@ -66,6 +66,7 @@ import numpy as np
 
 from ...errors import MachineError
 from ...options import override_options
+from ...trace.events import LazyStream
 from ..cache import Cache
 from ..hierarchy import DEFAULT_CHUNK, Hierarchy, HierarchyResult
 from ..spec import MachineSpec
@@ -296,9 +297,10 @@ class ShardedHierarchy(Hierarchy):
 
     # -- Hierarchy interface ------------------------------------------------
 
-    def _run_levels(self, addrs: np.ndarray, writes: np.ndarray, spans=()) -> None:
+    def _run_levels(self, stream: LazyStream, spans=()) -> None:
         # Span hints describe the whole stream, not a shard's share: dropped.
         self._require_workers()
+        addrs, writes = stream.arrays()
         key = addrs >> self._key_shift
         if self._mask is not None:
             key = key & self._mask

@@ -7,6 +7,12 @@ exactly the traffic the paper measures with hardware counters:
 
     L1↔L2 bytes  = (L1 misses + L1 writebacks) × L1 line size
     L2↔Mem bytes = (L2 misses + L2 writebacks) × L2 line size
+
+Streams pass between levels as :class:`~repro.trace.events.LazyStream`:
+a set-associative level reads one a block at a time and returns its
+events as one, with the windows it extrapolated left unbuilt, so the
+level below reads only the rows it simulates.  Any other engine gets
+(and returns) plain arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..trace.events import Span, slice_spans
+from ..trace.events import LazyStream, Span, slice_spans
 from .cache import Cache, CacheStats
 from .engine import periodic, telemetry
 from .spec import MachineSpec
@@ -65,6 +71,16 @@ class StreamTotals:
 DEFAULT_CHUNK = 4 << 20
 
 
+def _run_level(
+    cache: Cache, stream: LazyStream, collect: bool, spans: tuple[Span, ...], hints: list
+) -> LazyStream:
+    """One level's ``run``: only the set-associative engine reads a lazy
+    stream, so every other level is handed the stream's arrays."""
+    if cache.engine == "setassoc":
+        return cache.run(stream, None, collect, spans, hints)
+    return LazyStream.of(*cache.run(*stream.arrays(), collect, spans, hints))
+
+
 class Hierarchy:
     """A stack of caches fed by element-granularity address traces."""
 
@@ -88,9 +104,7 @@ class Hierarchy:
     ) -> "Hierarchy":
         return cls(spec.build_caches(engine), chunk_size)
 
-    def _run_levels(
-        self, addrs: np.ndarray, writes: np.ndarray, spans: tuple[Span, ...] = ()
-    ) -> None:
+    def _run_levels(self, stream: LazyStream, spans: tuple[Span, ...] = ()) -> None:
         last = len(self.caches) - 1
         measure = telemetry.collecting()
         for i, cache in enumerate(self.caches):
@@ -100,35 +114,45 @@ class Hierarchy:
             # the hints the level above derived for its events.
             hints: list[Span] = []
             if measure:
-                n = len(addrs)
+                n = len(stream)
                 start = time.perf_counter()
-                addrs, writes = cache.run(addrs, writes, i < last, spans, hints)
+                stream = _run_level(cache, stream, i < last, spans, hints)
                 telemetry.record_level(
                     cache.name, cache.engine, n, time.perf_counter() - start
                 )
             else:
-                addrs, writes = cache.run(addrs, writes, i < last, spans, hints)
+                stream = _run_level(cache, stream, i < last, spans, hints)
             spans = tuple(hints)
 
     def run_trace(
         self,
-        byte_addrs: np.ndarray,
-        is_write: np.ndarray,
+        byte_addrs: np.ndarray | LazyStream,
+        is_write: np.ndarray | None = None,
         chunk_size: int | None = None,
         spans: tuple[Span, ...] = (),
     ) -> None:
-        """Push one ordered access stream through all levels (no flush).
-        ``spans`` are the stream's loop-span hints (``Trace.spans``)."""
+        """Push one ordered access stream through all levels (no flush):
+        address and write-flag arrays, or a :class:`LazyStream` such as
+        ``Trace.stream`` (``is_write`` None), which a set-associative
+        first level reads only where it simulates.  ``spans`` are the
+        stream's loop-span hints (``Trace.spans``)."""
+        if isinstance(byte_addrs, LazyStream):
+            stream = byte_addrs
+        else:
+            stream = LazyStream.of(
+                np.asarray(byte_addrs, dtype=np.int64), np.asarray(is_write, dtype=bool)
+            )
+        if self.caches[0].engine != "setassoc":
+            # Joined once, and kept by the caller's stream across passes.
+            stream = LazyStream.of(*stream.arrays())
         chunk = chunk_size or self.chunk_size
-        n = len(byte_addrs)
+        n = len(stream)
         if n <= chunk:
-            self._run_levels(byte_addrs, is_write, spans)
+            self._run_levels(stream, spans)
             return
         for start in range(0, n, chunk):
             self._run_levels(
-                byte_addrs[start : start + chunk],
-                is_write[start : start + chunk],
-                slice_spans(spans, start, start + chunk),
+                stream.slice(start, start + chunk), slice_spans(spans, start, start + chunk)
             )
 
     def run_stream(self, chunks: Iterable["Trace"]) -> "StreamTotals":

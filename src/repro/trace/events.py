@@ -2,8 +2,17 @@
 
 A :class:`Trace` is the ordered element-granularity access stream of one
 program run, plus the executed operation counts the balance model needs
-(flops, element loads/stores). Traces are plain NumPy arrays so the cache
-simulator can consume them directly.
+(flops, element loads/stores).
+
+The stream is held as a :class:`LazyStream`: a sequence of *parts*, each
+either plain ``(addresses, write flags)`` arrays or :class:`Rows`, the
+``trip`` rows of one guard-free loop kept as row 0, a per-column byte
+step and a trip count (row ``r`` is row 0 plus ``r`` steps).
+:attr:`Trace.addresses` and :attr:`Trace.is_write` join the parts into
+plain NumPy arrays on first read and keep them, so any consumer that
+reads the arrays works unchanged.  The set-associative engine instead
+reads the stream a range at a time (:meth:`LazyStream.read`), so the rows
+it extrapolates are never built; see :mod:`repro.machine.engine.periodic`.
 
 A trace may also carry ``spans``: hints, each ``(start, trip, width)``,
 naming ``trip`` consecutive rows of ``width`` accesses from ``start`` that
@@ -12,16 +21,18 @@ previous one with every column's address moved by a fixed byte delta.
 The set-associative engine uses them to find periodic stretches it may
 extrapolate (:mod:`repro.machine.engine.periodic`), and derives hints of
 the same form for the event stream it sends on, so hints reach every
-level of a hierarchy, not only the first.  Every engine verifies every
-hint against the addresses, so a wrong or missing hint costs time, never
-a counter; :meth:`Trace.concat`, :meth:`Trace.repeated` and
+level of a hierarchy, not only the first.  A hint on whole rows of one
+:class:`Rows` part of its width holds by construction; every other hint
+is verified against the addresses, so a wrong or missing hint costs
+time, never a counter.  :meth:`Trace.concat`, :meth:`Trace.repeated` and
 :func:`concat_traces` drop them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -29,25 +40,232 @@ import numpy as np
 Span = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Ordered access stream of one program execution."""
+class Rows:
+    """``trip`` rows of a repeating loop, built only when read: row ``r``
+    is ``base + r * step`` (int64 byte addresses), and every row has the
+    write flags ``writes``."""
 
-    addresses: np.ndarray  # int64 byte addresses, element granularity
-    is_write: np.ndarray  # bool, parallel to addresses
-    flops: int
-    loads: int  # executed array-element reads
-    stores: int  # executed array-element writes
-    spans: tuple[Span, ...] = ()  # loop-span hints, sorted by start
+    __slots__ = ("base", "writes", "step", "trip")
 
-    def __post_init__(self) -> None:
-        assert self.addresses.dtype == np.int64
-        assert self.is_write.dtype == np.bool_
-        assert len(self.addresses) == len(self.is_write)
-        assert self.loads + self.stores == len(self.addresses)
+    def __init__(self, base: np.ndarray, writes: np.ndarray, step: np.ndarray, trip: int):
+        self.base, self.writes, self.step, self.trip = base, writes, step, trip
+
+    @property
+    def width(self) -> int:
+        return len(self.base)
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return self.trip * len(self.base)
+
+    def fill(self, out_addrs: np.ndarray, out_writes: np.ndarray, first: int = 0) -> None:
+        """Write rows ``first, first + 1, ...`` into the flat buffers
+        (whole rows: their length is a multiple of the width)."""
+        rows = out_addrs.reshape(-1, self.width)
+        np.multiply.outer(np.arange(first, first + len(rows), dtype=np.int64), self.step, out=rows)
+        rows += self.base
+        out_writes.reshape(rows.shape)[:] = self.writes
+
+    def read(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Accesses ``[lo, hi)``, built."""
+        addrs = np.empty(hi - lo, dtype=np.int64)
+        writes = np.empty(hi - lo, dtype=np.bool_)
+        self.read_into(lo, hi, addrs, writes)
+        return addrs, writes
+
+    def read_into(self, lo: int, hi: int, out_addrs: np.ndarray, out_writes: np.ndarray) -> None:
+        """Build accesses ``[lo, hi)`` into the buffers: a cut first row,
+        whole rows, a cut last row."""
+        width = self.width
+        row, col = divmod(lo, width)
+        k = 0
+        if col:
+            n = min(width - col, hi - lo)
+            np.multiply(self.step[col : col + n], row, out=out_addrs[:n])
+            out_addrs[:n] += self.base[col : col + n]
+            out_writes[:n] = self.writes[col : col + n]
+            k, row = n, row + 1
+        whole = (hi - lo - k) // width * width
+        if whole:
+            self.fill(out_addrs[k : k + whole], out_writes[k : k + whole], row)
+            k, row = k + whole, row + whole // width
+        n = hi - lo - k
+        if n:
+            np.multiply(self.step[:n], row, out=out_addrs[k:])
+            out_addrs[k:] += self.base[:n]
+            out_writes[k:] = self.writes[:n]
+
+    def slice(self, lo: int, hi: int) -> list:
+        """Accesses ``[lo, hi)`` as parts: a cut first row and a cut last
+        row as plain arrays, the whole rows between as :class:`Rows`."""
+        width = self.width
+        first, last = -(-lo // width), hi // width
+        if first >= last:
+            return [self.read(lo, hi)]
+        parts: list = []
+        if lo < first * width:
+            parts.append(self.read(lo, first * width))
+        parts.append(Rows(self.base + first * self.step, self.writes, self.step, last - first))
+        if last * width < hi:
+            parts.append(self.read(last * width, hi))
+        return parts
+
+
+#: One part of a :class:`LazyStream`: plain arrays, or computed rows.
+Part = Union[tuple[np.ndarray, np.ndarray], Rows]
+
+
+def part_len(part: Part) -> int:
+    """Accesses in one part of a :class:`LazyStream`."""
+    return len(part) if isinstance(part, Rows) else len(part[0])
+
+
+class LazyStream:
+    """An ordered access stream held as parts (plain arrays and
+    :class:`Rows`), read a range at a time or joined once."""
+
+    __slots__ = ("parts", "_starts", "_joined")
+
+    def __init__(self, parts: Sequence[Part] = ()):
+        self.parts = [p for p in parts if part_len(p)]
+        self._starts = list(accumulate((part_len(p) for p in self.parts), initial=0))
+        self._joined: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def of(cls, addrs: np.ndarray, writes: np.ndarray) -> "LazyStream":
+        """The stream of plain arrays (already joined)."""
+        stream = cls([(addrs, writes)])
+        stream._joined = (addrs, writes)
+        return stream
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def read(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Accesses ``[lo, hi)``: views where they lie in one array part,
+        else built (only the rows of a :class:`Rows` part they touch)."""
+        if self._joined is not None:
+            return self._joined[0][lo:hi], self._joined[1][lo:hi]
+        i = bisect_right(self._starts, lo) - 1
+        if i < len(self.parts) and hi <= self._starts[i + 1]:
+            part, start = self.parts[i], self._starts[i]
+            if isinstance(part, Rows):
+                return part.read(lo - start, hi - start)
+            return part[0][lo - start : hi - start], part[1][lo - start : hi - start]
+        addrs = np.empty(hi - lo, dtype=np.int64)
+        writes = np.empty(hi - lo, dtype=np.bool_)
+        k = 0
+        while lo < hi:
+            part, start = self.parts[i], self._starts[i]
+            stop = min(hi, self._starts[i + 1])
+            n = stop - lo
+            if isinstance(part, Rows):
+                part.read_into(lo - start, stop - start, addrs[k : k + n], writes[k : k + n])
+            else:
+                addrs[k : k + n] = part[0][lo - start : stop - start]
+                writes[k : k + n] = part[1][lo - start : stop - start]
+            lo, k, i = stop, k + n, i + 1
+        return addrs, writes
+
+    def slice(self, lo: int, hi: int) -> "LazyStream":
+        """Accesses ``[lo, hi)`` as a stream, still lazy where this one is
+        (and reading views of its arrays once they are joined)."""
+        parts: list = []
+        for part, start, stop in zip(self.parts, self._starts, self._starts[1:]):
+            a, b = max(lo, start) - start, min(hi, stop) - start
+            if a >= b:
+                continue
+            if isinstance(part, Rows):
+                parts += part.slice(a, b)
+            else:
+                parts.append((part[0][a:b], part[1][a:b]))
+        sub = LazyStream(parts)
+        if self._joined is not None:
+            sub._joined = self.read(lo, hi)
+        return sub
+
+    def row_step(self, start: int, trip: int, width: int) -> np.ndarray | None:
+        """The per-row byte step of rows ``[start, start + trip * width)``
+        when they are whole rows of one :class:`Rows` part of that width,
+        so repeat by construction; else None."""
+        i = bisect_right(self._starts, start) - 1
+        if not 0 <= i < len(self.parts):
+            return None
+        part, offset = self.parts[i], start - self._starts[i]
+        if (
+            isinstance(part, Rows)
+            and part.width == width
+            and offset % width == 0
+            and offset + trip * width <= len(part)
+        ):
+            return part.step
+        return None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole stream as plain arrays, joined on the first call and
+        kept; array parts become views of them, so no second copy stays."""
+        if self._joined is None and len(self.parts) == 1 and not isinstance(self.parts[0], Rows):
+            self._joined = self.parts[0]
+        if self._joined is None:
+            addrs = np.empty(len(self), dtype=np.int64)
+            writes = np.empty(len(self), dtype=np.bool_)
+            for k, (start, stop) in enumerate(zip(self._starts, self._starts[1:])):
+                part = self.parts[k]
+                if isinstance(part, Rows):
+                    part.fill(addrs[start:stop], writes[start:stop])
+                else:
+                    addrs[start:stop], writes[start:stop] = part
+                    self.parts[k] = (addrs[start:stop], writes[start:stop])
+            self._joined = (addrs, writes)
+        return self._joined
+
+
+class Trace:
+    """Ordered access stream of one program execution.
+
+    Built from plain arrays, or with :meth:`lazy` from a
+    :class:`LazyStream` whose arrays are joined on first read.
+    """
+
+    def __init__(
+        self,
+        addresses: np.ndarray,
+        is_write: np.ndarray,
+        flops: int,
+        loads: int,  # executed array-element reads
+        stores: int,  # executed array-element writes
+        spans: tuple[Span, ...] = (),  # loop-span hints, sorted by start
+    ):
+        assert addresses.dtype == np.int64
+        assert is_write.dtype == np.bool_
+        assert len(addresses) == len(is_write)
+        self._init(LazyStream.of(addresses, is_write), flops, loads, stores, spans)
+
+    @classmethod
+    def lazy(
+        cls, stream: LazyStream, flops: int, loads: int, stores: int, spans: tuple[Span, ...] = ()
+    ) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._init(stream, flops, loads, stores, spans)
+        return trace
+
+    def _init(self, stream: LazyStream, flops: int, loads: int, stores: int, spans) -> None:
+        assert loads + stores == len(stream)
+        self.stream = stream
+        self.flops, self.loads, self.stores = flops, loads, stores
+        self.spans: tuple[Span, ...] = spans
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """int64 byte addresses, element granularity (joined on first read)."""
+        return self.stream.arrays()[0]
+
+    @property
+    def is_write(self) -> np.ndarray:
+        """bool, parallel to :attr:`addresses`."""
+        return self.stream.arrays()[1]
+
+    def __len__(self) -> int:
+        return len(self.stream)
 
     @property
     def register_bytes(self) -> int:
@@ -57,10 +275,10 @@ class Trace:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this trace occupies in memory (9 per access: int64
+        """Bytes this trace occupies as plain arrays (9 per access: int64
         address + bool write flag) — the quantity the streaming pipeline
         bounds per chunk instead of paying for the whole run."""
-        return self.addresses.nbytes + self.is_write.nbytes
+        return 9 * len(self)
 
     def concat(self, other: "Trace") -> "Trace":
         return Trace(

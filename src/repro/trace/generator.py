@@ -27,10 +27,10 @@ which is its body's block one grid axis deeper. A leaf broadcasts each
 reference's open-grid subscripts straight into its column
 (:meth:`MemoryLayout.element_addresses` with ``out=``), so every address
 is computed once and written once. For a guard-free top-level statement
-the destination *is* the statement's span of the output trace; a guarded
-one builds, slab by slab along its outermost loop, into a scratch block
-plus activity mask, and each slab's active accesses are compacted into
-the span.
+the destination *is* the statement's buffer (or its first two rows); a
+guarded one builds, slab by slab along its outermost loop, into a
+scratch block plus activity mask, and each slab's active accesses are
+compacted into the buffer.
 
 **Validation** (``validate=True``) checks every subscript against its
 array extent on the same open-grid arrays: over a non-empty grid a
@@ -47,18 +47,27 @@ use enclosing loop variables, which is what tiled loops produce.
 down, each row's inner loops of at least ``_DESCENT_ACCESSES`` accesses.
 The widths come from the same sizing the counting pass does, so hints
 cost no address work; the set-associative engine verifies them before
-it extrapolates anything.
+it extrapolates anything, except where a hint lies on whole rows of a
+lazy loop, which repeat by construction.
 
 Two generation modes share the machinery:
 
-* :meth:`TraceGenerator.generate` materializes the whole trace into one
-  output buffer, pre-sized by a counting pass (the same walk with no
-  destination), so peak memory is the trace plus at most one guarded
-  slab's scratch block;
+* :meth:`TraceGenerator.generate` returns a *lazy* trace: every
+  guard-free top-level loop of at least ``_LAZY_TRIP`` rows is kept as
+  :class:`~repro.trace.events.Rows` (row 0, a per-column byte step and
+  the trip count; subscripts and lower bounds are affine and trip counts
+  grid-invariant, so row ``r`` is row 0 plus ``r`` steps), built from its
+  first two rows after a check-only walk (:data:`_CHECK`) over its first
+  and last rows validates the whole grid; every other statement is generated into its own buffer,
+  sized by a counting pass (the same walk with no destination).  The
+  set-associative engine reads such a trace a block at a time and builds
+  only the rows it simulates; reading ``Trace.addresses`` joins the parts
+  once, so peak memory is then the trace plus at most one part;
 * :meth:`TraceGenerator.chunks` *streams* the trace: the iteration grid
   is sliced along each top-level loop's outermost axis and the slices
-  are yielded as :class:`Trace` chunks in exact execution order, so the
-  full row matrix never exists — peak memory is O(chunk), not O(trace).
+  are yielded as plain :class:`Trace` chunks in exact execution order,
+  so the full row matrix never exists — peak memory is O(chunk), not
+  O(trace).
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from ..lang.expr import ArrayRef, array_refs, flop_count
 from ..lang.program import Program
 from ..lang.stmt import Assign, ExternalRead, If, Loop, Stmt
 from ..machine.layout import MemoryLayout, build_layout
-from .events import EMPTY_TRACE, Span, Trace
+from .events import EMPTY_TRACE, LazyStream, Part, Rows, Span, Trace
 
 #: Default accesses per streamed chunk (~36 MB of trace at 9 B/access).
 DEFAULT_CHUNK_ACCESSES = 4 << 20
@@ -88,6 +97,12 @@ _GUARDED_SLAB_ACCESSES = 1 << 17
 #: per outer row) only when it generates at least this many accesses:
 #: shorter inner loops cost more to check than extrapolation can save.
 _DESCENT_ACCESSES = 1 << 15
+
+#: Fewest rows for :meth:`TraceGenerator.generate` to keep a guard-free
+#: top-level loop as :class:`Rows`.  Those hold two rows (row 0 and the
+#: step), so a loop of this many rows costs at most a quarter more memory
+#: once joined into plain arrays; a shorter one is generated whole.
+_LAZY_TRIP = 8
 
 #: Executed (flops, loads, stores) of a statement over its grid.
 _Counts = tuple[int, int, int]
@@ -117,14 +132,17 @@ class _Dest:
     ``addrs`` is ``(*grid, width)`` int64 and ``writes`` is ``(width,)``
     bool (a column's write flag is the same in every row). ``active`` is
     None when every generated access executes (no guard anywhere in the
-    top-level statement), else ``(*grid, width)`` bool.
+    top-level statement), else ``(*grid, width)`` bool.  All three None
+    (:data:`_CHECK`) makes the walk validate subscripts and write nothing.
     """
 
-    addrs: np.ndarray
-    writes: np.ndarray
+    addrs: np.ndarray | None
+    writes: np.ndarray | None
     active: np.ndarray | None
 
     def columns(self, start: int, stop: int) -> "_Dest":
+        if self.addrs is None:
+            return self
         return _Dest(
             self.addrs[..., start:stop],
             self.writes[start:stop],
@@ -135,6 +153,8 @@ class _Dest:
         """The ``(*grid, count * width)`` block of a loop as its body's
         ``(*grid, count, width)`` block. ``writes`` is the first
         iteration's; :meth:`repeat_writes` fills the rest afterwards."""
+        if self.addrs is None:
+            return self
         grid, total = self.addrs.shape[:-1], self.addrs.shape[-1]
         shape = grid + (count, total // count)
         return _Dest(
@@ -144,8 +164,16 @@ class _Dest:
         )
 
     def repeat_writes(self, count: int) -> None:
+        if self.writes is None:
+            return
         rows = _view(self.writes, (count, self.writes.size // count))
         rows[1:] = rows[0]
+
+
+#: The destination of a walk that validates every subscript over the
+#: iterations it walks, as generating them would, without computing an
+#: address.
+_CHECK = _Dest(None, None, None)
 
 
 class TraceGenerator:
@@ -162,36 +190,55 @@ class TraceGenerator:
         self.params = program.bind_params(params)
         self.layout = layout or build_layout(program, self.params)
         self.validate = validate
+        # Every walk asks for the widths of the statements it visits; the
+        # program's statements are immutable and outlive the generator's
+        # walks, so each is sized once.
+        self._widths: dict[int, int] = {}
 
     # -- public API ----------------------------------------------------------
     def generate(self) -> Trace:
-        """The full program trace.
+        """The full program trace, lazily where loops repeat.
 
-        A counting pass (the build walk without a destination) sizes
-        each top-level statement's span of one output buffer. A
-        guard-free statement then generates straight into its span; a
-        guarded one is generated slab by slab along its outermost loop
-        (as :meth:`chunks` does) and each compacted slab copied into the
-        span, so its scratch stays O(slab). Peak memory is the final
-        trace plus that slab.
+        A guard-free top-level loop of at least ``_LAZY_TRIP`` rows is
+        kept as :class:`Rows`: its subscripts and lower bounds are affine
+        and its trip counts grid-invariant, so every address is affine in
+        the loop variable and row ``r`` is row 0 plus ``r`` times the step
+        from row 0 to row 1; only those two rows are generated (after a
+        walk that validates the whole grid, as generating it would).
+        Any other statement gets its own buffer, sized by a counting pass
+        (the build walk without a destination): a guard-free one
+        generates straight into it, a guarded one slab by slab along its
+        outermost loop (as :meth:`chunks` does), each compacted slab
+        copied in, so its scratch stays O(slab).  Reading the trace's
+        arrays joins the parts once.
         """
         body = self.program.body
         if not body:
             return EMPTY_TRACE
         counts = [self._build_one(stmt, (), dict(self.params), None, None) for stmt in body]
-        flops, loads, stores = (sum(c) for c in zip(*counts))
-        addrs = np.empty(loads + stores, dtype=np.int64)
-        writes = np.empty(loads + stores, dtype=np.bool_)
+        parts: list[Part] = []
         spans: list[Span] = []
         pos = 0
-        for stmt in body:
-            slabs = self._slabs(stmt, _GUARDED_SLAB_ACCESSES) if _guarded(stmt) else [None]
-            for step_range in slabs:
-                piece = self._statement(stmt, step_range, out=(addrs[pos:], writes[pos:]))
-                spans.extend((start + pos, trip, width) for start, trip, width in piece.spans)
-                pos += len(piece)
-        assert pos == len(addrs), f"counting pass sized {len(addrs)}, emitted {pos}"
-        return Trace(addrs, writes, flops, loads, stores, tuple(spans))
+        for stmt, (_, loads, stores) in zip(body, counts):
+            n = loads + stores
+            guarded = _guarded(stmt)
+            if isinstance(stmt, Loop) and not guarded and n and self._trip(stmt) >= _LAZY_TRIP:
+                part = self._rows(stmt)
+                piece_spans = self._spans(stmt, part.trip)
+            else:
+                part = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.bool_))
+                piece_spans = []
+                at = 0
+                for steps in self._slabs(stmt, _GUARDED_SLAB_ACCESSES) if guarded else [None]:
+                    piece = self._statement(stmt, steps, out=(part[0][at:], part[1][at:]))
+                    piece_spans += [(start + at, trip, width) for start, trip, width in piece.spans]
+                    at += len(piece)
+                assert at == n, f"counting pass sized {n}, emitted {at}"
+            spans.extend((start + pos, trip, width) for start, trip, width in piece_spans)
+            parts.append(part)
+            pos += n
+        flops, loads, stores = (sum(c) for c in zip(*counts))
+        return Trace.lazy(LazyStream(parts), flops, loads, stores, tuple(spans))
 
     def chunks(self, max_accesses: int = DEFAULT_CHUNK_ACCESSES) -> Iterator[Trace]:
         """The program trace as a stream of execution-ordered chunks.
@@ -207,8 +254,8 @@ class TraceGenerator:
         if max_accesses <= 0:
             raise ValueError("max_accesses must be positive")
         for stmt in self.program.body:
-            for step_range in self._slabs(stmt, max_accesses):
-                trace = self._statement(stmt, step_range)
+            for steps in self._slabs(stmt, max_accesses):
+                trace = self._statement(stmt, steps)
                 if len(trace) or trace.flops:
                     yield trace
 
@@ -218,7 +265,7 @@ class TraceGenerator:
         return self._statement(self.program.body[index])
 
     # -- top-level statements --------------------------------------------------
-    def _slabs(self, stmt: Stmt, budget: int) -> Iterator[tuple[int, int] | None]:
+    def _slabs(self, stmt: Stmt, budget: int) -> Iterator[range | None]:
         """Iteration ranges ``[start, stop)`` of a top-level loop's
         outermost axis, each generating at most ``budget`` accesses (one
         iteration at least: the slicing granularity); a single None (the
@@ -230,18 +277,18 @@ class TraceGenerator:
             if trip and width:
                 rows = max(1, budget // width)
                 for start in range(0, trip, rows):
-                    yield (start, min(trip, start + rows))
+                    yield range(start, min(trip, start + rows))
                 return
         yield None
 
     def _statement(
         self,
         stmt: Stmt,
-        step_range: tuple[int, int] | None = None,
+        steps: range | None = None,
         out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> Trace:
-        """Trace of one top-level statement, or of iterations ``[start,
-        stop)`` of a top-level loop when ``step_range`` is given.
+        """Trace of one top-level statement, or of the iterations ``steps``
+        of a top-level loop when given.
 
         With ``out`` (address and write-flag buffers at least that long)
         the trace is written into their prefix and views of it are
@@ -249,14 +296,14 @@ class TraceGenerator:
         guarded one generates into a scratch block with an activity mask
         and compacts the active accesses there.
         """
-        if step_range is None:
+        if steps is None:
             width = self._width(stmt)
         else:
-            width = (step_range[1] - step_range[0]) * self._body_width(stmt.body)
+            width = len(steps) * self._body_width(stmt.body)
         guarded = _guarded(stmt)
         spans: tuple[Span, ...] = ()
         if isinstance(stmt, Loop) and not guarded and width:
-            rows = self._trip(stmt) if step_range is None else step_range[1] - step_range[0]
+            rows = self._trip(stmt) if steps is None else len(steps)
             spans = self._spans(stmt, rows)
         if out is None or guarded:
             dest = _Dest(
@@ -267,11 +314,11 @@ class TraceGenerator:
         else:
             dest = _Dest(out[0][:width], out[1][:width], None)
         env: dict[str, np.ndarray | int] = dict(self.params)
-        if step_range is None:
+        if steps is None:
             counts = self._build_one(stmt, (), env, None, dest)
         else:
             assert isinstance(stmt, Loop)
-            counts = self._build_loop(stmt, (), env, None, dest, step_range)
+            counts = self._build_loop(stmt, (), env, None, dest, steps)
         addrs, writes = dest.addrs, dest.writes
         if dest.active is not None:
             addrs, writes = addrs[dest.active], writes[dest.active]
@@ -280,6 +327,23 @@ class TraceGenerator:
                 out[0][:n], out[1][:n] = addrs, writes
                 addrs, writes = out[0][:n], out[1][:n]
         return Trace(addrs, writes, *counts, spans)
+
+    def _rows(self, stmt: Loop) -> Rows:
+        """A guard-free top-level loop as :class:`Rows`, from its first
+        two rows.
+
+        The whole grid is validated first, as generating every row would
+        validate it, with the same messages: at each position of a row a
+        subscript is affine in the row number, so its extremes over the
+        grid are its extremes over the first and the last row, and a walk
+        over those two rows checks (and reports) the same ranges."""
+        trip = self._trip(stmt)
+        if self.validate:
+            self._build_loop(stmt, (), dict(self.params), None, _CHECK, range(0, trip, trip - 1))
+        two = self._statement(stmt, range(2))
+        rows = two.addresses.reshape(2, -1)
+        rows[1] -= rows[0]  # the step, in place: the part holds two rows
+        return Rows(rows[0], two.is_write[: rows.shape[1]], rows[1], trip)
 
     def _spans(self, stmt: Loop, rows: int) -> tuple[Span, ...]:
         """Span hints of ``rows`` iterations of a guard-free top-level
@@ -321,6 +385,12 @@ class TraceGenerator:
         masked out at compaction, but they are generated — and memory is
         proportional to what is generated, which is what chunking must
         bound)."""
+        width = self._widths.get(id(stmt))
+        if width is None:
+            width = self._widths[id(stmt)] = self._size(stmt)
+        return width
+
+    def _size(self, stmt: Stmt) -> int:
         if isinstance(stmt, Assign):
             return len(array_refs(stmt.rhs)) + isinstance(stmt.lhs, ArrayRef)
         if isinstance(stmt, ExternalRead):
@@ -393,7 +463,12 @@ class TraceGenerator:
         if isinstance(stmt.lhs, ArrayRef):
             refs.append(stmt.lhs)
         executed = math.prod(grid_shape) if mask is None else int(np.count_nonzero(mask))
-        if dest is not None and refs:
+        if dest is _CHECK:
+            if self.validate and executed:
+                for ref in refs:
+                    subs = [sub.evaluate_vec(env) for sub in ref.index]
+                    self._check_ref(ref, subs, mask, grid_shape)
+        elif dest is not None and refs:
             for k, ref in enumerate(refs):
                 self._ref_addresses(ref, env, mask, dest.addrs[..., k])
             dest.writes[:reads] = False
@@ -417,22 +492,33 @@ class TraceGenerator:
         grid-shaped column), validating its open-grid subscripts first."""
         subs = [sub.evaluate_vec(env) for sub in ref.index]
         if self.validate and out.size:
-            placement = self.layout[ref.array]
-            for dim, (sub, extent) in enumerate(zip(subs, placement.extents)):
-                lo, hi = int(sub.min()), int(sub.max())
-                if (lo < 0 or hi >= extent) and mask is not None:
-                    # Out of range somewhere on the grid; under a guard
-                    # only the active iterations decide.
-                    vals = np.broadcast_to(sub, out.shape)[mask]
-                    if not vals.size:
-                        continue
-                    lo, hi = int(vals.min()), int(vals.max())
-                if lo < 0 or hi >= extent:
-                    raise ExecutionError(
-                        f"{self.program.name}: {ref} dimension {dim} ranges "
-                        f"[{lo}, {hi}] outside extent {extent}"
-                    )
+            self._check_ref(ref, subs, mask, out.shape)
         self.layout.element_addresses(ref.array, subs, out=out)
+
+    def _check_ref(
+        self,
+        ref: ArrayRef,
+        subs: list[np.ndarray],
+        mask: np.ndarray | None,
+        grid_shape: tuple[int, ...],
+    ) -> None:
+        """Raise unless every open-grid subscript of ``ref`` stays inside
+        its extent on a non-empty grid of ``grid_shape``."""
+        placement = self.layout[ref.array]
+        for dim, (sub, extent) in enumerate(zip(subs, placement.extents)):
+            lo, hi = int(sub.min()), int(sub.max())
+            if (lo < 0 or hi >= extent) and mask is not None:
+                # Out of range somewhere on the grid; under a guard
+                # only the active iterations decide.
+                vals = np.broadcast_to(sub, grid_shape)[mask]
+                if not vals.size:
+                    continue
+                lo, hi = int(vals.min()), int(vals.max())
+            if lo < 0 or hi >= extent:
+                raise ExecutionError(
+                    f"{self.program.name}: {ref} dimension {dim} ranges "
+                    f"[{lo}, {hi}] outside extent {extent}"
+                )
 
     def _build_if(
         self,
@@ -447,7 +533,7 @@ class TraceGenerator:
         if dest is not None:
             split = self._body_width(stmt.then)
             then_dest = dest.columns(0, split)
-            else_dest = dest.columns(split, dest.writes.size)
+            else_dest = dest.columns(split, split + self._body_width(stmt.orelse))
         counts = self._build(
             stmt.then, grid_shape, env, cond if mask is None else (mask & cond), then_dest
         )
@@ -463,22 +549,25 @@ class TraceGenerator:
         env: dict[str, np.ndarray | int],
         mask: np.ndarray | None,
         dest: _Dest | None,
-        step_range: tuple[int, int] | None = None,
+        steps: range | None = None,
     ) -> _Counts:
         # The trip count must be grid-invariant (affine in parameters only);
         # the *lower bound* may depend on enclosing loop variables, which is
         # what tiled loops produce (inner bounds lo + T*tile_var).
         trip = self._trip(stmt)
-        # ``step_range`` restricts the loop to iterations [lo, hi) — how the
-        # streaming path slices a top-level loop's outermost axis.
-        lo, hi = step_range if step_range is not None else (0, trip)
-        count = hi - lo
+        # ``steps`` restricts the loop to those iterations: how the
+        # streaming path slices a top-level loop's outermost axis, and how
+        # a lazy loop is validated on its first and last rows alone.
+        if steps is None:
+            steps = range(trip)
+        count = len(steps)
         if count <= 0:
             return (0, 0, 0)
         child_shape = grid_shape + (count,)
         # Existing grids gain a trailing axis; the new variable varies on it.
         child_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
-        var = np.arange(lo, hi, dtype=np.int64).reshape((1,) * len(grid_shape) + (count,))
+        var = np.arange(steps.start, steps.stop, steps.step, dtype=np.int64)
+        var = var.reshape((1,) * len(grid_shape) + (count,))
         lower = np.asarray(stmt.lower.evaluate_vec(child_env))
         if lower.size == 1:
             var += lower

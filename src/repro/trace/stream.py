@@ -16,6 +16,10 @@ the generator (``close()``/``break``) stops the producer promptly.
 Overlap accounting — seconds the producer spent generating vs seconds
 the consumer stalled waiting — is reported to any active
 :mod:`repro.trace.telemetry` collector when the stream finishes.
+:func:`serial_chunks` reports the same accounting for the serial
+pipeline, where the consumer waits out every chunk's generation, and
+:func:`stream_chunks` picks the pipeline an ``ExecOptions.stream`` value
+names.
 """
 
 from __future__ import annotations
@@ -169,6 +173,37 @@ class _FanoutConsumer:
         if not self._closed:
             self._closed = True
             self._state.close_consumer(self._i)
+
+
+def stream_chunks(chunks: Iterable[Trace], stream: bool | str) -> Iterator[Trace]:
+    """``chunks`` through the pipeline ``stream`` names: prefetched for
+    ``True`` or ``"overlap"``, serial for ``"serial"``, and passed through
+    unmeasured otherwise (a chunked run that is not a streamed one)."""
+    if stream in (True, "overlap"):
+        return prefetch_chunks(chunks)
+    if stream == "serial":
+        return serial_chunks(chunks)
+    return iter(chunks)
+
+
+def serial_chunks(chunks: Iterable[Trace]) -> Iterator[Trace]:
+    """Yield ``chunks`` unchanged on the caller's thread, reporting what
+    :func:`prefetch_chunks` reports: every second spent generating is a
+    second the consumer waited, so nothing of it is hidden."""
+    count, produce_s = 0, 0.0
+    iterator = iter(chunks)
+    try:
+        while True:
+            start = time.perf_counter()
+            try:
+                chunk = next(iterator)
+            except StopIteration:
+                return
+            produce_s += time.perf_counter() - start
+            count += 1
+            yield chunk
+    finally:
+        telemetry.record_stream(chunks=count, produce_s=produce_s, wait_s=produce_s)
 
 
 def prefetch_chunks(

@@ -31,7 +31,7 @@ from .normalize import normalize_guard_contexts
 from .peeling import peel_array
 from .shrinking import shrink_array
 from .store_elim import eliminate_stores
-from .verify import verify_equivalent
+from .verify import ReferenceRuns, verify_equivalent
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,12 @@ def _optimize(
 ) -> PipelineResult:
     stages: list[PipelineStage] = []
     current = program
+    reference = ReferenceRuns(program)
 
     def accept(stage: str, candidate: Program, detail: str) -> None:
         nonlocal current
         try:
-            verify_equivalent(program, candidate, sizes=verify_sizes)
+            verify_equivalent(program, candidate, sizes=verify_sizes, reference=reference)
         except VerificationError as exc:
             stages.append(PipelineStage(stage, False, f"verification failed: {exc}", current))
             return
@@ -141,7 +142,7 @@ def _optimize(
             except TransformError:
                 continue
             try:
-                verify_equivalent(program, candidate, sizes=verify_sizes)
+                verify_equivalent(program, candidate, sizes=verify_sizes, reference=reference)
             except VerificationError:
                 continue
             current = candidate
@@ -171,7 +172,7 @@ def _optimize(
             except TransformError:
                 continue
             try:
-                verify_equivalent(program, candidate, sizes=verify_sizes)
+                verify_equivalent(program, candidate, sizes=verify_sizes, reference=reference)
             except VerificationError:
                 continue
             current = candidate

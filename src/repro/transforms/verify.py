@@ -8,19 +8,41 @@ must produce identical observables — the output scalars and output arrays.
 This oracle is what lets the storage transforms be *optimistic*: a rewrite
 whose static legality analysis is approximate is still only ever accepted
 after the oracle passes on multiple problem sizes and input seeds.
+
+A gate that checks several candidates against one original (the
+pipeline's stages, Figure 8's two stages) passes one
+:class:`ReferenceRuns`, so the original is interpreted once per problem
+size and seed, not once per candidate.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..errors import VerificationError
-from ..interp.evaluator import evaluate
+from ..interp.evaluator import EvalResult, evaluate
 from ..lang.program import Program
 
 #: Default problem sizes used for verification (overridable per call).
 DEFAULT_SIZES: tuple[int, ...] = (4, 7, 16)
 DEFAULT_SEEDS: tuple[int, ...] = (20001, 4242)
+
+
+class ReferenceRuns:
+    """The interpreted runs of one original program, each (params, seed)
+    evaluated once and shared by every candidate verified against it."""
+
+    def __init__(self, original: Program):
+        self.original = original
+        self._runs: dict[tuple, EvalResult] = {}
+
+    def run(self, params: Mapping[str, int], seed: int) -> EvalResult:
+        key = (tuple(sorted(params.items())), seed)
+        if key not in self._runs:
+            self._runs[key] = evaluate(self.original, params, input_seed=seed)
+        return self._runs[key]
 
 
 def verify_equivalent(
@@ -31,12 +53,18 @@ def verify_equivalent(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     params_list: Sequence[Mapping[str, int]] | None = None,
     rtol: float = 1e-9,
+    reference: ReferenceRuns | None = None,
 ) -> None:
     """Raise :class:`VerificationError` unless the two programs agree.
 
     By default the first program parameter is swept over ``sizes``; pass
-    ``params_list`` for multi-parameter programs.
+    ``params_list`` for multi-parameter programs.  ``reference`` holds
+    the original's runs across calls (it must be of ``original``).
     """
+    if reference is None:
+        reference = ReferenceRuns(original)
+    elif reference.original is not original:
+        raise ValueError("reference runs are of another program")
     if set(original.output_scalars) != set(transformed.output_scalars):
         raise VerificationError(
             f"{transformed.name}: output scalars changed "
@@ -59,7 +87,7 @@ def verify_equivalent(
     for params in params_list:
         for seed in seeds:
             try:
-                ref = evaluate(original, params, input_seed=seed)
+                ref = reference.run(params, seed)
                 got = evaluate(transformed, params, input_seed=seed)
             except Exception as exc:  # surface interpreter failures as verification
                 raise VerificationError(
@@ -73,8 +101,6 @@ def verify_equivalent(
                         f"(seed {seed}): {a!r} vs {b!r}"
                     )
             for name in original.output_arrays:
-                import numpy as np
-
                 a_arr, b_arr = ref.arrays[name], got.arrays[name]
                 if a_arr.shape != b_arr.shape or not np.allclose(a_arr, b_arr, rtol=rtol):
                     raise VerificationError(

@@ -1,5 +1,7 @@
 """Tests for the CLIs, charts, the extra workloads, and E17."""
 
+import re
+
 import pytest
 
 from repro.experiments.charts import BarChart, bar
@@ -116,6 +118,26 @@ class TestExperimentsRunnerCLI:
         assert "batches: planned" in out
         assert ", plan 36 pts" in out  # planner suffix with telemetry
         assert "fewer accesses" in out
+
+    @pytest.mark.parametrize(
+        "argv,stream",
+        [(["--stream"], True), (["--stream", "overlap"], "overlap"), (["--stream", "serial"], "serial")],
+    )
+    def test_stream_flag_selects_the_pipeline(self, capsys, tmp_path, argv, stream):
+        import json
+
+        from repro.experiments.runner import main
+
+        assert main(
+            ["fig1", *argv, "--chunk-accesses", "20000", "--scale", "256", "--no-sim-cache",
+             "--results-dir", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\[fig1: .*stream \d+ chunks, \d+% gen hidden\]", out), out
+        if stream == "serial":
+            assert "0% gen hidden" in out
+        manifest = json.loads(next(tmp_path.glob("run-*.json")).read_text())
+        assert manifest["results"][0]["config"]["stream"] == stream
 
     def test_duplicate_tasks_deduped(self, capsys, tmp_path):
         import json

@@ -34,7 +34,7 @@ from repro.programs import dmxpy, fft, make_kernel, matmul, matmul_blocked, nas_
 from repro.programs.paper_examples import fig6_fused, fig6_original
 from repro.trace import TraceGenerator
 from repro.trace import generator as trace_generator
-from repro.trace.events import Trace, slice_spans
+from repro.trace.events import LazyStream, Trace, slice_spans
 
 LINE = 32
 
@@ -48,28 +48,38 @@ def rows_trace(trip: int, columns, writes=None):
     return addrs, flags
 
 
-def assert_exact(geometry, addrs, writes, spans, cuts=()):
+def assert_exact(geometry, addrs, writes, spans, cuts=(), stream=None):
     """The engine with ``spans`` (fed in pieces split at ``cuts``), the
-    engine without, and the reference ``Cache`` agree on everything."""
-    ref = Cache("L1", geometry)
-    plain = SetAssociativeEngine("L1", geometry)
-    hinted = SetAssociativeEngine("L1", geometry)
-    ref_out = ref.run(addrs, writes)
-    plain_out = plain.run(addrs, writes)
+    engine without, and the reference ``Cache`` agree on everything; so
+    does one fed the same pieces of ``stream``, a lazy form of the
+    accesses, when given (it runs first, before anything joins it)."""
+    engines = [SetAssociativeEngine("L1", geometry) for _ in range(2 + (stream is not None))]
+    plain, hinted = engines[:2]
     bounds = [0, *sorted(cuts), len(addrs)]
+    cut = list(zip(bounds[:-1], bounds[1:]))
+    outs = []
+    if stream is not None:
+        lazy = [
+            engines[2].run(stream.slice(lo, hi), None, True, slice_spans(tuple(spans), lo, hi))
+            for lo, hi in cut
+        ]
+        outs.append(tuple(np.concatenate([p.arrays()[i] for p in lazy]) for i in range(2)))
+    ref = Cache("L1", geometry)
+    ref_out = ref.run(addrs, writes)
+    outs.append(plain.run(addrs, writes))
     pieces = [
         hinted.run(addrs[lo:hi], writes[lo:hi], True, slice_spans(tuple(spans), lo, hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+        for lo, hi in cut
     ]
-    hinted_out = tuple(np.concatenate([p[i] for p in pieces]) for i in range(2))
-    for out in (plain_out, hinted_out):
+    outs.append(tuple(np.concatenate([p[i] for p in pieces]) for i in range(2)))
+    for out in outs:
         np.testing.assert_array_equal(ref_out[0], out[0])
         np.testing.assert_array_equal(ref_out[1], out[1])
-    flushes = [c.flush() for c in (ref, plain, hinted)]
+    flushes = [c.flush() for c in (ref, *engines)]
     for out in flushes[1:]:
         np.testing.assert_array_equal(flushes[0][0], out[0])
     for f in STAT_FIELDS:
-        assert getattr(ref.stats, f) == getattr(plain.stats, f) == getattr(hinted.stats, f), f
+        assert all(getattr(ref.stats, f) == getattr(e.stats, f) for e in engines), f
 
 
 @contextmanager
@@ -265,6 +275,59 @@ class TestEachCheckFails:
             assert bool(emits) is extrapolates
 
 
+class TestComputedRows:
+    """Generated loops reach the engine as computed rows: check (a) is
+    skipped there, checks (b) to (d) are not, and the rows extrapolated
+    are never built."""
+
+    GEO = CacheGeometry(4 * 2 * LINE, LINE, 2)
+
+    @staticmethod
+    def two_stride_sweep(trip):
+        # The rows of TestEachCheckFails.test_b, generated: x[4i] and
+        # x[5i] move 32 and 40 bytes a row through one array.
+        pb = ProgramBuilder("two_strides")
+        x = pb.array("x", 5 * trip)
+        s = pb.scalar("s")
+        with pb.loop("i", 0, trip) as i:
+            pb.assign(s, x[4 * i] + x[5 * i])
+        program = pb.build()
+        layout = build_layout(program, None, LayoutPolicy(alignment=32, pad_bytes=0))
+        return TraceGenerator(program, None, layout)
+
+    def assert_lazy_exact(self, gen, cuts=()):
+        trace, lazy = gen.generate(), gen.generate()
+        assert lazy.stream.row_step(*trace.spans[0]) is not None
+        assert_exact(
+            self.GEO, trace.addresses, trace.is_write, trace.spans, cuts, lazy.stream
+        )
+        assert lazy.stream._joined is None
+
+    def test_b_still_refuses_a_line_of_two_shifts(self):
+        with spy("_line_table") as tables, spy("_emit") as emits:
+            self.assert_lazy_exact(self.two_stride_sweep(20000))
+        assert tables and all(out is None for _, out in tables)
+        assert not emits
+
+    def test_steady_rows_extrapolate_unbuilt(self):
+        gen = TraceGenerator(make_kernel("1w2r", 20000))
+        with spy("_emit") as emits:
+            self.assert_lazy_exact(gen, cuts=(7001, 30002))
+        lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
+        assert lazy
+        # Check (a) never built a table of the computed rows.
+        assert all(span._table is None for span in lazy)
+
+    def test_wrong_width_hint_on_computed_rows_is_checked(self):
+        gen = TraceGenerator(make_kernel("1w2r", 20000))
+        trace, lazy = gen.generate(), gen.generate()
+        (start, trip, width), = trace.spans
+        wrong = [(start, trip // 2, 2 * width), (start + 1, trip - 1, width)]
+        assert lazy.stream.row_step(*wrong[0]) is None
+        assert lazy.stream.row_step(*wrong[1]) is None
+        assert_exact(self.GEO, trace.addresses, trace.is_write, wrong, (), lazy.stream)
+
+
 class TestWrongHints:
     @pytest.mark.parametrize(
         "spans",
@@ -398,9 +461,11 @@ def test_random_affine_nests_match_reference(spec):
         mock.patch.object(periodic, "_MIN_WINDOW", spec["window"]),
         mock.patch.object(trace_generator, "_DESCENT_ACCESSES", 16),
     ):
-        trace = TraceGenerator(program, None, layout).generate()
+        gen = TraceGenerator(program, None, layout)
+        trace, lazy = gen.generate(), gen.generate()
         cuts = [c for c in spec["cuts"] if c < len(trace)]
-        assert_exact(geometry, trace.addresses, trace.is_write, trace.spans, cuts)
+        assert_exact(geometry, trace.addresses, trace.is_write, trace.spans, cuts, lazy.stream)
+        assert lazy.stream._joined is None
 
 
 # -- derived hints: extrapolated windows feed the level below ---------------
@@ -423,31 +488,44 @@ def record_streams(hierarchy):
 
 
 def concat_streams(log):
+    outs = [out.arrays() if isinstance(out, LazyStream) else out for out in log]
     return tuple(
-        np.concatenate([out[i] for out in log]) if log else np.empty(0) for i in range(2)
+        np.concatenate([out[i] for out in outs]) if outs else np.empty(0) for i in range(2)
     )
 
 
 def assert_hierarchy_exact(geometries, trace, chunk_size):
-    """An all-``setassoc`` hierarchy fed ``trace`` with its hints, in
-    chunks of ``chunk_size``, and a ``Cache``-only one agree on every
-    level's counters and on every intermediate level's event stream,
-    flush drains included."""
+    """All-``setassoc`` hierarchies fed ``trace`` with its hints, in chunks
+    of ``chunk_size``, once as the lazy stream (before anything reads its
+    arrays) and once as plain arrays, and a ``Cache``-only one agree on
+    every level's counters and on every intermediate level's event
+    stream, flush drains included."""
     ref = Hierarchy([Cache(f"L{k}", g) for k, g in enumerate(geometries, 1)])
-    eng = Hierarchy(
-        [SetAssociativeEngine(f"L{k}", g) for k, g in enumerate(geometries, 1)], chunk_size
-    )
-    logs = [record_streams(h) for h in (ref, eng)]
-    for h in (ref, eng):
-        h.run_trace(trace.addresses, trace.is_write, spans=trace.spans)
+    engs = [
+        Hierarchy(
+            [SetAssociativeEngine(f"L{k}", g) for k, g in enumerate(geometries, 1)], chunk_size
+        )
+        for _ in range(2)
+    ]
+    logs = [record_streams(h) for h in (ref, *engs)]
+    lazy = trace.stream._joined is None
+    engs[0].run_trace(trace.stream, spans=trace.spans)
+    # The engines read only the rows they simulate: nothing joined them.
+    assert (trace.stream._joined is None) == lazy
+    engs[1].run_trace(trace.addresses, trace.is_write, spans=trace.spans)
+    ref.run_trace(trace.addresses, trace.is_write)
+    for h in (ref, *engs):
         h.flush()
     for level in range(len(geometries) - 1):
-        want, got = (concat_streams(log[level]) for log in logs)
-        np.testing.assert_array_equal(want[0], got[0])
-        np.testing.assert_array_equal(want[1], got[1])
-    for a, b in zip(ref.caches, eng.caches):
-        for f in STAT_FIELDS:
-            assert getattr(a.stats, f) == getattr(b.stats, f), (a.name, f)
+        want = concat_streams(logs[0][level])
+        for log in logs[1:]:
+            got = concat_streams(log[level])
+            np.testing.assert_array_equal(want[0], got[0])
+            np.testing.assert_array_equal(want[1], got[1])
+    for eng in engs:
+        for a, b in zip(ref.caches, eng.caches):
+            for f in STAT_FIELDS:
+                assert getattr(a.stats, f) == getattr(b.stats, f), (a.name, f)
 
 
 def kernel_trace(name: str, n: int, spec=None):

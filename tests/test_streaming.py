@@ -51,6 +51,7 @@ from repro.trace import (
     trace_stats,
 )
 from repro.trace.events import EMPTY_TRACE, Trace
+from repro.trace.stream import serial_chunks
 from repro.trace.telemetry import (
     collect_trace_telemetry,
     peak_rss_bytes,
@@ -224,6 +225,18 @@ class TestPrefetch:
         assert summary["chunks"] == len(list(gen.chunks(100)))
         assert summary["overlap"] is None or 0.0 <= summary["overlap"] <= 1.0
 
+    def test_serial_pipeline_records_the_same_accounting(self):
+        gen = generator_for(matmul(8))
+        with collect_trace_telemetry() as acc:
+            got = list(serial_chunks(gen.chunks(100)))
+        for a, b in zip(got, gen.chunks(100), strict=True):
+            assert_traces_equal(a, b)
+        summary = summarize_stream(acc)
+        assert summary["runs"] == 1
+        assert summary["chunks"] == len(got)
+        assert summary["wait_s"] == summary["produce_s"] > 0
+        assert summary["overlap"] == 0.0
+
 
 ENGINE_CLASSES = {
     "reference": Cache,
@@ -310,6 +323,18 @@ class TestStreamedExecute:
             run = execute(prog, machine, sim_cache=False, passes=2, warmup_passes=1)
         assert run.counters == base.counters
         assert run.time == base.time
+
+    @pytest.mark.parametrize("mode", ["serial", "overlap"])
+    def test_every_streamed_pipeline_records_its_chunks(self, mode):
+        prog = matmul(18)
+        chunks = len(list(TraceGenerator(prog).chunks(500)))
+        with collect_trace_telemetry() as acc:
+            with use_options(ExecOptions(stream=mode, chunk_accesses=500)):
+                execute(prog, origin2000(256), sim_cache=False, passes=2)
+        summary = summarize_stream(acc)
+        assert (summary["runs"], summary["chunks"]) == (2, 2 * chunks)
+        if mode == "serial":
+            assert summary["overlap"] == 0.0
 
     def test_no_work_detected(self):
         from repro.lang import ProgramBuilder

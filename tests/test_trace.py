@@ -3,13 +3,16 @@ tiled bounds, and cross-validation against the reference interpreter."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, IRError
 from repro.lang import ProgramBuilder
 from repro.machine import LayoutPolicy, build_layout
 from repro.trace import TraceGenerator, generate_trace, trace_stats
-from repro.trace.events import EMPTY_TRACE, concat_traces
+from repro.trace.events import EMPTY_TRACE, LazyStream, Rows, concat_traces
 from repro.trace.stats import per_array_accesses, stride_histogram
 
 from tests.helpers import interpreted_accesses, simple_stream_program
@@ -247,6 +250,38 @@ class TestValidationAndEdges:
         with pytest.raises(ExecutionError, match="outside extent"):
             trace_of(b.build())
 
+    @staticmethod
+    def _lazy_out_of_bounds(case):
+        """A loop of 16 rows, lazy in ``generate()``, whose subscript
+        leaves its extent in the last row, the first, or in every row by
+        a tiled inner loop."""
+        b = ProgramBuilder("p", params={"N": 16})
+        a = b.array("a", "N", output=True)
+        t = b.array("t", 4 * 16)
+        with b.loop("i", 0, "N") as i:
+            if case == "last":
+                b.assign(a[i + 1], 1.0)
+            elif case == "first":
+                b.assign(a[i], a[i - 1])
+            else:
+                with b.loop("j", 4 * i, 4 * i + 4) as j:
+                    b.assign(a[i], t[j + 2])
+        return b.build()
+
+    @pytest.mark.parametrize("case", ["last", "first", "tiled"])
+    def test_lazy_loops_report_the_whole_grids_range(self, case):
+        """``generate()`` checks a lazy loop on its first and last rows;
+        the message must be the one checking every row gives."""
+        program = self._lazy_out_of_bounds(case)
+        gen = TraceGenerator(program)
+        with pytest.raises(ExecutionError) as whole:
+            gen.statement_trace(0)  # generated and checked row by row
+        with pytest.raises(ExecutionError) as lazy:
+            gen.generate()
+        assert str(lazy.value) == str(whole.value)
+        ranges = {"last": "[1, 16]", "first": "[-1, 14]", "tiled": "[2, 65]"}
+        assert f"ranges {ranges[case]} outside extent" in str(lazy.value)
+
     def test_guarded_out_of_bounds_ok(self):
         b = ProgramBuilder("p", params={"N": 4})
         a = b.array("a", "N", output=True)
@@ -378,27 +413,56 @@ class TestValidationAndEdges:
         assert t.flops == 8
 
 
-def _generation_peak_ratio(program):
-    """Peak traced memory of ``generate()`` over the trace's own bytes
-    (NumPy reports its buffers to tracemalloc)."""
-    gen = TraceGenerator(program)
+def _peak_bytes(work):
+    """Peak traced memory of ``work()`` and its result (NumPy reports its
+    buffers to tracemalloc)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        trace = gen.generate()
+        result = work()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+    return peak, result
+
+
+def _generation_peak_ratio(program):
+    """Peak traced memory of ``generate()`` plus reading the trace's
+    arrays, over the trace's own bytes."""
+    gen = TraceGenerator(program)
+
+    def work():
+        trace = gen.generate()
+        trace.addresses
+        return trace
+
+    peak, trace = _peak_bytes(work)
     return peak / trace.nbytes
 
 
 class TestGenerationMemory:
-    """Addresses are written once, into the output trace: generation
-    holds no full-size temporaries besides the trace itself."""
+    """Addresses are written once, into the output trace: generation and
+    joining the trace's parts hold no full-size temporaries besides the
+    trace itself, and a simulation that never reads the arrays never
+    builds them."""
+
+    def test_execute_builds_only_what_it_simulates(self):
+        # 2^20 accesses (9.4 MB as arrays) on Origin2000/128: L1 and L2
+        # extrapolate most of the loop, so most rows are never built.
+        from repro.interp.executor import execute
+        from repro.machine.presets import origin2000
+        from repro.programs import make_kernel
+
+        program = make_kernel("2w5r", (1 << 20) // 7)
+        machine = origin2000(128)
+        nbytes = TraceGenerator(program).generate().nbytes
+        execute(program, machine, sim_cache=False)  # imports, allocator
+        peak, _ = _peak_bytes(lambda: execute(program, machine, sim_cache=False))
+        assert peak < 0.3 * nbytes, (peak, nbytes)
 
     @pytest.mark.parametrize(
         "factory",
@@ -418,6 +482,81 @@ class TestGenerationMemory:
         from repro.programs import fig6_fused
 
         assert _generation_peak_ratio(fig6_fused(200)) <= 2.1
+
+
+@st.composite
+def lazy_streams(draw):
+    """A :class:`LazyStream` of random plain and :class:`Rows` parts, with
+    the plain arrays it stands for."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    parts, addrs, writes = [], [], []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            width, trip = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+            rows = Rows(
+                rng.integers(0, 1 << 20, width), rng.random(width) < 0.5,
+                rng.integers(-64, 64, width), trip,
+            )
+            parts.append(rows)
+            addrs.append((rows.base + np.arange(trip)[:, None] * rows.step).ravel())
+            writes.append(np.tile(rows.writes, trip))
+        else:
+            n = draw(st.integers(0, 12))
+            part = (rng.integers(0, 1 << 20, n), rng.random(n) < 0.5)
+            parts.append(part)
+            addrs.append(part[0])
+            writes.append(part[1])
+    if not parts:
+        return LazyStream(), np.empty(0, np.int64), np.empty(0, bool)
+    return LazyStream(parts), np.concatenate(addrs), np.concatenate(writes)
+
+
+class TestLazyStream:
+    """A lazy stream reads, slices and joins to the accesses it stands for."""
+
+    @given(case=lazy_streams(), data=st.data())
+    @settings(settings.get_profile("repro-thorough"))
+    def test_reads_and_slices_match_the_arrays(self, case, data):
+        stream, addrs, writes = case
+        assert len(stream) == len(addrs)
+        n = len(addrs)
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        got = stream.read(lo, hi)
+        np.testing.assert_array_equal(got[0], addrs[lo:hi])
+        np.testing.assert_array_equal(got[1], writes[lo:hi])
+        sub = stream.slice(lo, hi)
+        assert len(sub) == hi - lo
+        a = data.draw(st.integers(0, hi - lo))
+        b = data.draw(st.integers(a, hi - lo))
+        np.testing.assert_array_equal(sub.read(a, b)[0], addrs[lo + a : lo + b])
+        np.testing.assert_array_equal(sub.arrays()[0], addrs[lo:hi])
+        joined = stream.arrays()
+        np.testing.assert_array_equal(joined[0], addrs)
+        np.testing.assert_array_equal(joined[1], writes)
+        assert stream.arrays()[0] is joined[0]  # joined once, kept
+        np.testing.assert_array_equal(stream.read(lo, hi)[0], addrs[lo:hi])
+
+    def test_row_step_names_whole_rows_of_one_part(self):
+        rows = Rows(np.arange(3) * 8, np.array([0, 0, 1], bool), np.full(3, 24), 10)
+        stream = LazyStream([(np.arange(5), np.zeros(5, bool)), rows])
+        assert stream.row_step(5, 10, 3) is rows.step
+        assert stream.row_step(8, 9, 3) is rows.step  # from row 1
+        for span in [(5, 11, 3), (6, 2, 3), (5, 5, 6), (0, 2, 3), (40, 2, 3)]:
+            assert stream.row_step(*span) is None, span
+        sliced = stream.slice(7, 32)  # cut rows at both ends
+        assert sliced.row_step(1, 8, 3) is not None
+        np.testing.assert_array_equal(sliced.arrays()[0], stream.arrays()[0][7:32])
+
+    def test_generated_loops_are_rows_and_join_to_the_full_trace(self):
+        gen = TraceGenerator(simple_stream_program(n=64))
+        trace = gen.generate()
+        assert any(isinstance(p, Rows) for p in trace.stream.parts)
+        assert len(trace) == trace.loads + trace.stores
+        assert trace.nbytes == 9 * len(trace)
+        chunks = list(gen.chunks(1 << 20))
+        np.testing.assert_array_equal(trace.addresses, chunks[0].addresses)
+        np.testing.assert_array_equal(trace.is_write, chunks[0].is_write)
 
 
 class TestTraceContainers:

@@ -556,6 +556,34 @@ class TestVerifier:
         p = two_loop_chain(n=8)
         assert is_equivalent(p, p)
 
+    def test_pipeline_interprets_the_original_once_per_size_and_seed(self, monkeypatch):
+        from collections import Counter
+
+        from repro.experiments.e12_pipeline import multi_stage_workload
+        from repro.transforms import verify
+
+        program = multi_stage_workload(16)
+        runs = Counter()
+        evaluate = verify.evaluate
+
+        def counting(prog, params=None, input_seed=20001, **kwargs):
+            runs[prog is program, tuple(sorted(params.items())), input_seed] += 1
+            return evaluate(prog, params, input_seed=input_seed, **kwargs)
+
+        monkeypatch.setattr(verify, "evaluate", counting)
+        result = optimize(program)
+        assert len(result.applied_stages) >= 2  # several candidates, one reference
+        original = {key: n for key, n in runs.items() if key[0]}
+        assert len(original) == len(verify.DEFAULT_SIZES) * len(verify.DEFAULT_SEEDS)
+        assert set(original.values()) == {1}
+
+    def test_reference_runs_belong_to_their_original(self):
+        from repro.transforms.verify import ReferenceRuns
+
+        p = two_loop_chain(n=8)
+        with pytest.raises(ValueError, match="another program"):
+            verify_equivalent(p, p, reference=ReferenceRuns(two_loop_chain(n=8)))
+
 
 class TestPipeline:
     def test_full_chain(self):
