@@ -19,11 +19,13 @@ paper's footnote-3 anomaly exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MachineError
+from ..trace.events import LazyStream
 
 
 @dataclass
@@ -105,6 +107,21 @@ class CacheGeometry:
         return f"{self.size_bytes // 1024}KB {way} {self.line_size}B lines"
 
 
+def joins_lazy(run):
+    """Let an engine's ``run`` also take a :class:`LazyStream` (``is_write``
+    None): the stream is joined into arrays (kept by the stream) and the
+    events come back as a stream.  The set-associative engine reads a
+    stream lazily instead; every other engine's ``run`` is wrapped."""
+
+    @functools.wraps(run)
+    def wrapper(self, byte_addrs, is_write=None, *args, **kwargs):
+        if isinstance(byte_addrs, LazyStream):
+            return LazyStream.of(*run(self, *byte_addrs.arrays(), *args, **kwargs))
+        return run(self, byte_addrs, is_write, *args, **kwargs)
+
+    return wrapper
+
+
 class Cache:
     """One simulated cache level (the reference engine)."""
 
@@ -148,6 +165,7 @@ class Cache:
         return hit, (int(wbs[0]) if len(wbs) else None)
 
     # -- batch access (the fast path used by the hierarchy) ------------------
+    @joins_lazy
     def run(
         self,
         byte_addrs: np.ndarray,

@@ -52,7 +52,10 @@ class BaseEngine:
         """Simulate an ordered access batch; state carries across calls.
 
         Returns the ordered ``(byte_addrs, is_write)`` stream sent to the
-        next level.  ``collect_events=False`` declares that the caller
+        next level.  The batch may also be a
+        :class:`~repro.trace.events.LazyStream` (``is_write`` None); the
+        stream comes back as one (see :func:`repro.machine.cache.joins_lazy`).
+        ``collect_events=False`` declares that the caller
         discards that stream (the last hierarchy level): an engine may
         then skip building it and return empty arrays, but its counters
         and state must come out exactly as with ``True``.

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import MachineError
-from ..cache import CacheGeometry
+from ..cache import CacheGeometry, joins_lazy
 from .base import BaseEngine
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
@@ -66,6 +66,7 @@ class DirectMappedEngine(BaseEngine):
         return int((self._line >= 0).sum())
 
     # -- batch simulation -----------------------------------------------------
+    @joins_lazy
     def run(
         self,
         byte_addrs: np.ndarray,

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...errors import MachineError
-from ..cache import CacheGeometry
+from ..cache import CacheGeometry, joins_lazy
 from .base import BaseEngine
 from .distinct import _previous_and_order, reuse_distances
 
@@ -343,6 +343,7 @@ class StackDistanceEngine(BaseEngine):
         return self.stats.misses == before, None
 
     # -- batch simulation -----------------------------------------------------
+    @joins_lazy
     def run(
         self,
         byte_addrs: np.ndarray,

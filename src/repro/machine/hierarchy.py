@@ -11,8 +11,8 @@ exactly the traffic the paper measures with hardware counters:
 Streams pass between levels as :class:`~repro.trace.events.LazyStream`:
 a set-associative level reads one a block at a time and returns its
 events as one, with the windows it extrapolated left unbuilt, so the
-level below reads only the rows it simulates.  Any other engine gets
-(and returns) plain arrays.
+level below reads only the rows it simulates.  Any other engine joins
+the stream it is handed (one run-trace chunk at a time) into arrays.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ class StreamTotals:
 DEFAULT_CHUNK = 4 << 20
 
 
-def _run_level(
-    cache: Cache, stream: LazyStream, collect: bool, spans: tuple[Span, ...], hints: list
-) -> LazyStream:
-    """One level's ``run``: only the set-associative engine reads a lazy
-    stream, so every other level is handed the stream's arrays."""
-    if cache.engine == "setassoc":
-        return cache.run(stream, None, collect, spans, hints)
-    return LazyStream.of(*cache.run(*stream.arrays(), collect, spans, hints))
-
-
 class Hierarchy:
     """A stack of caches fed by element-granularity address traces."""
 
@@ -116,12 +106,12 @@ class Hierarchy:
             if measure:
                 n = len(stream)
                 start = time.perf_counter()
-                stream = _run_level(cache, stream, i < last, spans, hints)
+                stream = cache.run(stream, None, i < last, spans, hints)
                 telemetry.record_level(
                     cache.name, cache.engine, n, time.perf_counter() - start
                 )
             else:
-                stream = _run_level(cache, stream, i < last, spans, hints)
+                stream = cache.run(stream, None, i < last, spans, hints)
             spans = tuple(hints)
 
     def run_trace(
@@ -142,9 +132,6 @@ class Hierarchy:
             stream = LazyStream.of(
                 np.asarray(byte_addrs, dtype=np.int64), np.asarray(is_write, dtype=bool)
             )
-        if self.caches[0].engine != "setassoc":
-            # Joined once, and kept by the caller's stream across passes.
-            stream = LazyStream.of(*stream.arrays())
         chunk = chunk_size or self.chunk_size
         n = len(stream)
         if n <= chunk:

@@ -57,12 +57,12 @@ Two generation modes share the machinery:
   :class:`~repro.trace.events.Rows` (row 0, a per-column byte step and
   the trip count; subscripts and lower bounds are affine and trip counts
   grid-invariant, so row ``r`` is row 0 plus ``r`` steps), built from its
-  first two rows after a check-only walk (:data:`_CHECK`) over its first
-  and last rows validates the whole grid; every other statement is generated into its own buffer,
-  sized by a counting pass (the same walk with no destination).  The
-  set-associative engine reads such a trace a block at a time and builds
-  only the rows it simulates; reading ``Trace.addresses`` joins the parts
-  once, so peak memory is then the trace plus at most one part;
+  first and last rows, whose generation validates the whole grid; every
+  other statement is generated into its own buffer, sized by a counting
+  pass (the same walk with no destination).  The set-associative engine
+  reads such a trace a block at a time and builds only the rows it
+  simulates; reading ``Trace.addresses`` joins the parts once, so peak
+  memory is then the trace plus at most one part;
 * :meth:`TraceGenerator.chunks` *streams* the trace: the iteration grid
   is sliced along each top-level loop's outermost axis and the slices
   are yielded as plain :class:`Trace` chunks in exact execution order,
@@ -132,17 +132,14 @@ class _Dest:
     ``addrs`` is ``(*grid, width)`` int64 and ``writes`` is ``(width,)``
     bool (a column's write flag is the same in every row). ``active`` is
     None when every generated access executes (no guard anywhere in the
-    top-level statement), else ``(*grid, width)`` bool.  All three None
-    (:data:`_CHECK`) makes the walk validate subscripts and write nothing.
+    top-level statement), else ``(*grid, width)`` bool.
     """
 
-    addrs: np.ndarray | None
-    writes: np.ndarray | None
+    addrs: np.ndarray
+    writes: np.ndarray
     active: np.ndarray | None
 
     def columns(self, start: int, stop: int) -> "_Dest":
-        if self.addrs is None:
-            return self
         return _Dest(
             self.addrs[..., start:stop],
             self.writes[start:stop],
@@ -153,8 +150,6 @@ class _Dest:
         """The ``(*grid, count * width)`` block of a loop as its body's
         ``(*grid, count, width)`` block. ``writes`` is the first
         iteration's; :meth:`repeat_writes` fills the rest afterwards."""
-        if self.addrs is None:
-            return self
         grid, total = self.addrs.shape[:-1], self.addrs.shape[-1]
         shape = grid + (count, total // count)
         return _Dest(
@@ -164,16 +159,8 @@ class _Dest:
         )
 
     def repeat_writes(self, count: int) -> None:
-        if self.writes is None:
-            return
         rows = _view(self.writes, (count, self.writes.size // count))
         rows[1:] = rows[0]
-
-
-#: The destination of a walk that validates every subscript over the
-#: iterations it walks, as generating them would, without computing an
-#: address.
-_CHECK = _Dest(None, None, None)
 
 
 class TraceGenerator:
@@ -202,9 +189,9 @@ class TraceGenerator:
         A guard-free top-level loop of at least ``_LAZY_TRIP`` rows is
         kept as :class:`Rows`: its subscripts and lower bounds are affine
         and its trip counts grid-invariant, so every address is affine in
-        the loop variable and row ``r`` is row 0 plus ``r`` times the step
-        from row 0 to row 1; only those two rows are generated (after a
-        walk that validates the whole grid, as generating it would).
+        the loop variable and row ``r`` is row 0 plus ``r`` times a
+        per-column step; only the first and the last row are generated,
+        which validates the whole grid as generating every row would.
         Any other statement gets its own buffer, sized by a counting pass
         (the build walk without a destination): a guard-free one
         generates straight into it, a guarded one slab by slab along its
@@ -330,20 +317,20 @@ class TraceGenerator:
 
     def _rows(self, stmt: Loop) -> Rows:
         """A guard-free top-level loop as :class:`Rows`, from its first
-        two rows.
+        and last rows.
 
-        The whole grid is validated first, as generating every row would
-        validate it, with the same messages: at each position of a row a
-        subscript is affine in the row number, so its extremes over the
-        grid are its extremes over the first and the last row, and a walk
-        over those two rows checks (and reports) the same ranges."""
+        At each position of a row, the address and every subscript are
+        affine in the row number. So the step is the difference of the
+        two rows over ``trip - 1`` (an exact division), and a subscript's
+        extremes over the grid are its extremes over these two rows:
+        generating them validates the whole grid, with the messages
+        generating every row would give."""
         trip = self._trip(stmt)
-        if self.validate:
-            self._build_loop(stmt, (), dict(self.params), None, _CHECK, range(0, trip, trip - 1))
-        two = self._statement(stmt, range(2))
-        rows = two.addresses.reshape(2, -1)
+        ends = self._statement(stmt, range(0, trip, trip - 1))
+        rows = ends.addresses.reshape(2, -1)
         rows[1] -= rows[0]  # the step, in place: the part holds two rows
-        return Rows(rows[0], two.is_write[: rows.shape[1]], rows[1], trip)
+        rows[1] //= trip - 1
+        return Rows(rows[0], ends.is_write[: rows.shape[1]], rows[1], trip)
 
     def _spans(self, stmt: Loop, rows: int) -> tuple[Span, ...]:
         """Span hints of ``rows`` iterations of a guard-free top-level
@@ -463,12 +450,7 @@ class TraceGenerator:
         if isinstance(stmt.lhs, ArrayRef):
             refs.append(stmt.lhs)
         executed = math.prod(grid_shape) if mask is None else int(np.count_nonzero(mask))
-        if dest is _CHECK:
-            if self.validate and executed:
-                for ref in refs:
-                    subs = [sub.evaluate_vec(env) for sub in ref.index]
-                    self._check_ref(ref, subs, mask, grid_shape)
-        elif dest is not None and refs:
+        if dest is not None and refs:
             for k, ref in enumerate(refs):
                 self._ref_addresses(ref, env, mask, dest.addrs[..., k])
             dest.writes[:reads] = False
@@ -492,33 +474,22 @@ class TraceGenerator:
         grid-shaped column), validating its open-grid subscripts first."""
         subs = [sub.evaluate_vec(env) for sub in ref.index]
         if self.validate and out.size:
-            self._check_ref(ref, subs, mask, out.shape)
+            placement = self.layout[ref.array]
+            for dim, (sub, extent) in enumerate(zip(subs, placement.extents)):
+                lo, hi = int(sub.min()), int(sub.max())
+                if (lo < 0 or hi >= extent) and mask is not None:
+                    # Out of range somewhere on the grid; under a guard
+                    # only the active iterations decide.
+                    vals = np.broadcast_to(sub, out.shape)[mask]
+                    if not vals.size:
+                        continue
+                    lo, hi = int(vals.min()), int(vals.max())
+                if lo < 0 or hi >= extent:
+                    raise ExecutionError(
+                        f"{self.program.name}: {ref} dimension {dim} ranges "
+                        f"[{lo}, {hi}] outside extent {extent}"
+                    )
         self.layout.element_addresses(ref.array, subs, out=out)
-
-    def _check_ref(
-        self,
-        ref: ArrayRef,
-        subs: list[np.ndarray],
-        mask: np.ndarray | None,
-        grid_shape: tuple[int, ...],
-    ) -> None:
-        """Raise unless every open-grid subscript of ``ref`` stays inside
-        its extent on a non-empty grid of ``grid_shape``."""
-        placement = self.layout[ref.array]
-        for dim, (sub, extent) in enumerate(zip(subs, placement.extents)):
-            lo, hi = int(sub.min()), int(sub.max())
-            if (lo < 0 or hi >= extent) and mask is not None:
-                # Out of range somewhere on the grid; under a guard
-                # only the active iterations decide.
-                vals = np.broadcast_to(sub, grid_shape)[mask]
-                if not vals.size:
-                    continue
-                lo, hi = int(vals.min()), int(vals.max())
-            if lo < 0 or hi >= extent:
-                raise ExecutionError(
-                    f"{self.program.name}: {ref} dimension {dim} ranges "
-                    f"[{lo}, {hi}] outside extent {extent}"
-                )
 
     def _build_if(
         self,
@@ -533,7 +504,7 @@ class TraceGenerator:
         if dest is not None:
             split = self._body_width(stmt.then)
             then_dest = dest.columns(0, split)
-            else_dest = dest.columns(split, split + self._body_width(stmt.orelse))
+            else_dest = dest.columns(split, dest.writes.size)
         counts = self._build(
             stmt.then, grid_shape, env, cond if mask is None else (mask & cond), then_dest
         )
@@ -557,7 +528,7 @@ class TraceGenerator:
         trip = self._trip(stmt)
         # ``steps`` restricts the loop to those iterations: how the
         # streaming path slices a top-level loop's outermost axis, and how
-        # a lazy loop is validated on its first and last rows alone.
+        # a lazy loop generates its first and last rows alone.
         if steps is None:
             steps = range(trip)
         count = len(steps)

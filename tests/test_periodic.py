@@ -24,7 +24,12 @@ from repro.experiments.plan import SimRequest, execute_plan
 from repro.interp.executor import execute
 from repro.lang import ProgramBuilder
 from repro.machine.cache import Cache, CacheGeometry
-from repro.machine.engine import SetAssociativeEngine, periodic
+from repro.machine.engine import (
+    DirectMappedEngine,
+    SetAssociativeEngine,
+    StackDistanceEngine,
+    periodic,
+)
 from repro.machine.engine.verify import STAT_FIELDS
 from repro.machine.hierarchy import Hierarchy
 from repro.machine.layout import LayoutPolicy, build_layout
@@ -34,7 +39,7 @@ from repro.programs import dmxpy, fft, make_kernel, matmul, matmul_blocked, nas_
 from repro.programs.paper_examples import fig6_fused, fig6_original
 from repro.trace import TraceGenerator
 from repro.trace import generator as trace_generator
-from repro.trace.events import LazyStream, Trace, slice_spans
+from repro.trace.events import LazyStream, Rows, Trace, slice_spans
 
 LINE = 32
 
@@ -747,3 +752,45 @@ def test_random_affine_nests_through_hierarchies_match_reference(
     ):
         trace = TraceGenerator(program, None, layout).generate()
         assert_hierarchy_exact(geometries, trace, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 20])
+@pytest.mark.parametrize(
+    "levels",
+    [
+        ((Cache, CacheGeometry(2048, 32, 1)), (Cache, CacheGeometry(8192, 64, 2))),
+        (
+            (DirectMappedEngine, CacheGeometry(2048, 32, 1)),
+            (SetAssociativeEngine, CacheGeometry(8192, 64, 2)),
+        ),
+        (
+            (SetAssociativeEngine, CacheGeometry(2048, 32, 2)),
+            (StackDistanceEngine, CacheGeometry(8192, 64, 128)),
+        ),
+    ],
+    ids=["reference", "direct-setassoc", "setassoc-stack"],
+)
+def test_every_engine_takes_a_lazy_stream(levels, chunk):
+    """A level that does not read a lazy stream joins what it is handed
+    (one run-trace chunk at a time, never the whole trace) and sends its
+    events on as a stream: counters and every intermediate event stream,
+    flush drains included, match the same hierarchy fed plain arrays."""
+    trace = kernel_trace("2w5r", 1500)
+    assert any(isinstance(part, Rows) for part in trace.stream.parts)
+    lazy, arrays = (
+        Hierarchy([cls(f"L{k}", g) for k, (cls, g) in enumerate(levels, 1)], chunk)
+        for _ in range(2)
+    )
+    logs = [record_streams(h) for h in (lazy, arrays)]
+    lazy.run_trace(trace.stream, spans=trace.spans)
+    if chunk < len(trace):
+        assert trace.stream._joined is None
+    arrays.run_trace(trace.addresses, trace.is_write, spans=trace.spans)
+    for h in (lazy, arrays):
+        h.flush()
+    want, got = (concat_streams(log[0]) for log in logs)
+    np.testing.assert_array_equal(want[0], got[0])
+    np.testing.assert_array_equal(want[1], got[1])
+    for a, b in zip(lazy.caches, arrays.caches):
+        for f in STAT_FIELDS:
+            assert getattr(a.stats, f) == getattr(b.stats, f), (a.name, f)
