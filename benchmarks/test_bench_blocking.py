@@ -10,13 +10,13 @@ def test_bench_e10_blocking(benchmark, cfg):
     print()
     print(result.table().render())
 
-    base = result.memory_balance("jki (-O2)")
+    base = result.detail.memory_balance("jki (-O2)")
     best = min(
         balance.memory_balance
-        for name, balance, _ in result.variants
+        for name, balance, _ in result.detail.variants
         if name.startswith("blocked t=") and "no-SR" not in name
     )
     assert best < base / 4
     benchmark.extra_info["memory_balance"] = {
-        name: round(balance.memory_balance, 3) for name, balance, _ in result.variants
+        name: round(balance.memory_balance, 3) for name, balance, _ in result.detail.variants
     }

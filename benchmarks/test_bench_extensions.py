@@ -11,7 +11,7 @@ def test_bench_e13_replacement(benchmark, cfg):
     print(result.table().render())
     for row in result.detail.rows:
         assert row.opt_bytes <= row.lru_bytes
-    fig7 = result.row("fig7")
+    fig7 = result.detail.row("fig7")
     assert fig7.compiler_gain > fig7.opt_gain
     benchmark.extra_info["opt_gain"] = {r.program: round(r.opt_gain, 3) for r in result.detail.rows}
 
@@ -21,8 +21,8 @@ def test_bench_e14_intrinsic(benchmark, cfg):
     print()
     print(result.table().render())
     assert (
-        result.row("fig6_optimized").intrinsic.total_bytes
-        < result.row("fig6_original").intrinsic.total_bytes / 10
+        result.detail.row("fig6_optimized").intrinsic.total_bytes
+        < result.detail.row("fig6_original").intrinsic.total_bytes / 10
     )
     benchmark.extra_info["headroom"] = {
         r.program: round(r.headroom, 3) for r in result.detail.rows
@@ -33,9 +33,9 @@ def test_bench_e15_prediction(benchmark, cfg):
     result = once(benchmark, lambda: run_e15(cfg))
     print()
     print(result.table().render())
-    assert result.max_error(same_geometry=True) < 1e-9
+    assert result.detail.max_error(same_geometry=True) < 1e-9
     benchmark.extra_info["max_cross_geometry_error"] = round(
-        result.max_error(same_geometry=False), 4
+        result.detail.max_error(same_geometry=False), 4
     )
 
 
@@ -43,9 +43,9 @@ def test_bench_e16_regrouping(benchmark, cfg):
     result = once(benchmark, lambda: run_e16(cfg))
     print()
     print(result.table().render())
-    assert result.bandwidths["regrouped"] > 1.5 * result.bandwidths["conflicted"]
+    assert result.detail.bandwidths["regrouped"] > 1.5 * result.detail.bandwidths["conflicted"]
     benchmark.extra_info["bandwidth_mb_s"] = {
-        k: round(v / 1e6, 1) for k, v in result.bandwidths.items()
+        k: round(v / 1e6, 1) for k, v in result.detail.bandwidths.items()
     }
 
 
@@ -58,7 +58,7 @@ def test_bench_e17_survey(benchmark, cfg):
     import pytest
 
     for kind in ("scal", "axpy", "dot"):
-        row = result.row(f"blas1_{kind}")
+        row = result.detail.row(f"blas1_{kind}")
         assert row.balance.memory_balance == pytest.approx(row.expected_memory, rel=0.02)
     benchmark.extra_info["memory_balance"] = {
         r.program: round(r.balance.memory_balance, 2) for r in result.detail.rows
@@ -71,7 +71,7 @@ def test_bench_e18_three_c(benchmark, cfg):
     result = once(benchmark, lambda: run_e18(cfg))
     print()
     print(result.table().render())
-    anomaly = result.row(cfg.exemplar.name, "3w6r")
+    anomaly = result.detail.row(cfg.exemplar.name, "3w6r")
     assert anomaly.classification.conflict_fraction >= 0.4
     benchmark.extra_info["exemplar_3w6r_conflict_fraction"] = round(
         anomaly.classification.conflict_fraction, 3

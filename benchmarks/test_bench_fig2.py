@@ -10,7 +10,7 @@ def test_bench_fig2_ratios(benchmark, cfg):
     print()
     print(result.table().render())
 
-    for r in result.ratios:
+    for r in result.detail.ratios:
         benchmark.extra_info[r.program] = {
             "ratios": [round(x, 1) for x in r.ratios],
             "cpu_bound": round(r.cpu_utilization_bound, 3),

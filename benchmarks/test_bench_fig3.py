@@ -11,15 +11,15 @@ def test_bench_fig3_kernels(benchmark, cfg):
     print(result.table().render())
 
     benchmark.extra_info["origin_mb_s"] = {
-        k: round(v / 1e6, 1) for k, v in result.origin.bandwidths.items()
+        k: round(v / 1e6, 1) for k, v in result.detail.origin.bandwidths.items()
     }
     benchmark.extra_info["exemplar_mb_s"] = {
-        k: round(v / 1e6, 1) for k, v in result.exemplar.bandwidths.items()
+        k: round(v / 1e6, 1) for k, v in result.detail.exemplar.bandwidths.items()
     }
     # Origin: all kernels within 20% (paper's wording)
-    assert result.origin.spread() < 0.20
+    assert result.detail.origin.spread() < 0.20
     # Exemplar: the 3w6r direct-mapped anomaly (footnote 3)
-    bws = result.exemplar.bandwidths
+    bws = result.detail.exemplar.bandwidths
     assert bws["3w6r"] < 0.7 * min(v for k, v in bws.items() if k != "3w6r")
     # padding ablation removes it
-    assert result.exemplar_padded.spread() < 0.20
+    assert result.detail.exemplar_padded.spread() < 0.20

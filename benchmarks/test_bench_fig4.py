@@ -11,17 +11,17 @@ def test_bench_fig4_fusion(benchmark, cfg):
     print(result.table().render())
 
     # the exact numbers of the paper's example
-    assert result.no_fusion_cost == 20
-    assert result.optimal_cost == 7
-    assert result.edge_weighted_bandwidth_cost == 8
-    assert result.edge_weighted_cross == 2
-    assert result.optimal_edge_weight == 3
+    assert result.detail.no_fusion_cost == 20
+    assert result.detail.optimal_cost == 7
+    assert result.detail.edge_weighted_bandwidth_cost == 8
+    assert result.detail.edge_weighted_cross == 2
+    assert result.detail.optimal_edge_weight == 3
     # simulated traffic ranks the same way
-    m = result.memory_bytes
+    m = result.detail.memory_bytes
     assert m["none"] > m["edge"] > m["bandwidth"]
     benchmark.extra_info["array_loads"] = {
-        "none": result.no_fusion_cost,
-        "bandwidth_minimal": result.optimal_cost,
-        "edge_weighted": result.edge_weighted_bandwidth_cost,
+        "none": result.detail.no_fusion_cost,
+        "bandwidth_minimal": result.detail.optimal_cost,
+        "edge_weighted": result.detail.edge_weighted_bandwidth_cost,
     }
     benchmark.extra_info["simulated_mem_bytes"] = dict(m)

@@ -35,5 +35,5 @@ def test_bench_fig5_summary(benchmark):
     result = once(benchmark, run_fig5)
     print()
     print(result.table().render())
-    weights = {p.cut_weight for p in result.node_scaling}
+    weights = {p.cut_weight for p in result.detail.node_scaling}
     assert len(weights) == 1  # structure fixed => cut fixed

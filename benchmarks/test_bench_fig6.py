@@ -10,25 +10,25 @@ def test_bench_fig6_storage(benchmark, cfg):
     print()
     print(result.table().render())
 
-    n = result.n
-    assert result.storage_bytes("original") == 2 * n * n * 8
-    assert result.storage_bytes("optimized") == 2 * n * 8
+    n = result.detail.n
+    assert result.detail.storage_bytes("original") == 2 * n * n * 8
+    assert result.detail.storage_bytes("optimized") == 2 * n * 8
     # the compiler pipeline derives the same storage as the paper's hand
     # transformation, from the fused version, mechanically
-    assert result.storage_bytes("auto-derived") == result.storage_bytes("optimized")
+    assert result.detail.storage_bytes("auto-derived") == result.detail.storage_bytes("optimized")
     assert (
-        result.runs["auto-derived"].counters.memory_bytes
-        == result.runs["optimized"].counters.memory_bytes
+        result.detail.runs["auto-derived"].counters.memory_bytes
+        == result.detail.runs["optimized"].counters.memory_bytes
     )
     for level in range(3):
         assert (
-            result.runs["optimized"].counters.channel_bytes[level]
-            < result.runs["original"].counters.channel_bytes[level]
+            result.detail.runs["optimized"].counters.channel_bytes[level]
+            < result.detail.runs["original"].counters.channel_bytes[level]
         )
     benchmark.extra_info["declared_bytes"] = {
-        v: result.storage_bytes(v)
+        v: result.detail.storage_bytes(v)
         for v in ("original", "fused", "optimized", "auto-derived")
     }
     benchmark.extra_info["mem_bytes"] = {
-        v: r.counters.memory_bytes for v, r in result.runs.items()
+        v: r.counters.memory_bytes for v, r in result.detail.runs.items()
     }

@@ -9,5 +9,5 @@ def test_bench_e9_reduction(benchmark):
     result = once(benchmark, lambda: run_e9(trials=8))
     print()
     print(result.table().render())
-    assert result.all_equal
-    benchmark.extra_info["instances"] = len(result.checks)
+    assert result.detail.all_equal
+    benchmark.extra_info["instances"] = len(result.detail.checks)

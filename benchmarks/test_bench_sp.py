@@ -11,7 +11,7 @@ def test_bench_e11_sp_utilization(benchmark, cfg):
     print()
     print(result.table().render())
 
-    assert result.saturated_count == 5
+    assert result.detail.saturated_count == 5
     benchmark.extra_info["utilization"] = {
-        s.name: round(s.utilization, 3) for s in result.subroutines
+        s.name: round(s.utilization, 3) for s in result.detail.subroutines
     }

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..lang.program import Program
 from ..machine.cache import CacheGeometry
 from ..machine.layout import build_layout
 from ..machine.opt_cache import lru_bytes, lru_vs_opt
 from ..machine.spec import MachineSpec
 from ..programs import convolution, dmxpy, fig7_original, matmul
+from ..trace.events import LazyStream
 from ..trace.generator import generate_trace
 from ..transforms.pipeline import optimize
 from .config import ExperimentConfig
@@ -84,8 +83,10 @@ class E13Result:
 
 def _l2_trace(
     program: Program, machine: MachineSpec
-) -> tuple[np.ndarray, np.ndarray, CacheGeometry]:
-    """The raw element trace of one program and the last-level geometry.
+) -> tuple[LazyStream, None, CacheGeometry]:
+    """The raw element trace of one program, as its lazy stream (no write
+    array: the replays read the stream a block at a time and never join
+    it), and the last-level geometry.
 
     OPT replays the raw trace against the last-level geometry rather than
     the trace the upper levels filter (OPT with the full trace is a lower
@@ -94,7 +95,7 @@ def _l2_trace(
     """
     layout = build_layout(program, None, machine.default_layout)
     trace = generate_trace(program, layout=layout)
-    return trace.addresses, trace.is_write, machine.cache_levels[-1].geometry
+    return trace.stream, None, machine.cache_levels[-1].geometry
 
 
 @experiment("e13")

@@ -2,6 +2,9 @@
 bandwidth, bandwidth-based prediction, inter-array regrouping, and the
 program-order fusion baseline."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,9 @@ from repro.machine import (
     origin2000,
     simulate_opt,
 )
+from repro.machine import opt_cache
 from repro.options import ExecOptions, use_options
+from repro.trace.events import LazyStream, Rows
 from repro.transforms import regroup_arrays, regroupable_sets, verify_equivalent
 
 from tests.helpers import simple_stream_program
@@ -199,6 +204,101 @@ class TestBeladyOpt:
                     res = simulate_opt(a, w, geom, flush=flush)
                     assert (res.stats, res.downstream_bytes) == brute_force_opt(
                         a, w, geom, flush)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(case=opt_cases(), flush=st.booleans())
+    def test_blocked_read_matches_per_access_oracle(self, block, case, flush):
+        """Tiny blocks: runs straddle block boundaries (and are merged after
+        the regroup), most blocks leave most sets untouched, and a head may
+        sit alone in its block."""
+        geom, a, w = case
+        with mock.patch.object(opt_cache, "_BLOCK", block):
+            res = simulate_opt(a, w, geom, flush=flush)
+        assert (res.stats, res.downstream_bytes) == brute_force_opt(a, w, geom, flush)
+
+    def lazy_parts(self):
+        """An array part, a :class:`Rows` part of 40 rows whose columns
+        revisit the same 2-way sets, and another array part."""
+        rng = np.random.default_rng(3)
+        base = (rng.integers(0, 64, 12) * 8).astype(np.int64)
+        step = np.tile(np.array([0, 32, 128], dtype=np.int64), 4)
+        rows = Rows(base, rng.random(12) < 0.3, step, 40)
+        head = ((rng.integers(0, 48, 30) * 16).astype(np.int64), rng.random(30) < 0.5)
+        tail = ((rng.integers(0, 48, 25) * 16).astype(np.int64), rng.random(25) < 0.5)
+        return [head, rows, tail]
+
+    @pytest.mark.parametrize("block", [5, 64, 1 << 16])
+    def test_lazy_stream_equals_arrays(self, block):
+        a, w = LazyStream(self.lazy_parts()).arrays()
+        for geom in (CacheGeometry(128, 32, 2), CacheGeometry(96, 32, 1),
+                     CacheGeometry(384, 32, 4)):
+            for flush in (True, False):
+                with mock.patch.object(opt_cache, "_BLOCK", block):
+                    lazy = simulate_opt(LazyStream(self.lazy_parts()), None, geom, flush)
+                    assert lazy == simulate_opt(a, w, geom, flush)
+                    lazy_vs = lru_vs_opt(LazyStream(self.lazy_parts()), None, geom, flush)
+                    assert lazy_vs == lru_vs_opt(a, w, geom, flush)
+        stream = LazyStream(self.lazy_parts())
+        simulate_opt(stream, None, CacheGeometry(128, 32, 2))
+        assert stream._joined is None  # read a block at a time, never joined
+
+    def test_two_way_hit_chain_across_never_reused_lines(self):
+        # One 2-way set; lines 2 and 3 are never used again.  Belady keeps
+        # 0 over 1, then 1 over 2, then 1 over 3: hits at heads 2, 4 and 6
+        # (the chain t1 = S[0] = 2, S[1] = 4, S[3] = 6).
+        geom = CacheGeometry(64, 32, 2)
+        a, w = self.as_arrays([x * 32 for x in (0, 1, 0, 2, 1, 3, 1)])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.misses, res.stats.hits, res.stats.evictions) == (4, 3, 2)
+        # Alternating lines all hit once the set is full.
+        a, w = self.as_arrays([x * 32 for x in (0, 1, 0, 1, 0, 1)])
+        res = simulate_opt(a, w, geom, flush=False)
+        assert (res.misses, res.stats.evictions) == (2, 0)
+
+    def test_two_way_flush_false_ends_on_tied_residents(self):
+        # After the last hit (head 2, line 0) lines 0 and 1 are never used
+        # again and tie; line 2's miss evicts the first inserted (line 0),
+        # so lines 1 and 2 stay and only line 0's dirt is written back.
+        geom = CacheGeometry(64, 32, 2)
+        lines = [x * 32 for x in (0, 1, 0, 2)]
+        res = simulate_opt(*self.as_arrays(lines, [True, False, False, False]), geom, flush=False)
+        assert (res.misses, res.stats.evictions, res.writebacks) == (3, 1, 1)
+        res = simulate_opt(*self.as_arrays(lines, [False, True, False, False]), geom, flush=False)
+        assert (res.misses, res.stats.evictions, res.writebacks) == (3, 1, 0)
+        # Two hits in a row (heads 2 and 3): line 1 (head 3) was inserted
+        # after line 0 (head 2), so line 0 goes when line 2 misses.
+        lines = [x * 32 for x in (0, 1, 0, 1, 2)]
+        res = simulate_opt(*self.as_arrays(lines, [False, True, False, False, False]), geom,
+                           flush=False)
+        assert (res.misses, res.writebacks) == (3, 0)
+        res = simulate_opt(*self.as_arrays(lines, [True, False, False, False, False]), geom,
+                           flush=False)
+        assert (res.misses, res.writebacks) == (3, 1)
+        # Ending on the last hit: heads t and t-1 stay.
+        res = simulate_opt(*self.as_arrays([0, 32, 0], [True, True, False]), geom, flush=False)
+        assert (res.misses, res.writebacks) == (2, 0)
+
+    def test_lazy_trace_replay_stays_below_its_arrays(self):
+        """Reading a lazy trace a block at a time keeps the replay's peak
+        below the trace's own size as arrays (9 bytes an access)."""
+        from repro.machine import build_layout
+        from repro.programs import make_kernel
+        from repro.trace import generate_trace
+
+        machine = origin2000(128)
+        program = make_kernel("2w5r", (1 << 20) // 7 + 1)
+        trace = generate_trace(program, layout=build_layout(program, None, machine.default_layout))
+        assert len(trace) >= 1 << 20
+        assert any(isinstance(part, Rows) for part in trace.stream.parts)
+        l2 = machine.cache_levels[-1].geometry
+        tracemalloc.start()
+        try:
+            simulate_opt(trace.stream, None, l2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.nbytes
 
     def test_tie_evicts_first_inserted_line(self):
         # One set, 2 ways: line 0 (dirty) and line 1 (clean) are never used
