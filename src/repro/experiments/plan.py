@@ -472,7 +472,7 @@ def _capacity_group(
     for col in columns:
         line_size = col[0].request.machine.cache_levels[0].geometry.line_size
         with phase(SIMULATE):
-            profile = stack_profile(trace.addresses, trace.is_write, line_size)
+            profile = stack_profile(trace.stream, None, line_size)
         session.accesses_requested += len(trace) * len(col)
         session.accesses_simulated += len(trace)
         for pt in col:

@@ -4,7 +4,6 @@ from .cache import Cache, CacheGeometry, CacheStats
 from .engine import (
     ENGINES,
     DirectMappedEngine,
-    MissCurve,
     SetAssociativeEngine,
     StackDistanceEngine,
     make_cache,
@@ -54,7 +53,6 @@ __all__ = [
     "LayoutPolicy",
     "MachineSpec",
     "MissClassification",
-    "MissCurve",
     "MemoryLayout",
     "OptResult",
     "PRESETS",

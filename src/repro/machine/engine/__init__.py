@@ -12,7 +12,8 @@ streams while running one to two orders of magnitude faster:
   ordered downstream event stream intermediate levels need.
 * :class:`StackDistanceEngine` — fully-associative LRU levels via Mattson
   stack distances; also exposes :func:`miss_curve`, the exact miss count
-  of *every* cache size from one trace pass.
+  of *every* cache size from one trace pass (a
+  :class:`~repro.machine.engine.stack.StackProfile`).
 
 :func:`select_engine` picks the fastest exact engine for a level;
 ``"reference"`` always means the original ``Cache``.  The reference stays
@@ -29,7 +30,7 @@ from .base import BaseEngine
 from .direct import DirectMappedEngine
 from .distinct import COLD, count_prior_leq, previous_occurrences, reuse_distances
 from .setassoc import SetAssociativeEngine
-from .stack import MissCurve, StackDistanceEngine, miss_curve
+from .stack import StackDistanceEngine, miss_curve
 
 #: Engine name -> simulator class.  ``"auto"`` is resolved by
 #: :func:`select_engine`, not listed here.
@@ -121,7 +122,6 @@ __all__ = [
     "COLD",
     "DirectMappedEngine",
     "ENGINES",
-    "MissCurve",
     "SetAssociativeEngine",
     "ShardPlan",
     "ShardedHierarchy",

@@ -41,75 +41,97 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...errors import MachineError
+from ...trace.events import LazyStream, Rows
 from ..cache import CacheGeometry, joins_lazy
+from . import stackfold
 from .base import BaseEngine
-from .distinct import _previous_and_order, reuse_distances
+from .distinct import COLD, _previous_and_order, reuse_distances
 
 _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
 
-# -- miss curves --------------------------------------------------------------
-@dataclass(frozen=True)
-class MissCurve:
-    """Exact fully-associative LRU miss counts for every capacity at once."""
+# -- all-capacity profiles ----------------------------------------------------
+class _Histogram:
+    """A multiset of int64 values: its distinct values, sorted, and
+    ``cum[k]``, how many values lie below ``values[k]``."""
 
-    line_size: int
-    total: int  #: accesses in the trace
-    cold: int  #: first-ever (compulsory) misses
-    _sorted_deltas: np.ndarray = field(repr=False)  #: finite reuse distances, sorted
+    __slots__ = ("values", "cum")
 
-    def misses(self, capacity_lines: int) -> int:
-        """Misses of a fully-associative LRU cache of ``capacity_lines``."""
-        if capacity_lines <= 0:
-            return self.total
-        reused = len(self._sorted_deltas)
-        below = int(np.searchsorted(self._sorted_deltas, capacity_lines, side="left"))
-        return self.cold + (reused - below)
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        self.values = values
+        self.cum = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.cum[1:])
 
-    def misses_for_size(self, size_bytes: int) -> int:
-        return self.misses(size_bytes // self.line_size)
+    @classmethod
+    def of(cls, samples: np.ndarray, counts: np.ndarray | None = None) -> "_Histogram":
+        """The multiset of non-negative ``samples``, each ``counts`` times
+        (once if None).  Samples are counted in place, no sort, when they
+        are small (reuse distances, ranks), and COLD ones apart."""
+        if not len(samples):
+            return _EMPTY_HIST
+        cold = samples == COLD
+        n_cold = int(counts[cold].sum()) if counts is not None else int(cold.sum())
+        if n_cold:
+            samples = samples[~cold]
+            counts = counts[~cold] if counts is not None else None
+        if len(samples) and int(samples.max()) <= 4 * len(samples) + (1 << 16):
+            tally = np.bincount(samples, weights=counts)
+            values = np.flatnonzero(tally)
+            found = tally[values].astype(np.int64)
+        elif counts is None:
+            values, found = np.unique(samples, return_counts=True)
+        else:
+            order = np.argsort(samples, kind="stable")
+            samples, counts = samples[order], counts[order]
+            start = np.ones(len(samples), dtype=bool)
+            start[1:] = samples[1:] != samples[:-1]
+            first = np.flatnonzero(start)
+            values = samples[first]
+            found = np.add.reduceat(counts, first) if len(first) else counts
+        if n_cold:
+            values = np.append(values, COLD)
+            found = np.append(found, n_cold)
+        return cls(values, found)
 
-    def hits(self, capacity_lines: int) -> int:
-        return self.total - self.misses(capacity_lines)
+    def plus(self, other: "_Histogram", times: int = 1) -> "_Histogram":
+        """This multiset with ``times`` copies of ``other`` added."""
+        if not other.total or not times:
+            return self
+        return _Histogram.of(
+            np.concatenate([self.values, other.values]),
+            np.concatenate([np.diff(self.cum), np.diff(other.cum) * times]),
+        )
 
-    def miss_ratio(self, capacity_lines: int) -> float:
-        return self.misses(capacity_lines) / self.total if self.total else 0.0
+    @property
+    def total(self) -> int:
+        return int(self.cum[-1])
 
-    def curve(self, capacities: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`misses` over an array of line capacities."""
-        caps = np.asarray(capacities, dtype=np.int64)
-        reused = len(self._sorted_deltas)
-        below = np.searchsorted(self._sorted_deltas, np.maximum(caps, 0), side="left")
-        out = self.cold + (reused - below)
-        return np.where(caps <= 0, self.total, out)
+    def below(self, x):
+        """How many values are below ``x`` (scalar or array)."""
+        return self.cum[np.searchsorted(self.values, x, side="left")]
 
+    def at_most(self, x):
+        return self.cum[np.searchsorted(self.values, x, side="right")]
 
-def miss_curve(byte_addrs: np.ndarray, line_size: int) -> MissCurve:
-    """One pass over a trace -> exact miss counts for *all* cache sizes.
-
-    Returns a :class:`MissCurve`; ``misses(C)`` is bit-identical to
-    simulating a fully-associative LRU cache of ``C`` lines.
-    """
-    if line_size <= 0 or line_size & (line_size - 1):
-        raise MachineError(f"line size must be a positive power of two, got {line_size}")
-    lines = np.asarray(byte_addrs, dtype=np.int64) >> (line_size.bit_length() - 1)
-    delta = reuse_distances(lines)
-    cold = int((delta == np.iinfo(np.int64).max).sum())
-    finite = np.sort(delta[delta != np.iinfo(np.int64).max])
-    return MissCurve(
-        line_size=line_size, total=len(lines), cold=cold, _sorted_deltas=finite
-    )
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Histogram)
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.cum, other.cum)
+        )
 
 
-# -- full-counter capacity profiles -------------------------------------------
+_EMPTY_HIST = _Histogram(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class StackProfile:
     """Exact fully-associative LRU *counter block* for every capacity at once.
 
-    :func:`miss_curve` answers misses; a sweep point needs the whole
-    :class:`~repro.machine.cache.CacheStats` (write misses, evictions,
-    writebacks, events out).  All of them reduce to order statistics that
-    one trace pass can precompute for all capacities ``C`` simultaneously:
+    A sweep point needs the whole :class:`~repro.machine.cache.CacheStats`
+    (write misses, evictions, writebacks, events out), not only misses.
+    All of them reduce to order statistics that one trace pass can
+    precompute for all capacities ``C`` simultaneously:
 
     * misses(C)        = cold + #{finite reuse distances >= C}
     * write_misses(C)  = cold writes + #{finite write reuse distances >= C}
@@ -131,7 +153,9 @@ class StackProfile:
     resident dirty lines have not drained yet and are subtracted.  These
     are the same identities :class:`StackDistanceEngine` applies at a
     fixed capacity, so :meth:`stats` is bit-identical to simulating that
-    capacity — the planner's capacity-collapse rule rests on this.
+    capacity — the planner's capacity-collapse rule rests on this.  The
+    four multisets are held as histograms, so a profile's size follows
+    its distinct distances, not its accesses.
     """
 
     line_size: int
@@ -139,34 +163,46 @@ class StackProfile:
     cold: int  #: first-ever (compulsory) misses
     cold_writes: int  #: compulsory misses that were writes
     distinct: int  #: distinct lines touched
-    _sorted_deltas: np.ndarray = field(repr=False)  #: finite reuse distances
-    _sorted_write_deltas: np.ndarray = field(repr=False)  #: ... of writes only
-    _sorted_tenure_marks: np.ndarray = field(repr=False)  #: per-write m_w (COLD kept)
-    _sorted_dirty_survival: np.ndarray = field(repr=False)  #: per-line max(t+1, r)
+    _deltas: _Histogram = field(repr=False)  #: finite reuse distances
+    _write_deltas: _Histogram = field(repr=False)  #: ... of writes only
+    _tenure_marks: _Histogram = field(repr=False)  #: per-write m_w (COLD kept)
+    _dirty_survival: _Histogram = field(repr=False)  #: per written line max(t+1, r)
 
     def misses(self, capacity_lines: int) -> int:
+        """Misses of a fully-associative LRU cache of ``capacity_lines``."""
         if capacity_lines <= 0:
             return self.total
-        reused = len(self._sorted_deltas)
-        below = int(np.searchsorted(self._sorted_deltas, capacity_lines, side="left"))
-        return self.cold + (reused - below)
+        d = self._deltas
+        return self.cold + d.total - int(d.below(capacity_lines))
+
+    def curve(self, capacities: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`misses` over an array of line capacities."""
+        caps = np.asarray(capacities, dtype=np.int64)
+        d = self._deltas
+        out = self.cold + d.total - d.below(np.maximum(caps, 0))
+        return np.where(caps <= 0, self.total, out)
+
+    def misses_for_size(self, size_bytes: int) -> int:
+        return self.misses(size_bytes // self.line_size)
+
+    def hits(self, capacity_lines: int) -> int:
+        return self.total - self.misses(capacity_lines)
+
+    def miss_ratio(self, capacity_lines: int) -> float:
+        return self.misses(capacity_lines) / self.total if self.total else 0.0
 
     def write_misses(self, capacity_lines: int) -> int:
+        wd = self._write_deltas
         if capacity_lines <= 0:
-            return self.cold_writes + len(self._sorted_write_deltas)
-        wd = self._sorted_write_deltas
-        below = int(np.searchsorted(wd, capacity_lines, side="left"))
-        return self.cold_writes + (len(wd) - below)
+            return self.cold_writes + wd.total
+        return self.cold_writes + wd.total - int(wd.below(capacity_lines))
 
     def dirty_tenures(self, capacity_lines: int) -> int:
-        marks = self._sorted_tenure_marks
-        below = int(np.searchsorted(marks, max(capacity_lines, 0), side="left"))
-        return len(marks) - below
+        marks = self._tenure_marks
+        return marks.total - int(marks.below(max(capacity_lines, 0)))
 
     def dirty_resident(self, capacity_lines: int) -> int:
-        return int(
-            np.searchsorted(self._sorted_dirty_survival, capacity_lines, side="right")
-        )
+        return int(self._dirty_survival.at_most(capacity_lines))
 
     def stats(self, capacity_lines: int, flush: bool = True):
         """Counters of a fully-associative LRU level of ``capacity_lines``
@@ -208,38 +244,111 @@ def _interleaved_max(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -
     return np.maximum.reduceat(values, idx)[0::2]
 
 
-def stack_profile(
-    byte_addrs: np.ndarray, is_write: np.ndarray, line_size: int
-) -> StackProfile:
-    """One pass over a trace -> exact :class:`CacheStats` for all sizes.
-
-    The full-counter companion of :func:`miss_curve` (see
-    :class:`StackProfile` for the identities).  Cold-start semantics: the
-    profile describes a single measured pass from an empty cache.
-    """
+def _line_shift(line_size: int) -> int:
     if line_size <= 0 or line_size & (line_size - 1):
         raise MachineError(f"line size must be a positive power of two, got {line_size}")
-    lines = np.asarray(byte_addrs, dtype=np.int64) >> (line_size.bit_length() - 1)
-    w = np.asarray(is_write, dtype=bool)
-    n = len(lines)
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return StackProfile(line_size, 0, 0, 0, 0, empty, empty, empty, empty)
+    return line_size.bit_length() - 1
 
-    prev, order = _previous_and_order(lines)
+
+def miss_curve(byte_addrs, line_size: int) -> StackProfile:
+    """One pass over a trace -> exact miss counts for *all* cache sizes.
+
+    The :class:`StackProfile` of a read-only pass over ``byte_addrs``
+    (plain addresses, or a :class:`~repro.trace.events.LazyStream` whose
+    write flags are ignored); ``misses(C)`` is bit-identical to
+    simulating a fully-associative LRU cache of ``C`` lines.
+    """
+    if isinstance(byte_addrs, LazyStream):
+        reads = [
+            Rows(p.base, np.zeros(p.width, dtype=bool), p.step, p.trip)
+            if isinstance(p, Rows)
+            else (p[0], np.zeros(len(p[0]), dtype=bool))
+            for p in byte_addrs.parts
+        ]
+        return stack_profile(LazyStream(reads), None, line_size)
+    addrs = np.asarray(byte_addrs, dtype=np.int64)
+    return stack_profile(addrs, np.zeros(len(addrs), dtype=bool), line_size)
+
+
+def stack_profile(byte_addrs, is_write, line_size: int) -> StackProfile:
+    """One pass over a trace -> exact :class:`CacheStats` for all sizes.
+
+    See :class:`StackProfile` for the identities.  Cold-start semantics:
+    the profile describes a single measured pass from an empty cache.
+    ``byte_addrs`` may be a :class:`~repro.trace.events.LazyStream`
+    (``is_write`` None): its certified periodic stretches are folded
+    (:mod:`~repro.machine.engine.stackfold`), so only their lead-in,
+    template and tail rows are built and profiled, and the stream is
+    never joined.  The profile is bit-identical either way.
+    """
+    shift = _line_shift(line_size)
+    if isinstance(byte_addrs, LazyStream):
+        total = len(byte_addrs)
+        plans = stackfold.plan_folds(byte_addrs, shift)
+        while True:
+            lines, w, folds = stackfold.build(byte_addrs, plans)
+            lines >>= shift
+            prev, order = _previous_and_order(lines)
+            failed = stackfold.failed_parts(prev, folds) if folds else ()
+            if not failed:
+                break
+            plans = {k: v for k, v in plans.items() if k not in failed}
+    else:
+        lines = np.asarray(byte_addrs, dtype=np.int64) >> shift
+        w = np.asarray(is_write, dtype=bool)
+        total, folds = len(lines), []
+        prev, order = _previous_and_order(lines)
+    return _profile(lines, w, prev, order, folds, total, line_size)
+
+
+def _weighted(samples: np.ndarray, templates) -> _Histogram:
+    """The histogram of ``samples`` plus, for each ``(fold, extra)`` of
+    ``templates``, the samples ``extra`` of its template super-row once
+    more per excised copy."""
+    hist = _Histogram.of(samples)
+    for f, extra in templates:
+        hist = hist.plus(_Histogram.of(extra), f.copies)
+    return hist
+
+
+def _profile(lines, w, prev, order, folds, total: int, line_size: int) -> StackProfile:
+    """The profile of a (reduced) stream of lines: per-access distances
+    and marks, per-line survival, with each fold's template counted once
+    per excised copy and recency ranks shifted by the copies' lines."""
+    n = len(lines)
+    if n == 0:
+        return StackProfile(line_size, 0, 0, 0, 0, *(_EMPTY_HIST,) * 4)
+
     delta = reuse_distances(lines, prev)
     cold_mask = prev < 0
-    cold = int(cold_mask.sum())
-    cold_writes = int((cold_mask & w).sum())
-    finite = np.sort(delta[~cold_mask])
-    wfinite = np.sort(delta[~cold_mask & w])
+    for f in folds:
+        # A window over a whole folded part also holds the copies' new lines.
+        span = np.flatnonzero((prev[f.part_hi :] >= 0) & (prev[f.part_hi :] < f.part_lo))
+        if len(span):
+            delta[f.part_hi + span] += f.copies * int(cold_mask[f.lo : f.hi].sum())
+
+    def weighted_count(mask: np.ndarray) -> int:
+        return int(mask.sum()) + sum(f.copies * int(mask[f.lo : f.hi].sum()) for f in folds)
+
+    cold = weighted_count(cold_mask)
+    cold_writes = weighted_count(cold_mask & w)
+    warm = ~cold_mask
+    wwarm = warm & w
+    deltas = _weighted(delta[warm], [(f, delta[f.lo : f.hi][warm[f.lo : f.hi]]) for f in folds])
+    write_deltas = _weighted(
+        delta[wwarm], [(f, delta[f.lo : f.hi][wwarm[f.lo : f.hi]]) for f in folds]
+    )
 
     # Group accesses by line (`order` is stable: trace order inside groups).
-    gk, gw, gd = lines[order], w[order], delta[order]
+    gk = lines[order]
     gstart = np.empty(n, dtype=bool)
     gstart[0] = True
     gstart[1:] = gk[1:] != gk[:-1]
-    gid = np.cumsum(gstart) - 1
+    del gk
+    gw, gd = w[order], delta[order]
+    del delta
+    gid = np.cumsum(gstart)
+    gid -= 1
     n_lines = int(gid[-1]) + 1
     group_starts = np.flatnonzero(gstart)
     gend_idx = np.empty(n_lines, dtype=np.int64)
@@ -248,21 +357,24 @@ def stack_profile(
 
     # Running "last write at or before me, within my group": offsetting by
     # BIG*gid makes maximum.accumulate reset at group boundaries.
-    idx = np.arange(n, dtype=np.int64)
     big = np.int64(n + 2)
-    u = np.where(gw, idx, np.int64(-1)) + big * gid
-    acc = np.maximum.accumulate(u)
+    wpos = np.flatnonzero(gw)
+    acc = gid * big
+    acc -= 1
+    acc[wpos] += wpos + 1
+    np.maximum.accumulate(acc, out=acc)
+    wgid = gid[wpos]
+    del gid
 
     # m_w: max reuse distance over (previous write to the line, w].
-    wpos = np.flatnonzero(gw)
     if len(wpos):
-        pw = np.where(
-            gstart[wpos], np.int64(-1), acc[np.maximum(wpos - 1, 0)] - big * gid[wpos]
-        )
-        seg_starts = np.where(pw >= 0, pw + 1, group_starts[gid[wpos]])
-        marks = np.sort(_interleaved_max(gd, seg_starts, wpos + 1))
+        pw = np.where(gstart[wpos], np.int64(-1), acc[np.maximum(wpos - 1, 0)] - big * wgid)
+        seg_starts = np.where(pw >= 0, pw + 1, group_starts[wgid])
+        marks = _interleaved_max(gd, seg_starts, wpos + 1)
+        at = order[wpos] if folds else None
+        tenure_marks = _weighted(marks, [(f, marks[(at >= f.lo) & (at < f.hi)]) for f in folds])
     else:
-        marks = empty
+        tenure_marks = _EMPTY_HIST
 
     # Per written line: t = max reuse distance strictly after its last
     # write (-1 if none) and r = end-of-run LRU recency rank.
@@ -278,21 +390,42 @@ def stack_profile(
         nonempty = tstart < tend
         if nonempty.any():
             t[nonempty] = _interleaved_max(gd, tstart[nonempty], tend[nonempty])
-        survival = np.sort(np.maximum(t + 1, rank[written]))
+        survival = _survival(t + 1, rank, last_pos, written, folds)
     else:
-        survival = empty
+        survival = _EMPTY_HIST
 
     return StackProfile(
         line_size=line_size,
-        total=n,
+        total=total,
         cold=cold,
         cold_writes=cold_writes,
-        distinct=n_lines,
-        _sorted_deltas=finite,
-        _sorted_write_deltas=wfinite,
-        _sorted_tenure_marks=marks,
-        _sorted_dirty_survival=survival,
+        distinct=cold,
+        _deltas=deltas,
+        _write_deltas=write_deltas,
+        _tenure_marks=tenure_marks,
+        _dirty_survival=survival,
     )
+
+
+def _survival(t1, rank, last_pos, written, folds) -> _Histogram:
+    """Per written line ``max(t + 1, r)``.  A line that a fold's template
+    retires (accesses last) stands for one line per copy, each retired
+    one template later and so ranked ``nu`` (the lines a template
+    retires) higher; every line retired by the end of a template ranks
+    ``copies x nu`` lower, below the copies' lines."""
+    if not folds:
+        return _Histogram.of(np.maximum(t1, rank[written]))
+    rank = rank.copy()
+    retired = [int(np.count_nonzero((last_pos >= f.lo) & (last_pos < f.hi))) for f in folds]
+    for f, nu in zip(folds, retired):
+        rank[last_pos < f.hi] += f.copies * nu
+    last, r = last_pos[written], rank[written]
+    values = [np.maximum(t1, r)]
+    for f, nu in zip(folds, retired):
+        here = (last >= f.lo) & (last < f.hi)
+        later = np.arange(1, f.copies + 1, dtype=np.int64) * nu
+        values.append(np.maximum(t1[here][:, None], r[here][:, None] - later).ravel())
+    return _Histogram.of(np.concatenate(values))
 
 
 # -- the fully-associative engine ---------------------------------------------

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.interp.executor import execute
 from repro.machine.cache import Cache, CacheGeometry
 from repro.machine.engine.simcache import SimulationCache
+from repro.machine.engine import miss_curve, stackfold
 from repro.machine.engine.stack import StackProfile, stack_profile
 from repro.machine.hierarchy import Hierarchy
 from repro.machine.layout import LayoutPolicy
 from repro.machine.spec import CacheLevelSpec, MachineSpec
 from repro.options import override_options, use_options
-from repro.trace.events import Trace
+from repro.trace.events import LazyStream, Rows, Trace
 from repro.trace.stream import fanout_chunks
 from repro.experiments.plan import (
     SimRequest,
@@ -162,6 +163,198 @@ class TestStackProfile:
         profile = stack_profile(addrs, writes, LINE)
         assert vars(profile.stats_for_size(4 * LINE)) == vars(profile.stats(4))
         assert isinstance(profile, StackProfile)
+
+
+# -- folded profiles of lazy streams ------------------------------------------
+#: Byte distance between the address regions of a random stream's parts.
+REGION = 1 << 20
+
+
+def _lazy_stream(spec) -> LazyStream:
+    """A stream from plain descriptors: ``("rows", bases, steps, writes,
+    trip)`` or ``("array", addresses, writes)``."""
+    parts = []
+    for kind, *fields in spec:
+        if kind == "rows":
+            base, step, writes, trip = fields
+            parts.append(
+                Rows(
+                    np.array(base, dtype=np.int64),
+                    np.array(writes, dtype=bool),
+                    np.array(step, dtype=np.int64),
+                    trip,
+                )
+            )
+        else:
+            addrs, writes = fields
+            parts.append((np.array(addrs, dtype=np.int64), np.array(writes, dtype=bool)))
+    return LazyStream(parts)
+
+
+@st.composite
+def lazy_specs(draw):
+    """Rows parts with zero, sub-line and whole-line steps, each in its own
+    address region, and array parts before, between and after them that
+    read either their own region or a Rows part's."""
+    line = 1 << draw(st.integers(3, 8))
+    n_rows = draw(st.integers(1, 3))
+    spec = []
+    for k in range(n_rows):
+        width = draw(st.integers(1, 4))
+        trip = draw(st.integers(4, 60))
+        steps, bases = [], []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["zero", "sub", "line", "bytes"]))
+            if kind == "zero":
+                step = 0
+            elif kind == "sub":
+                step = 8 * draw(st.integers(1, max(1, line // 8 - 1))) * draw(st.sampled_from([1, -1]))
+            elif kind == "line":
+                step = line * draw(st.integers(-3, 3))
+            else:
+                step = 8 * draw(st.integers(1, 3 * line // 8))
+            steps.append(step)
+            bases.append(k * REGION + REGION // 2 + 8 * draw(st.integers(0, 4 * line)))
+        writes = [draw(st.booleans()) for _ in range(width)]
+        spec.append(("rows", bases, steps, writes, trip))
+    for _ in range(draw(st.integers(0, 3))):
+        region = draw(st.integers(0, n_rows))
+        size = draw(st.integers(1, 20))
+        addrs = [
+            region * REGION + REGION // 2 + 8 * draw(st.integers(0, 60 * line // 8))
+            for _ in range(size)
+        ]
+        spec.insert(
+            draw(st.integers(0, len(spec))),
+            ("array", addrs, [draw(st.booleans()) for _ in range(size)]),
+        )
+    return line, spec
+
+
+class TestFoldedStackProfile:
+    """``stack_profile`` of a lazy stream folds certified stretches; every
+    field and every derived ``CacheStats`` must equal the full pass's."""
+
+    @staticmethod
+    def check(line, spec):
+        addrs, writes = _lazy_stream(spec).arrays()
+        full = stack_profile(addrs, writes, line)
+        stream = _lazy_stream(spec)
+        lazy = stack_profile(stream, None, line)
+        assert stream._joined is None
+        assert lazy == full
+        for capacity in range(0, full.distinct + 3):
+            for flush in (True, False):
+                assert vars(lazy.stats(capacity, flush)) == vars(full.stats(capacity, flush))
+        return stream
+
+    @given(case=lazy_specs())
+    # dmxpy's x[j]: an 8 B step over 128 B lines crosses once, at row 12.
+    @example(case=(128, [("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16)]))
+    # Lines live three rows: one column rereads the line another wrote
+    # three rows before (or writes the line it read), so the template sits
+    # three rows in and keeps three rows of tail.
+    @example(case=(32, [("rows", [0, 96], [32, 32], [False, True], 30)]))
+    @example(case=(32, [("rows", [96, 0], [32, 32], [True, False], 30)]))
+    # A sub-line period: every column moves one 64 B line per 8 rows.
+    @example(case=(64, [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)]))
+    # FFT's next stage rereads lines the stage before it touched.
+    @example(
+        case=(
+            32,
+            [
+                ("rows", [0, 8, 2048], [16, 16, 0], [False, True, False], 40),
+                ("rows", [0, 32, 2048], [64, 64, 0], [True, False, False], 10),
+            ],
+        )
+    )
+    # A later part rereads lines from the middle of a folded stretch.
+    @example(
+        case=(
+            32,
+            [
+                ("rows", [0, 8192], [32, 0], [True, False], 50),
+                ("array", [800, 640, 1280, 8192], [False, True, False, False]),
+            ],
+        )
+    )
+    # Accesses before and after a folded part reuse one line across it.
+    @example(
+        case=(
+            32,
+            [
+                ("array", [REGION, REGION + 64], [True, False]),
+                ("rows", [0, 8, 4096], [32, 32, 0], [False, True, False], 40),
+                ("array", [REGION + 64, REGION], [False, True]),
+            ],
+        )
+    )
+    # dmxpy's x[j] crosses into a line an earlier part touched: that window
+    # spans the first fold, which falls back.
+    @example(
+        case=(
+            128,
+            [
+                ("array", [4096 + 136, 0], [False, True]),
+                ("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16),
+            ],
+        )
+    )
+    # Two step classes whose line ranges meet: a fixed column inside the
+    # range another one sweeps.
+    @example(case=(32, [("rows", [0, 320, 4096], [32, 0, 0], [True, False, False], 30)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_pass(self, case):
+        self.check(*case)
+
+    def test_dmxpy_crossing_folds_both_stretches(self):
+        line = 128
+        spec = [("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16)]
+        plans = stackfold.plan_folds(_lazy_stream(spec), line.bit_length() - 1)
+        (plan,) = plans.values()
+        # Cut at x's crossing; each stretch keeps lead-in, template, tail.
+        assert [(s.template, s.end, s.copies) for s in plan.stretches] == [(1, 12, 9), (13, 16, 1)]
+        self.check(line, spec)
+
+    def test_miss_curve_reads_lazy_stream(self):
+        spec = [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)]
+        addrs, _ = _lazy_stream(spec).arrays()
+        stream = _lazy_stream(spec)
+        assert miss_curve(stream, 64) == miss_curve(addrs, 64)
+        assert stream._joined is None
+
+    def test_lazy_dmxpy_profile_leaves_stream_unjoined(self):
+        """The ladder's dmxpy on the Origin2000/128 layout: the profile
+        builds 6 of its 16 rows, never joins the stream, and peaks far
+        below the full pass."""
+        import tracemalloc
+
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.ladder_capacity import LINE_SIZE, ladder_requests
+        from repro.trace.generator import TraceGenerator
+
+        req = next(
+            r for r in ladder_requests(ExperimentConfig()) if r.program.name == "dmxpy"
+        )
+        trace = TraceGenerator(req.program, req.identity.bound, req.identity.layout).generate()
+        (plan,) = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1).values()
+        assert sum(s.copies * s.period for s in plan.stretches) == 16 - 6
+        tracemalloc.start()
+        try:
+            lazy = stack_profile(trace.stream, None, LINE_SIZE)
+            _, lazy_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.stream._joined is None
+        addrs, writes = trace.stream.arrays()
+        tracemalloc.start()
+        try:
+            full = stack_profile(addrs, writes, LINE_SIZE)
+            _, full_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lazy == full
+        assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
 
 
 # -- chunk fanout -------------------------------------------------------------
