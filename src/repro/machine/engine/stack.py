@@ -67,6 +67,8 @@ class _Histogram:
         """The multiset of non-negative ``samples``, each ``counts`` times
         (once if None).  Samples are counted in place, no sort, when they
         are small (reuse distances, ranks), and COLD ones apart."""
+        if counts is not None:
+            samples, counts = samples[counts > 0], counts[counts > 0]
         if not len(samples):
             return _EMPTY_HIST
         cold = samples == COLD
@@ -278,66 +280,81 @@ def stack_profile(byte_addrs, is_write, line_size: int) -> StackProfile:
     ``byte_addrs`` may be a :class:`~repro.trace.events.LazyStream`
     (``is_write`` None): its certified periodic stretches are folded
     (:mod:`~repro.machine.engine.stackfold`), so only their lead-in,
-    template and tail rows are built and profiled, and the stream is
-    never joined.  The profile is bit-identical either way.
+    template and tail rows and a few accesses per line of the excised
+    copies are built and profiled, and the stream is never joined.  The
+    profile is bit-identical either way.
     """
     shift = _line_shift(line_size)
     if isinstance(byte_addrs, LazyStream):
         total = len(byte_addrs)
-        plans = stackfold.plan_folds(byte_addrs, shift)
-        while True:
-            lines, w, folds = stackfold.build(byte_addrs, plans)
-            lines >>= shift
-            prev, order = _previous_and_order(lines)
-            failed = stackfold.failed_parts(prev, folds) if folds else ()
-            if not failed:
-                break
-            plans = {k: v for k, v in plans.items() if k not in failed}
+        lines, w, folds = stackfold.reduce(byte_addrs, shift)
+        lines >>= shift
     else:
         lines = np.asarray(byte_addrs, dtype=np.int64) >> shift
         w = np.asarray(is_write, dtype=bool)
-        total, folds = len(lines), []
-        prev, order = _previous_and_order(lines)
+        total, folds = len(lines), None
+    prev, order = _previous_and_order(lines)
     return _profile(lines, w, prev, order, folds, total, line_size)
 
 
-def _weighted(samples: np.ndarray, templates) -> _Histogram:
-    """The histogram of ``samples`` plus, for each ``(fold, extra)`` of
-    ``templates``, the samples ``extra`` of its template super-row once
-    more per excised copy."""
-    hist = _Histogram.of(samples)
-    for f, extra in templates:
-        hist = hist.plus(_Histogram.of(extra), f.copies)
-    return hist
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``max(values[lo[k]:hi[k] + 1])`` for every ``k`` (``lo <= hi``),
+    from a table of maxima over power-of-two runs."""
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(run length))
+    out = np.empty(len(lo), dtype=values.dtype)
+    table = values
+    for k in range(int(level.max(initial=-1)) + 1):
+        if k:
+            half = 1 << (k - 1)
+            table = np.maximum(table[:-half], table[half:])
+        on = level == k
+        out[on] = np.maximum(table[lo[on]], table[hi[on] - (1 << k) + 1])
+    return out
+
+
+def _folded(delta: np.ndarray, folds: stackfold.Folds) -> tuple[np.ndarray, np.ndarray]:
+    """Which reduced accesses count as themselves: a phantom's distance
+    and mark count for none, a kept access's mark only if it is a first
+    write (:mod:`.stackfold`).  Phantoms take their chain maxima into
+    ``delta``."""
+    n = len(delta)
+    counted = np.ones(n, dtype=bool)
+    marked = np.ones(n, dtype=bool)
+    counted[folds.kept] = folds.counted
+    marked[folds.kept] = folds.marked
+    chain = delta[folds.chain]
+    phantom = ~folds.counted
+    spans = folds.span_lo <= folds.span_hi  # a first touch's is empty
+    maxima = np.zeros(len(spans), dtype=delta.dtype)
+    maxima[spans] = _range_max(chain, folds.span_lo[spans], folds.span_hi[spans])
+    delta[folds.kept[phantom]] = maxima[folds.span[phantom]]
+    return counted, marked
 
 
 def _profile(lines, w, prev, order, folds, total: int, line_size: int) -> StackProfile:
     """The profile of a (reduced) stream of lines: per-access distances
-    and marks, per-line survival, with each fold's template counted once
-    per excised copy and recency ranks shifted by the copies' lines."""
+    and marks and per-line survival.  A folded template access counts
+    once more for every excised access it stands for."""
     n = len(lines)
     if n == 0:
         return StackProfile(line_size, 0, 0, 0, 0, *(_EMPTY_HIST,) * 4)
 
     delta = reuse_distances(lines, prev)
     cold_mask = prev < 0
-    for f in folds:
-        # A window over a whole folded part also holds the copies' new lines.
-        span = np.flatnonzero((prev[f.part_hi :] >= 0) & (prev[f.part_hi :] < f.part_lo))
-        if len(span):
-            delta[f.part_hi + span] += f.copies * int(cold_mask[f.lo : f.hi].sum())
-
-    def weighted_count(mask: np.ndarray) -> int:
-        return int(mask.sum()) + sum(f.copies * int(mask[f.lo : f.hi].sum()) for f in folds)
-
-    cold = weighted_count(cold_mask)
-    cold_writes = weighted_count(cold_mask & w)
     warm = ~cold_mask
+    if folds is not None:
+        counted, marked = _folded(delta, folds)
+        warm &= counted
     wwarm = warm & w
-    deltas = _weighted(delta[warm], [(f, delta[f.lo : f.hi][warm[f.lo : f.hi]]) for f in folds])
-    write_deltas = _weighted(
-        delta[wwarm], [(f, delta[f.lo : f.hi][wwarm[f.lo : f.hi]]) for f in folds]
-    )
+    # A phantom follows its line's first touch, so none is cold.
+    cold = int(cold_mask.sum())
+    cold_writes = int((cold_mask & w).sum())
+    deltas = _Histogram.of(delta[warm])
+    write_deltas = _Histogram.of(delta[wwarm])
+    if folds is not None:
+        at, tw = folds.template, w[folds.template]
+        deltas = deltas.plus(_Histogram.of(delta[at], folds.weight))
+        write_deltas = write_deltas.plus(_Histogram.of(delta[at][tw], folds.weight[tw]))
 
     # Group accesses by line (`order` is stable: trace order inside groups).
     gk = lines[order]
@@ -371,8 +388,11 @@ def _profile(lines, w, prev, order, folds, total: int, line_size: int) -> StackP
         pw = np.where(gstart[wpos], np.int64(-1), acc[np.maximum(wpos - 1, 0)] - big * wgid)
         seg_starts = np.where(pw >= 0, pw + 1, group_starts[wgid])
         marks = _interleaved_max(gd, seg_starts, wpos + 1)
-        at = order[wpos] if folds else None
-        tenure_marks = _weighted(marks, [(f, marks[(at >= f.lo) & (at < f.hi)]) for f in folds])
+        tenure_marks = _Histogram.of(marks if folds is None else marks[marked[order[wpos]]])
+        if folds is not None:
+            extra = np.zeros(n, dtype=np.int64)
+            extra[folds.template] = folds.mark_weight
+            tenure_marks = tenure_marks.plus(_Histogram.of(marks, extra[order[wpos]]))
     else:
         tenure_marks = _EMPTY_HIST
 
@@ -390,7 +410,7 @@ def _profile(lines, w, prev, order, folds, total: int, line_size: int) -> StackP
         nonempty = tstart < tend
         if nonempty.any():
             t[nonempty] = _interleaved_max(gd, tstart[nonempty], tend[nonempty])
-        survival = _survival(t + 1, rank, last_pos, written, folds)
+        survival = _Histogram.of(np.maximum(t + 1, rank[written]))
     else:
         survival = _EMPTY_HIST
 
@@ -405,27 +425,6 @@ def _profile(lines, w, prev, order, folds, total: int, line_size: int) -> StackP
         _tenure_marks=tenure_marks,
         _dirty_survival=survival,
     )
-
-
-def _survival(t1, rank, last_pos, written, folds) -> _Histogram:
-    """Per written line ``max(t + 1, r)``.  A line that a fold's template
-    retires (accesses last) stands for one line per copy, each retired
-    one template later and so ranked ``nu`` (the lines a template
-    retires) higher; every line retired by the end of a template ranks
-    ``copies x nu`` lower, below the copies' lines."""
-    if not folds:
-        return _Histogram.of(np.maximum(t1, rank[written]))
-    rank = rank.copy()
-    retired = [int(np.count_nonzero((last_pos >= f.lo) & (last_pos < f.hi))) for f in folds]
-    for f, nu in zip(folds, retired):
-        rank[last_pos < f.hi] += f.copies * nu
-    last, r = last_pos[written], rank[written]
-    values = [np.maximum(t1, r)]
-    for f, nu in zip(folds, retired):
-        here = (last >= f.lo) & (last < f.hi)
-        later = np.arange(1, f.copies + 1, dtype=np.int64) * nu
-        values.append(np.maximum(t1[here][:, None], r[here][:, None] - later).ravel())
-    return _Histogram.of(np.concatenate(values))
 
 
 # -- the fully-associative engine ---------------------------------------------

@@ -7,17 +7,19 @@ plus ``r`` byte steps, so over a *super-row* of ``P`` rows every column
 whose ``P * step`` is a whole number ``D`` of lines moves by exactly ``D``
 lines (bytes, not lines: an 8 B step over 128 B lines moves by one line
 every 16 rows).  Reuse distances only count which accesses of a window
-share a line, so once a super-row's windows and line histories lie
-inside such a stretch, every later super-row of the stretch repeats it,
-renamed.  This module finds those stretches and *folds* them: the
-profile is taken of a reduced stream that keeps a lead-in, one template
-super-row and a tail of each stretch, and the template is counted once
-for itself and once per excised copy.  The rows after a fold are read
-with every moving column moved back by the excised super-rows, so the
-reduced stream is the same loop with fewer rows.
+share a line, so once a super-row's windows lie inside such a stretch,
+every later super-row of the stretch repeats them, renamed.  This module
+finds those stretches and *folds* them: the profile is taken of a
+reduced stream that keeps a lead-in, one template super-row, the *kept
+accesses* of the excised copies after it, and a tail.  The template's
+distances and tenure marks are counted once more for every copy they
+stand for.
 
-A fold is planned per stretch (:func:`plan_folds`) when all of these
-hold; any part that fails one is profiled row by row, as before:
+A part whose row is itself ``n`` repeats of ``w`` columns moving by a
+fixed step (dmxpy's row is 16,384 iterations of 4 accesses) is first
+split into one inner loop per row when the inner loops keep fewer
+accesses (:func:`plan_folds`).  A fold is planned per stretch when all of
+these hold; any part that fails one is profiled row by row:
 
 (a) **Columns.**  A column moves (``P * step`` is a multiple of the line,
     ``P`` the lcm of the columns' periods ``L / gcd(step mod L, L)``) or
@@ -29,94 +31,144 @@ hold; any part that fails one is profiled row by row, as before:
     ``D = 0``).  Each class's line hull over the part (one interval per
     column, merged) is disjoint from every other class's, so moving a
     class never makes it meet another one's lines.
-(c) **Isolation.**  The hull of the classes with ``D != 0`` meets no line
-    of any other part of the stream.
-(d) **Bounded life.**  From the lines ``S`` one super-row of a class
+(c) **Bounded life.**  From the lines ``S`` one super-row of a class
     touches, a line ``l`` is touched in super-row ``q`` iff
-    ``l - qD`` is in ``S``; lines of ``S`` in one residue mod ``D`` that
-    lie closer than the part's reach give a bound ``life`` on how many
-    super-rows any line stays in use.  The template is super-row
-    ``T0 = max(life, 1)`` of the stretch, so its lines' histories (and
-    their previous writes) lie inside the stretch, and the kept tail
-    holds ``max(life, 1)`` more super-rows, so every line the template
-    retires (its last access) retires there in every copy too.
+    ``l - qD`` is in ``S``.  Lines of ``S`` in one residue mod ``D`` that
+    lie at most ``reach = trip // P - 1`` super-rows apart are *chained*:
+    one line may be touched through both.  That reach is exact for the
+    template and the copies: each has a whole super-row of its stretch
+    before it and, unless the stretch starts at row 0, one after it, so
+    no row of the part lies more than ``reach`` super-rows away from
+    it.  Lines ``reach + 1`` super-rows apart may split.  The longest chain
+    bounds ``life``, how many super-rows a line stays in use.  The
+    template is super-row ``T0 = max(life, 1)``, so a template line's
+    history lies in the lead-in.
+
+**The kept accesses.**  Every line the excised copies touch keeps, in
+the reduced stream and at its own address, its first and last touch in
+the excised stretch and its first and last write there.  A *chain* is
+the template positions one line passes through, in order: the template
+line ``l`` at chain offset ``o`` is touched ``o`` super-rows after the
+chain's first line, so a copy's lines, their chain positions and so
+their kept accesses follow from the template alone.
 
 **Why it is exact.**  Moving super-row ``q`` to ``q + 1`` renames every
-line of a class by ``D`` and keeps ``D = 0`` lines (touched in every
-super-row of the stretch, so their previous access is at most one
-super-row back).  The renaming is injective and keeps classes apart
-(b), and by (c) and (d) the whole history of a line the template
-touches lies in super-rows ``[0, T0]`` of the stretch, so for every
-``k`` the history of its renamed line in super-row ``T0 + k`` is the
-same history ``k`` super-rows later.  Each access's window then holds
-as many distinct lines, and its previous access and previous write map
-over: the template's reuse distances, cold misses and tenure marks are
-those of every copy.  A line the template touches for the last time is
-touched by nothing after it within ``life`` super-rows (the kept tail)
-and by no other part (c), so the template's retired lines are a copy's
-retired lines.  :mod:`~repro.machine.engine.stack` adds the template
-once per copy and shifts end-of-run recency ranks by the lines the
-copies retire.  Nothing is capped: the profile is exact at every
-capacity, beyond the history included.
-
-One clause needs the reduced stream itself (:func:`failed_parts`): an
-access after the stretch whose previous access lies before the fold
-spans it.  If that window spans the whole part, the copies add their
-new lines (``copies x`` the template's cold misses) to its distance,
-which the profile applies; any other such window makes the part fall
-back to the exact pass.
+line of a class by ``D`` and keeps ``D = 0`` lines.  The renaming is
+injective and keeps classes apart (b), and by (c) a line's history
+inside the part lies at most ``life`` super-rows back, inside the
+stretch.  So an excised access whose previous touch is excised too has
+the window, reuse distance and tenure mark of the template access it
+renames; the template counts it.  Every other excised access is its
+line's first touch in the excised stretch and is kept; so is every
+access outside the folds.  A kept access's window then reads exactly in
+the reduced stream: its previous touch is kept (it lies outside the
+excised stretch, or is the last touch there), and every other line that
+the window meets in an excised stretch has a kept first touch inside
+the window (the window starts before the stretch) or a kept last touch
+inside it (it ends after).  The other kept accesses are *phantoms*: the
+profile counts none of their distances, and each carries the largest
+template distance over its chain since its line's previous kept access,
+so the maxima behind tenure marks and dirty survival read exactly over
+kept accesses.  The marks of first writes are the exact ones; every
+line's last touch is kept, so end-of-run recency ranks are too.
+Nothing is capped: the profile is exact at every capacity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ...trace.events import LazyStream, Rows, part_len
+from ...trace.events import LazyStream, Part, Rows, part_len
 
 #: Most line crossings over its trip that a sub-line column may make and
 #: still be frozen (the part is cut at them) rather than given a period.
 MAX_CROSSINGS = 4
 #: Most distinct crossing rows a part may be cut at.
 MAX_STRETCHES = 8
-#: Largest ``P x width`` whose super-row lines are enumerated for (d).
+#: Largest ``P x width`` whose super-row lines are enumerated for (c).
 MAX_SUPER_ROW = 1 << 20
 
 
-_NO_LINES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+@dataclass(frozen=True)
+class Folds:
+    """The folded stretches of a reduced stream, as reduced positions.
+
+    ``template`` are the template super-rows' accesses; per access,
+    ``weight`` excised accesses count its reuse distance and
+    ``mark_weight`` excised writes its tenure mark.  ``kept`` are the
+    excised copies' kept accesses: ``counted`` ones are first touches,
+    profiled as themselves, and ``marked`` ones first writes, whose
+    tenure marks are exact.  The rest are phantoms, each carrying the
+    largest distance over template accesses ``chain[lo:hi + 1]``, where
+    ``lo, hi = span_lo[k], span_hi[k]`` for its ``k`` in ``span``."""
+
+    template: np.ndarray
+    weight: np.ndarray
+    mark_weight: np.ndarray
+    kept: np.ndarray
+    counted: np.ndarray
+    marked: np.ndarray
+    span: np.ndarray
+    chain: np.ndarray
+    span_lo: np.ndarray
+    span_hi: np.ndarray
 
 
 @dataclass(frozen=True)
-class Fold:
-    """One folded stretch: the template super-row is reduced positions
-    ``[lo, hi)``; ``copies`` copies of it were excised right after it."""
+class _Copies:
+    """What ``copies`` excised super-rows keep, relative to the template
+    super-row: kept accesses at copy ``copy`` (1 is the first) and template
+    position ``at``, in stream order, with their roles (see :class:`Folds`,
+    whose ``chain`` and spans are template positions here), and per
+    template position the copies it stands for."""
 
-    part: int  #: index of its part in the stream
-    lo: int
-    hi: int
-    copies: int
-    after: int  #: first reduced position after the stretch
-    part_lo: int  #: the part's reduced range
-    part_hi: int
+    copy: np.ndarray
+    at: np.ndarray
+    counted: np.ndarray
+    marked: np.ndarray
+    span: np.ndarray
+    chain: np.ndarray
+    span_lo: np.ndarray
+    span_hi: np.ndarray
+    weight: np.ndarray
+    mark_weight: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Stretch:
     """A planned fold of one part: rows ``[template, template + period)``
-    are the template and the next ``copies * period`` rows are excised."""
+    are the template and the next ``copies * period`` rows are excised,
+    but for the accesses ``kept`` names."""
 
     template: int
     end: int  #: first row after the stretch
     period: int
     copies: int
+    kept: _Copies
 
 
 @dataclass(frozen=True)
 class _PartPlan:
     stretches: list[_Stretch]
-    moving_step: np.ndarray  #: per-column step, 0 for frozen columns
+    kept: int  #: accesses of the part the reduced stream holds, at most
+
+
+@dataclass(frozen=True)
+class _Chains:
+    """One super-row's positions grouped into chains (see the module
+    docstring): per position its chain and offset, per chain its ``D``
+    and the offset of its last line."""
+
+    chain: np.ndarray
+    offset: np.ndarray
+    d: np.ndarray
+    span: np.ndarray
+
+    @property
+    def life(self) -> int:
+        return int(self.span[self.d != 0].max(initial=0))
 
 
 def _intervals(lo: np.ndarray, hi: np.ndarray, presorted: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -135,27 +187,6 @@ def _intervals(lo: np.ndarray, hi: np.ndarray, presorted: bool = False) -> tuple
     return lo[first], hi[last]
 
 
-def _meets(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether two sorted disjoint interval lists share a point."""
-    (alo, ahi), (blo, bhi) = a, b
-    if not len(alo) or not len(blo):
-        return False
-    k = np.searchsorted(blo, ahi, side="right") - 1  # last b starting <= a's end
-    ok = k >= 0
-    return bool(np.any(bhi[k[ok]] >= alo[ok]))
-
-
-def _part_lines(part, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """A superset of the lines one part touches, as sorted intervals: one
-    per column of a :class:`Rows` part, the whole range of an array part."""
-    if isinstance(part, Rows):
-        first = part.base >> shift
-        last = (part.base + (part.trip - 1) * part.step) >> shift
-        return _intervals(np.minimum(first, last), np.maximum(first, last))
-    lines = part[0] >> shift
-    return np.array([lines.min()]), np.array([lines.max()])
-
-
 def _crossings(base: np.ndarray, step: np.ndarray, first: np.ndarray, count: np.ndarray, line: int) -> np.ndarray:
     """Rows at which frozen columns enter a new line: the ``k``-th
     boundary of a column stepping up is ``ceil((v L - a) / s)`` for its
@@ -170,35 +201,63 @@ def _crossings(base: np.ndarray, step: np.ndarray, first: np.ndarray, count: np.
     return np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.int64)
 
 
-def _life(base: np.ndarray, step: np.ndarray, rows: int, d: int, shift: int, reach: int) -> int:
-    """Bound (d) for one class: the most super-rows between two touches
-    of one line, from the lines ``S`` of one super-row (``rows`` rows)."""
-    grid = base[None, :] + np.arange(rows, dtype=np.int64)[:, None] * step[None, :]
-    s = np.unique(grid >> shift)
-    mag = abs(d)
-    residue = s % mag
-    order = np.lexsort((s, residue))
-    s, residue = s[order], residue[order]
-    # Lines of S farther apart than the reach are never both touched.
-    cut = np.ones(len(s), dtype=bool)
-    cut[1:] = (residue[1:] != residue[:-1]) | (s[1:] - s[:-1] > reach * mag)
+def _columns(part: Rows, shift: int) -> tuple[np.ndarray, int]:
+    """Check (a): which columns are frozen, and the super-row period."""
+    line = 1 << shift
+    first = part.base >> shift
+    last = (part.base + (part.trip - 1) * part.step) >> shift
+    offset = part.step % line
+    frozen = (offset != 0) & (np.abs(part.step) < line) & (np.abs(last - first) <= MAX_CROSSINGS)
+    # The line is a power of two, so gcd(offset, L) is the offset's lowest
+    # set bit, and the periods' lcm is the largest period.
+    moving = offset[~frozen & (offset != 0)]
+    return frozen, line // int((moving & -moving).min(initial=line))
+
+
+def _chains(lines: np.ndarray, d: np.ndarray, reach: int) -> _Chains:
+    """Chains of one super-row whose positions touch ``lines`` with step
+    classes ``d``: lines of one class and residue at most ``reach``
+    super-rows apart share a chain, and each ``D = 0`` line is one."""
+    ul, inv = np.unique(lines, return_inverse=True)
+    ud = np.empty(len(ul), dtype=np.int64)
+    ud[inv] = d  # by (b), a line belongs to one class
+    mag = np.abs(ud)
+    residue = np.where(mag > 0, ul % np.maximum(mag, 1), ul)
+    order = np.lexsort((ul, residue, ud))
+    sl, sd, sr, smag = ul[order], ud[order], residue[order], mag[order]
+    cut = np.ones(len(sl), dtype=bool)
+    cut[1:] = (
+        (sd[1:] != sd[:-1])
+        | (sr[1:] != sr[:-1])
+        | (sl[1:] - sl[:-1] > reach * smag[1:])
+        | (sd[1:] == 0)
+    )
     first = np.flatnonzero(cut)
-    last = np.append(first[1:], len(s)) - 1
-    return int((s[last] - s[first]).max()) // mag
+    last = np.append(first[1:], len(sl)) - 1
+    cd = sd[first]
+    # A chain starts at its highest line if it moves up, its lowest if down.
+    lead = np.where(cd > 0, sl[last], sl[first])
+    chain = np.empty(len(ul), dtype=np.int64)
+    chain[order] = np.cumsum(cut) - 1
+    offset = np.where(ud != 0, (lead[chain] - ul) // np.where(ud != 0, ud, 1), 0)
+    span = (sl[last] - sl[first]) // np.maximum(np.abs(cd), 1)
+    return _Chains(chain[inv], offset[inv], cd, span)
 
 
-def _plan_part(part: Rows, shift: int, others: Callable[[], tuple[np.ndarray, np.ndarray]]) -> _PartPlan | None:
-    """The folds of one part, by checks (a)-(d); None if none passes.
-    ``others()`` gives the lines of the stream's other parts."""
+def _kept(part: Rows, plan: _PartPlan | None) -> int:
+    return len(part) if plan is None else plan.kept
+
+
+def _plan_part(part: Rows, shift: int, memo: dict) -> _PartPlan | None:
+    """The folds of one part, by checks (a)-(c); None if none passes.
+    ``memo`` holds the kept accesses of stretches planned before."""
+    if part.trip < 4:
+        return None
     line = 1 << shift
     base, step, trip, width = part.base, part.step, part.trip, part.width
     first = base >> shift
     last = (base + (trip - 1) * step) >> shift
-    # (a) Columns: moving, or frozen between a few crossings.
-    offset = step % line
-    frozen = (offset != 0) & (np.abs(step) < line) & (np.abs(last - first) <= MAX_CROSSINGS)
-    # Periods are powers of two, so their lcm is the largest.
-    period = int((line // np.gcd(offset[~frozen], line)).max(initial=1))
+    frozen, period = _columns(part, shift)
     if trip // period < 4 or period * width > MAX_SUPER_ROW:
         return None
     d = np.where(frozen, 0, period * step // line)
@@ -206,113 +265,261 @@ def _plan_part(part: Rows, shift: int, others: Callable[[], tuple[np.ndarray, np
     cuts = cuts[(cuts > 0) & (cuts < trip)]
     if len(cuts) > MAX_STRETCHES:
         return None
-    # Column hulls over the trip, sorted once for every merge below.
+    # (b) Step classes keep to their own lines.
     lo, hi = np.minimum(first, last), np.maximum(first, last)
     order = np.argsort(lo)
     lo, hi, dd = lo[order], hi[order], d[order]
-    # (c) Moving lines are the part's own.
-    moving = dd != 0
-    if moving.any() and _meets(_intervals(lo[moving], hi[moving], True), others()):
-        return None
-    # (b) Step classes keep to their own lines.
-    classes = np.unique(d)
-    merged = [_intervals(lo[dd == c], hi[dd == c], True) for c in classes]
+    merged = [_intervals(lo[dd == c], hi[dd == c], True) for c in np.unique(d)]
     every = _intervals(np.concatenate([m[0] for m in merged]), np.concatenate([m[1] for m in merged]))
     if len(every[0]) != sum(len(m[0]) for m in merged):
         return None
-    reach = trip // period + 2
+    reach = trip // period - 1
+    col = np.tile(np.arange(width), period)
+    sub = np.repeat(np.arange(period, dtype=np.int64), width)
     stretches = []
     for start, end in zip(np.append(0, cuts).tolist(), np.append(cuts, trip).tolist()):
-        # (d) Bounded life, from the stretch's first super-row.
-        life = 0
-        for c in classes[classes != 0].tolist():
-            cols = d == c
-            grid = base[cols] + start * step[cols]
-            life = max(life, _life(grid, step[cols], period, c, shift, reach))
-        t0 = max(life, 1)
-        copies = (end - start) // period - (2 * t0 + 1)
-        if copies < 1:
-            continue
-        stretches.append(_Stretch(start + t0 * period, end, period, copies))
+        # (c) Bounded life, from the stretch's first super-row.
+        chains = _chains((base[col] + (start + sub) * step[col]) >> shift, d[col], reach)
+        t0 = max(chains.life, 1)
+        copies = (end - start) // period - t0 - 1 - (start > 0)
+        if copies >= 1:
+            writes = np.tile(part.writes, period)
+            key = (period, copies, *(a.tobytes() for a in (chains.chain, chains.offset, chains.d, chains.span, writes)))
+            if key not in memo:
+                memo[key] = _copies(chains, writes, copies)
+            stretches.append(_Stretch(start + t0 * period, end, period, copies, memo[key]))
     if not stretches:
         return None
-    return _PartPlan(stretches, np.where(frozen, 0, step))
+    kept = len(part) - sum(s.copies * s.period * width - len(s.kept.at) for s in stretches)
+    return _PartPlan(stretches, kept)
 
 
-def plan_folds(stream: LazyStream, shift: int) -> dict[int, _PartPlan]:
-    """Per part index, the stretches that pass checks (a)-(d)."""
-    parts = stream.parts
-    hulls: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _copies(chains: _Chains, writes: np.ndarray, copies: int) -> _Copies:
+    """The kept accesses of ``copies`` excised super-rows after a template
+    with ``chains`` and ``writes``, and the copies each template position
+    stands for."""
+    n = len(writes)
+    stride = int(chains.span.max(initial=0)) + 2
+    key = chains.chain * stride + chains.offset
+    q = np.argsort(key, kind="stable")  # chain order
+    key = key[q]
+    g, o, w = chains.chain[q], chains.offset[q], writes[q]
+    moving = chains.d[g] != 0
+    idx = np.arange(n)
+    first = np.ones(n, dtype=bool)
+    np.not_equal(g[1:], g[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    gstart = np.maximum.accumulate(np.where(first, idx, 0))
+    gend = (np.append(starts[1:], n) - 1)[np.cumsum(first) - 1]
+    # Latest write at or before each chain position, earliest at or after.
+    prevw = np.maximum.accumulate(np.where(w, idx, -1))
+    nextw = np.minimum.accumulate(np.where(w, idx, n)[::-1])[::-1]
 
-    def others(k: int) -> tuple[np.ndarray, np.ndarray]:
-        for j, p in enumerate(parts):
-            if j != k and j not in hulls:
-                hulls[j] = _part_lines(p, shift)
-        rest = [h for j, h in hulls.items() if j != k] or [_NO_LINES]
-        return _intervals(np.concatenate([h[0] for h in rest]), np.concatenate([h[1] for h in rest]))
+    # Super-rows back to each position's previous touch and previous write
+    # of its line; ``copies`` stands for none in the excised copies.  A
+    # D = 0 line is touched, and written if at all, in every super-row.
+    back = np.empty(n, dtype=np.int64)
+    back[1:] = o[1:] - o[:-1]
+    back[first] = np.where(moving[first], copies, 1)
+    pw = np.empty(n, dtype=np.int64)
+    pw[0] = -1
+    pw[1:] = prevw[:-1]
+    rewritten = ~moving & (prevw[gend] >= gstart)
+    wback = np.where(pw >= gstart, o - o[pw], np.where(rewritten, 1, copies))
+    weight = np.empty(n, dtype=np.int64)
+    weight[q] = copies - np.minimum(back, copies)
+    mark_weight = np.empty(n, dtype=np.int64)
+    mark_weight[q] = np.where(w, copies - np.minimum(wback, copies), 0)
 
-    plans = {}
-    for k, part in enumerate(parts):
-        if isinstance(part, Rows) and part.trip >= 4:
-            plan = _plan_part(part, shift, lambda k=k: others(k))
-            if plan is not None:
-                plans[k] = plan
-    return plans
+    # The copies' lines.  A moving chain's line first touched at super-row
+    # s0 (the template's is 0) is touched at s0 + o, so it meets copies
+    # 1..copies at offsets [max(0, 1 - s0), min(span, copies - s0)].
+    gm = np.flatnonzero(chains.d != 0)
+    count = copies + chains.span[gm]
+    cg = np.repeat(gm, count)
+    s0 = np.arange(len(cg)) - np.repeat(np.cumsum(count) - count, count) + 1 - chains.span[cg]
+    lo = np.searchsorted(key, cg * stride + np.maximum(0, 1 - s0), "left")
+    hi = np.searchsorted(key, cg * stride + np.minimum(chains.span[cg], copies - s0), "right") - 1
+    meets = lo <= hi
+    # A D = 0 line meets every copy: its first touch and write are in
+    # copy 1, its last write and touch in the last copy.
+    zlo = starts[~moving[starts]]
+    lo = np.concatenate([lo[meets], zlo])
+    hi = np.concatenate([hi[meets], gend[zlo]])
+    s0 = s0[meets]
+    moved = np.arange(len(lo)) < len(s0)
+    # Per line: first touch, first write, last write and last touch in
+    # the copies, as chain position and copy (``w1``, ``w2`` -1: none).
+    w1, w2 = nextw[lo], prevw[hi]
+    w1, w2 = np.where(w1 <= hi, w1, -1), np.where(w2 >= lo, w2, -1)
+
+    def copy_of(at, still):
+        """The copy of chain positions ``at``; a D = 0 line's is ``still``."""
+        out = np.full(len(lo), still, dtype=np.int64)
+        out[: len(s0)] = s0 + o[np.maximum(at[: len(s0)], 0)]
+        return out
+
+    r0, r1, r2, r3 = copy_of(lo, 1), copy_of(w1, 1), copy_of(w2, copies), copy_of(hi, copies)
+    # Each is kept unless it is the access before it.  The last touch
+    # follows the last write, or the first touch if none.
+    keep1 = (w1 >= 0) & ((w1 != lo) | (r1 != r0))
+    keep2 = (w2 >= 0) & ((w2 != w1) | (r2 != r1))
+    bp, br = np.where(w2 >= 0, w2, lo), np.where(w2 >= 0, r2, r0)
+    keep3 = (hi != bp) | (r3 != br)
+    # A phantom carries the maximum over its chain since its line's
+    # previous kept access: across copies of a D = 0 line, the whole chain.
+    within2 = moved | (r2 == r1)
+    within3 = moved | (r3 == br)
+    pos = np.concatenate([lo, w1[keep1], w2[keep2], hi[keep3]])
+    row = np.concatenate([r0, r1[keep1], r2[keep2], r3[keep3]])
+    span_lo = np.concatenate(
+        [lo + 1, (lo + 1)[keep1], np.where(within2, w1 + 1, gstart[lo])[keep2], np.where(within3, bp + 1, gstart[lo])[keep3]]
+    )
+    span_hi = np.concatenate([lo, w1[keep1], np.where(within2, w2, gend[lo])[keep2], np.where(within3, hi, gend[lo])[keep3]])
+    counted = np.zeros(len(pos), dtype=bool)
+    counted[: len(lo)] = True
+    marked = np.concatenate([w1 == lo, keep1[keep1], np.zeros(int(keep2.sum() + keep3.sum()), dtype=bool)])
+    u = q[pos]
+    order = np.argsort(row * n + u)
+    # Many phantoms share a span (a chain's copies do).
+    spans, span = np.unique((span_lo * n + span_hi)[order], return_inverse=True)
+    return _Copies(
+        row[order],
+        u[order],
+        counted[order],
+        marked[order],
+        span,
+        q,
+        spans // n,
+        spans % n,
+        weight,
+        mark_weight,
+    )
 
 
-def build(stream: LazyStream, plans: dict[int, _PartPlan]) -> tuple[np.ndarray, np.ndarray, list[Fold]]:
+def _inner(part: Rows, shift: int) -> Rows | None:
+    """Row 0 of ``part`` as a loop of its own, if it is ``n`` repeats of
+    ``w`` columns, each moving by a fixed step per repeat, with the same
+    row steps and write flags in every repeat, and none of its columns
+    frozen (a short inner loop has nothing to fold)."""
+    width = part.width
+    small = [w for w in range(1, int(width**0.5) + 1) if width % w == 0]
+    for w in sorted(set(small + [width // w for w in small]) - {width}):
+        base = part.base.reshape(-1, w)
+        step = base[1] - base[0]
+        if (
+            np.array_equal(base[1:] - base[:-1], np.broadcast_to(step, (len(base) - 1, w)))
+            and (part.step.reshape(-1, w) == part.step[:w]).all()
+            and (part.writes.reshape(-1, w) == part.writes[:w]).all()
+        ):
+            row = Rows(part.base[:w], part.writes[:w], step, len(base))
+            return None if _columns(row, shift)[0].any() else row
+    return None
+
+
+def _least(part: Rows, shift: int) -> int:
+    """Fewest accesses a fold of ``part`` keeps: a super-row of lead-in
+    and the template."""
+    return min(len(part), 2 * _columns(part, shift)[1] * part.width)
+
+
+def _split(part: Rows, shift: int, memo: dict, least: int) -> list[tuple[Rows, _PartPlan | None]] | None:
+    """The rows of ``part`` as loops of their own with their folds, if
+    they are such loops and may keep fewer than ``least`` accesses.  The
+    rows differ only in their bases, so the first row's plan stands for
+    the others' until they are planned too."""
+    if 2 * part.trip >= least:  # _least of a one-column inner loop
+        return None
+    row = _inner(part, shift)
+    if row is None or _least(row, shift) * part.trip >= least:
+        return None
+    rows = [Rows(row.base + r * part.step[: row.width], row.writes, row.step, row.trip) for r in range(part.trip)]
+    first = _plan_part(rows[0], shift, memo)
+    if _kept(rows[0], first) * part.trip >= least:
+        return None
+    return [(rows[0], first)] + [(r, _plan_part(r, shift, memo)) for r in rows[1:]]
+
+
+def plan_folds(stream: LazyStream, shift: int) -> list[tuple[Part, _PartPlan | None]]:
+    """The stream's parts, each with its folds by checks (a)-(c) (None:
+    profiled whole).  A part whose rows are loops of their own is split
+    into them when their folds keep fewer accesses than its own."""
+    pieces = []
+    memo: dict = {}
+    for part in stream.parts:
+        if not isinstance(part, Rows):
+            pieces.append((part, None))
+            continue
+        least = min(len(part), 2 * part.width)  # _least, at a period of 1
+        inner = _split(part, shift, memo, least)
+        kept = len(part) if inner is None else sum(_kept(*p) for p in inner)
+        plan = None if kept < least else _plan_part(part, shift, memo)
+        if kept < _kept(part, plan):
+            pieces.extend(inner)
+        else:
+            pieces.append((part, plan))
+    return pieces
+
+
+def reduce(stream: LazyStream, shift: int) -> tuple[np.ndarray, np.ndarray, Folds | None]:
     """The reduced stream (addresses, write flags) and its folds: each
-    part's kept rows, those after a fold with moving columns moved back
-    by the rows it excised."""
-    pieces = []  # (part, first row, stop row, rows moved back, moving steps)
-    folds: list[Fold] = []
+    part's kept rows and, in stream order, the kept accesses of the
+    copies its folds excise."""
+    pieces = []  # (part, first row, stop row) or (part, rows, columns)
+    folds = []  # (template's first position, kept's first position, kept)
     pos = 0
-    for k, part in enumerate(stream.parts):
-        plan = plans.get(k)
+    for part, plan in plan_folds(stream, shift):
         if plan is None:
-            pieces.append((part, 0, getattr(part, "trip", None), 0, None))
+            pieces.append((part, 0, None))
             pos += part_len(part)
             continue
-        width, part_lo = part.width, pos
-        row = back = 0
-        marks = []
+        width, row = part.width, 0
         for s in plan.stretches:
             stop = s.template + s.period
-            pieces.append((part, row, stop, back, plan.moving_step))
+            pieces.append((part, row, stop))
             pos += (stop - row) * width
-            marks.append((pos - s.period * width, pos, s.end - back - s.copies * s.period, s.copies))
-            row, back = stop + s.copies * s.period, back + s.copies * s.period
-        pieces.append((part, row, part.trip, back, plan.moving_step))
+            kept = s.kept
+            pieces.append((part, s.template + kept.copy * s.period + kept.at // width, kept.at % width))
+            folds.append((pos - s.period * width, pos, kept))
+            pos += len(kept.at)
+            row = stop + s.copies * s.period
+        pieces.append((part, row, part.trip))
         pos += (part.trip - row) * width
-        for lo, hi, end, copies in marks:
-            folds.append(Fold(k, lo, hi, copies, part_lo + end * width, part_lo, pos))
     addrs = np.empty(pos, dtype=np.int64)
     writes = np.empty(pos, dtype=np.bool_)
     at = 0
-    for part, a, b, back, moving_step in pieces:
+    for part, a, b in pieces:
         if not isinstance(part, Rows):
             n = len(part[0])
             addrs[at : at + n], writes[at : at + n] = part
+        elif isinstance(a, np.ndarray):
+            n = len(a)
+            np.multiply(a, part.step[b], out=addrs[at : at + n])
+            addrs[at : at + n] += part.base[b]
+            writes[at : at + n] = part.writes[b]
         else:
+            b = part.trip if b is None else b
             n = (b - a) * part.width
-            out = addrs[at : at + n]
-            part.read_into(a * part.width, b * part.width, out, writes[at : at + n])
-            if back:
-                out.reshape(-1, part.width)[:] -= back * moving_step
+            part.read_into(a * part.width, b * part.width, addrs[at : at + n], writes[at : at + n])
         at += n
-    return addrs, writes, folds
+    return addrs, writes, _gather(folds) if folds else None
 
 
-def failed_parts(prev: np.ndarray, folds: list[Fold]) -> set[int]:
-    """Parts with a fold that an access after its stretch spans without
-    spanning the whole part (its previous access lies before the fold)."""
-    bad = set()
-    for f in folds:
-        p = prev[f.after :]
-        span = (p >= 0) & (p < f.hi)
-        # A window over the whole part is corrected, not refused.
-        beyond = f.part_hi - f.after
-        span[beyond:] &= p[beyond:] >= f.part_lo
-        if span.any():
-            bad.add(f.part)
-    return bad
+def _gather(folds: list) -> Folds:
+    """One :class:`Folds` from each fold's template and kept positions
+    and kept accesses."""
+    cat = np.concatenate
+    chain_at = np.cumsum([0] + [len(c.chain) for _, _, c in folds[:-1]])
+    span_at = np.cumsum([0] + [len(c.span_lo) for _, _, c in folds[:-1]])
+    return Folds(
+        cat([lo + np.arange(len(c.weight)) for lo, _, c in folds]),
+        cat([c.weight for _, _, c in folds]),
+        cat([c.mark_weight for _, _, c in folds]),
+        cat([at + np.arange(len(c.at)) for _, at, c in folds]),
+        cat([c.counted for _, _, c in folds]),
+        cat([c.marked for _, _, c in folds]),
+        cat([a + c.span for a, (_, _, c) in zip(span_at, folds)]),
+        cat([lo + c.chain for lo, _, c in folds]),
+        cat([a + c.span_lo for a, (_, _, c) in zip(chain_at, folds)]),
+        cat([a + c.span_hi for a, (_, _, c) in zip(chain_at, folds)]),
+    )

@@ -193,13 +193,15 @@ def _lazy_stream(spec) -> LazyStream:
 
 @st.composite
 def lazy_specs(draw):
-    """Rows parts with zero, sub-line and whole-line steps, each in its own
-    address region, and array parts before, between and after them that
-    read either their own region or a Rows part's."""
+    """Rows parts with zero, sub-line and whole-line steps, some of them
+    loops of loops (dmxpy's rows), over an earlier part's address region
+    or their own (fft's stages share theirs), and array parts before,
+    between and after them that read a region's lines."""
     line = 1 << draw(st.integers(3, 8))
     n_rows = draw(st.integers(1, 3))
     spec = []
     for k in range(n_rows):
+        region = draw(st.integers(0, k))
         width = draw(st.integers(1, 4))
         trip = draw(st.integers(4, 60))
         steps, bases = [], []
@@ -214,8 +216,15 @@ def lazy_specs(draw):
             else:
                 step = 8 * draw(st.integers(1, 3 * line // 8))
             steps.append(step)
-            bases.append(k * REGION + REGION // 2 + 8 * draw(st.integers(0, 4 * line)))
+            bases.append(region * REGION + REGION // 2 + 8 * draw(st.integers(0, 4 * line)))
         writes = [draw(st.booleans()) for _ in range(width)]
+        # A row of `reps` inner iterations, each column moving by its own
+        # step per iteration.
+        reps = draw(st.sampled_from([1, 1, 8, 24]))
+        if reps > 1:
+            inner = [draw(st.sampled_from([0, 8, line, -line, 2 * line])) for _ in range(width)]
+            bases = [b + i * s for i in range(reps) for b, s in zip(bases, inner)]
+            steps, writes = steps * reps, writes * reps
         spec.append(("rows", bases, steps, writes, trip))
     for _ in range(draw(st.integers(0, 3))):
         region = draw(st.integers(0, n_rows))
@@ -231,12 +240,27 @@ def lazy_specs(draw):
     return line, spec
 
 
+def _profiled(stream: LazyStream, line: int) -> int:
+    """Accesses the folded profile of a stream takes the exact pass over."""
+    return len(stackfold.reduce(stream, line.bit_length() - 1)[0])
+
+
+def _dmxpy_rows(n_in: int, trip: int) -> tuple:
+    """dmxpy's loop nest at a small size: row j reads and writes y[i] and
+    reads x[j] and column j of m, for i < n_in (8 B elements)."""
+    y, x, m = 0, 2048 + 32, 4096
+    bases = [b for i in range(n_in) for b in (y + 8 * i, x, m + 8 * i, y + 8 * i)]
+    return ("rows", bases, [0, 8, 8 * n_in, 0] * n_in, [False, False, False, True] * n_in, trip)
+
+
 class TestFoldedStackProfile:
     """``stack_profile`` of a lazy stream folds certified stretches; every
     field and every derived ``CacheStats`` must equal the full pass's."""
 
     @staticmethod
-    def check(line, spec):
+    def check(line, spec, folds=0):
+        """The lazy profile equals the full pass's, and at least ``folds``
+        stretches were folded."""
         addrs, writes = _lazy_stream(spec).arrays()
         full = stack_profile(addrs, writes, line)
         stream = _lazy_stream(spec)
@@ -246,18 +270,24 @@ class TestFoldedStackProfile:
         for capacity in range(0, full.distinct + 3):
             for flush in (True, False):
                 assert vars(lazy.stats(capacity, flush)) == vars(full.stats(capacity, flush))
-        return stream
+        pieces = stackfold.plan_folds(stream, line.bit_length() - 1)
+        assert sum(len(plan.stretches) for _, plan in pieces if plan is not None) >= folds
+        return pieces
 
     @given(case=lazy_specs())
     # dmxpy's x[j]: an 8 B step over 128 B lines crosses once, at row 12.
-    @example(case=(128, [("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16)]))
+    @example(case=(128, [("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16)], 2))
     # Lines live three rows: one column rereads the line another wrote
     # three rows before (or writes the line it read), so the template sits
-    # three rows in and keeps three rows of tail.
-    @example(case=(32, [("rows", [0, 96], [32, 32], [False, True], 30)]))
-    @example(case=(32, [("rows", [96, 0], [32, 32], [True, False], 30)]))
+    # three rows in.
+    @example(case=(32, [("rows", [0, 96], [32, 32], [False, True], 30)], 1))
+    @example(case=(32, [("rows", [96, 0], [32, 32], [True, False], 30)], 1))
     # A sub-line period: every column moves one 64 B line per 8 rows.
-    @example(case=(64, [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)]))
+    @example(case=(64, [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)], 1))
+    # The reach: two columns whose lines lie (n - 1) super-rows apart
+    # chain (no fold); n super-rows apart they need not.
+    @example(case=(32, [("rows", [0, 9 * 32], [32, 32], [True, False], 10)], 0))
+    @example(case=(32, [("rows", [0, 10 * 32], [32, 32], [True, False], 10)], 1))
     # FFT's next stage rereads lines the stage before it touched.
     @example(
         case=(
@@ -266,6 +296,7 @@ class TestFoldedStackProfile:
                 ("rows", [0, 8, 2048], [16, 16, 0], [False, True, False], 40),
                 ("rows", [0, 32, 2048], [64, 64, 0], [True, False, False], 10),
             ],
+            2,
         )
     )
     # A later part rereads lines from the middle of a folded stretch.
@@ -276,6 +307,34 @@ class TestFoldedStackProfile:
                 ("rows", [0, 8192], [32, 0], [True, False], 50),
                 ("array", [800, 640, 1280, 8192], [False, True, False, False]),
             ],
+            1,
+        )
+    )
+    # FFT's stage 9 into stage 10: an array part rereads every line of a
+    # folded part, its middle included, and writes some of them.
+    @example(
+        case=(
+            32,
+            [
+                ("rows", [0, 8, 8192], [32, 32, 0], [False, True, False], 40),
+                ("array", [32 * i + 8 * (i % 3) for i in range(40)], [i % 4 == 0 for i in range(40)]),
+            ],
+            1,
+        )
+    )
+    # dmxpy's rows are loops of their own that reread one shared y range.
+    @example(case=(128, [_dmxpy_rows(128, 6)], 6))
+    # A shared line written in the excised middle, read before the fold
+    # and written again after it.
+    @example(
+        case=(
+            32,
+            [
+                ("array", [32 * 20, 32 * 21 + 8, 32 * 5], [False, False, True]),
+                ("rows", [0, 8, 4096], [32, 32, 0], [False, True, False], 40),
+                ("array", [32 * 20 + 16, 32 * 21, 32 * 22], [True, False, True]),
+            ],
+            1,
         )
     )
     # Accesses before and after a folded part reuse one line across it.
@@ -287,10 +346,10 @@ class TestFoldedStackProfile:
                 ("rows", [0, 8, 4096], [32, 32, 0], [False, True, False], 40),
                 ("array", [REGION + 64, REGION], [False, True]),
             ],
+            1,
         )
     )
-    # dmxpy's x[j] crosses into a line an earlier part touched: that window
-    # spans the first fold, which falls back.
+    # dmxpy's x[j] crosses into a line an earlier part touched.
     @example(
         case=(
             128,
@@ -298,11 +357,12 @@ class TestFoldedStackProfile:
                 ("array", [4096 + 136, 0], [False, True]),
                 ("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16),
             ],
+            2,
         )
     )
     # Two step classes whose line ranges meet: a fixed column inside the
     # range another one sweeps.
-    @example(case=(32, [("rows", [0, 320, 4096], [32, 0, 0], [True, False, False], 30)]))
+    @example(case=(32, [("rows", [0, 320, 4096], [32, 0, 0], [True, False, False], 30)], 0))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_pass(self, case):
         self.check(*case)
@@ -310,11 +370,28 @@ class TestFoldedStackProfile:
     def test_dmxpy_crossing_folds_both_stretches(self):
         line = 128
         spec = [("rows", [0, 4096 + 32, 8192], [0, 8, 1024], [True, False, False], 16)]
-        plans = stackfold.plan_folds(_lazy_stream(spec), line.bit_length() - 1)
-        (plan,) = plans.values()
-        # Cut at x's crossing; each stretch keeps lead-in, template, tail.
-        assert [(s.template, s.end, s.copies) for s in plan.stretches] == [(1, 12, 9), (13, 16, 1)]
+        ((_, plan),) = stackfold.plan_folds(_lazy_stream(spec), line.bit_length() - 1)
+        # Cut at x's crossing; each stretch keeps a lead-in and the
+        # template, and the second, not starting at row 0, a tail.
+        assert [(s.template, s.end, s.copies) for s in plan.stretches] == [(1, 12, 10), (13, 16, 1)]
         self.check(line, spec)
+
+    def test_reach_is_one_short_of_the_trip(self):
+        """Lines n super-rows apart (n = trip // period) are never one
+        line's, so they split and the part folds; n - 1 apart they chain."""
+        shift = 5
+        split = _lazy_stream([("rows", [0, 10 * 32], [32, 32], [True, False], 10)])
+        ((_, plan),) = stackfold.plan_folds(split, shift)
+        assert [(s.template, s.copies) for s in plan.stretches] == [(1, 8)]
+        chained = _lazy_stream([("rows", [0, 9 * 32], [32, 32], [True, False], 10)])
+        ((_, plan),) = stackfold.plan_folds(chained, shift)
+        assert plan is None
+
+    def test_loops_of_loops_fold_inside(self):
+        """A dmxpy-style part is split into one loop per row, each folded."""
+        pieces = self.check(128, [_dmxpy_rows(128, 6)], 6)
+        assert len(pieces) == 6 and all(plan is not None for _, plan in pieces)
+        assert _profiled(_lazy_stream([_dmxpy_rows(128, 6)]), 128) < 0.5 * 6 * 4 * 128
 
     def test_miss_curve_reads_lazy_stream(self):
         spec = [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)]
@@ -323,25 +400,24 @@ class TestFoldedStackProfile:
         assert miss_curve(stream, 64) == miss_curve(addrs, 64)
         assert stream._joined is None
 
-    def test_lazy_dmxpy_profile_leaves_stream_unjoined(self):
-        """The ladder's dmxpy on the Origin2000/128 layout: the profile
-        builds 6 of its 16 rows, never joins the stream, and peaks far
-        below the full pass."""
-        import tracemalloc
-
+    @staticmethod
+    def _ladder_trace(name: str):
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.ladder_capacity import LINE_SIZE, ladder_requests
+        from repro.experiments.ladder_capacity import ladder_requests
         from repro.trace.generator import TraceGenerator
 
-        req = next(
-            r for r in ladder_requests(ExperimentConfig()) if r.program.name == "dmxpy"
-        )
-        trace = TraceGenerator(req.program, req.identity.bound, req.identity.layout).generate()
-        (plan,) = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1).values()
-        assert sum(s.copies * s.period for s in plan.stretches) == 16 - 6
+        req = next(r for r in ladder_requests(ExperimentConfig()) if r.program.name == name)
+        return TraceGenerator(req.program, req.identity.bound, req.identity.layout).generate()
+
+    @staticmethod
+    def _peaks(trace, line_size: int) -> tuple[int, int]:
+        """The tracemalloc peaks of the lazy and the full profile, which
+        must be equal; the stream stays unjoined."""
+        import tracemalloc
+
         tracemalloc.start()
         try:
-            lazy = stack_profile(trace.stream, None, LINE_SIZE)
+            lazy = stack_profile(trace.stream, None, line_size)
             _, lazy_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -349,11 +425,41 @@ class TestFoldedStackProfile:
         addrs, writes = trace.stream.arrays()
         tracemalloc.start()
         try:
-            full = stack_profile(addrs, writes, LINE_SIZE)
+            full = stack_profile(addrs, writes, line_size)
             _, full_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert lazy == full
+        return lazy_peak, full_peak
+
+    def test_lazy_dmxpy_profile_leaves_stream_unjoined(self):
+        """The ladder's dmxpy on the Origin2000/128 layout: each of its 16
+        rows folds inside, keeping the first and last touches of the lines
+        of `y` and of m's column, the profile never joins the stream, and
+        it peaks far below the full pass."""
+        from repro.experiments.ladder_capacity import LINE_SIZE
+
+        trace = self._ladder_trace("dmxpy")
+        pieces = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1)
+        assert len(pieces) == 16 and all(plan is not None for _, plan in pieces)
+        assert _profiled(trace.stream, LINE_SIZE) == 83_872
+        lazy_peak, full_peak = self._peaks(trace, LINE_SIZE)
+        assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
+
+    def test_lazy_fft_profile_folds_every_rows_stage(self):
+        """The ladder's fft8192 on the Origin2000/128 layout: stages 0-9
+        fold although each rereads the lines of the stage before, so the
+        profile keeps at most 35% of the trace and peaks below half the
+        full pass."""
+        from repro.experiments.ladder_capacity import LINE_SIZE
+
+        trace = self._ladder_trace("fft8192")
+        pieces = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1)
+        plans = [plan for part, plan in pieces if isinstance(part, Rows)]
+        assert len(plans) == 10 and all(plan is not None for plan in plans)
+        profiled = _profiled(trace.stream, LINE_SIZE)
+        assert profiled <= 0.35 * len(trace.stream), profiled
+        lazy_peak, full_peak = self._peaks(trace, LINE_SIZE)
         assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
 
 
