@@ -28,10 +28,19 @@ are contiguous-group-local and no per-set loop is ever needed:
   a line's residency tenure is a maximal stride-2 chain of equal heads
   — its dirty bit is a run-OR over the odd/even subsequence.  No line
   sort, no reuse distances, no victim-pairing search.
-* **General A**: heads sort by line once; the window between a head and
+* **General A**: heads sort by line once, which links each head to its
+  line's previous and next occurrence.  The window between a head and
   its previous occurrence holds exactly ``i - prev - 1`` runs, which
-  bounds its distinct count from above (ambiguous windows fall back to
-  the exact vectorized reuse distance).  Victims come from an order
+  bounds its distinct count from above; only windows of at least A runs
+  are ambiguous.  By LRU inclusion such a head hits iff its stack
+  distance is below A, so it needs min(distance, A), not the distance: a
+  bounded look-back walks each ambiguous window from its end, counting
+  positions that are their line's last occurrence before the head (its
+  next occurrence lies past the head), one vectorized pass per step over
+  the heads still undecided.  A count of A settles a miss and a used-up
+  window a hit; the few heads left after ``_LOOK_BACK * A`` steps take
+  the exact vectorized reuse distance, as every ambiguous head of a set
+  wider than ``_LOOK_BACK_WAYS`` does.  Victims come from an order
   identity: LRU evicts lines in increasing order of last access and a
   victim's tenure has ended by its eviction, so the k-th evicting miss
   of a set evicts the k-th ended tenure in final-access order.
@@ -96,6 +105,16 @@ _EMPTY_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 #: Accesses per block (at least 8x the line capacity).  A block's
 #: temporaries, about 40 bytes an access, then stay in a per-core L2.
 _BLOCK = 1 << 15
+#: Look-back steps per way before an undecided head of an A >= 3 level
+#: takes its exact reuse distance.  A window of distinct lines settles in
+#: A steps and repeats inside it cost more: up to 23 at A = 4 on the DDR
+#: multicore preset's L1 with the Figure 1 and 3 traces.
+_LOOK_BACK = 8
+#: Widest set the look-back serves.  A miss needs at least A steps, so its
+#: cost grows with A while the exact distance's does not: on dmxpy's L1
+#: events in one set, 13 ms against 20 at A = 16, 19 against 20 at 32,
+#: 25 against 20 at 48.  Wider sets take the exact distance directly.
+_LOOK_BACK_WAYS = 32
 
 
 class SetAssociativeEngine(BaseEngine):
@@ -250,14 +269,6 @@ class SetAssociativeEngine(BaseEngine):
         ccounts = np.empty(n_groups, dtype=np.int64)
         ccounts[:-1] = np.diff(cg_start)
         ccounts[-1] = R - cg_start[-1]
-        if A > 2:
-            # Head -> group map, only where something consumes it.  Every
-            # group start is a run head, so a head's group is a prefix
-            # count of group starts.
-            gsflag = np.zeros(T, dtype=bool)
-            gsflag[g_start] = True
-            cgid = np.cumsum(gsflag[rpos]) - 1
-
         if A <= 2:
             # -- closed form: residents after head i are the last A heads -----
             # Adjacent heads of a set differ, so an A <= 2 set holds
@@ -313,38 +324,44 @@ class SetAssociativeEngine(BaseEngine):
             # and victim pairing all derive from the sort-by-line order.
             korder = np.argsort(ck, kind="stable")
             gk = ck[korder]
-            gend = np.empty(R, dtype=bool)
-            gend[:-1] = gk[1:] != gk[:-1]
-            gend[-1] = True
-            link = ~gend[:-1]  # korder ranks j, j+1 hold the same line
+            link = gk[1:] == gk[:-1]  # korder ranks j, j+1 hold the same line
+            src = korder[:-1][link]
+            dst = korder[1:][link]
             prev = np.full(R, -1, dtype=np.int64)
-            prev[korder[1:][link]] = korder[:-1][link]
-            nxt = np.full(R, -1, dtype=np.int64)
-            nxt[korder[:-1][link]] = korder[1:][link]
+            prev[dst] = src
+            nxt = np.full(R, R, dtype=np.int64)  # R: no next occurrence
+            nxt[src] = dst
             cold = prev < 0
 
             # Hit iff < A distinct lines in the set since the previous
             # occurrence.  Adjacent collapsed heads differ, so the window
             # (prev, i) holds exactly i - prev - 1 runs; that bounds its
-            # distinct count from above, and only ambiguous windows pay
-            # for the exact reuse distance.
+            # distinct count from above, and only ambiguous windows need
+            # the bounded look-back (and, past its cap, the exact reuse
+            # distance).
             nruns = np.arange(R, dtype=np.int64) - prev - 1
             ambiguous = ~cold & (nruns >= A)
-            if not ambiguous.any():
-                hit = ~cold & (nruns < A)
-            else:
-                delta = reuse_distances(ck, prev)
-                hit = ~cold & (delta < A)
+            hit = ~cold & (nruns < A)
+            if ambiguous.any():
+                heads = np.flatnonzero(ambiguous)
+                decided, rest = _look_back(nxt, heads, nruns[heads], A)
+                hit[decided] = True
+                if len(rest):
+                    hit[rest] = reuse_distances(ck, prev)[rest] < A
             miss = ~hit
 
             # Evicting misses: occupancy never shrinks, so it is
             # min(A, distinct-seen) and a miss evicts iff the set's
-            # distinct count had already reached A.  Prologue heads
-            # (<= A residents, all cold) never evict.
-            ccum = np.cumsum(cold)
-            before = ccum - cold  # distinct lines seen before each head
-            distinct_before = before - np.repeat(before[cg_start], ccounts)
-            evicting = miss & (distinct_before >= A)
+            # distinct count had already reached A.  A warm miss has
+            # seen A distinct lines, so the misses that do not evict are
+            # each group's first A cold heads (the prologue's residents,
+            # at most A, among them).
+            cold_pos = np.flatnonzero(cold)
+            c_lo = np.searchsorted(cold_pos, cg_start)
+            c_hi = np.append(c_lo[1:], len(cold_pos))
+            first = c_lo[:, None] + np.arange(A)
+            evicting = miss.copy()
+            evicting[cold_pos[first[first < c_hi[:, None]]]] = False
 
             # Tenures: group heads by line, segment at misses.  A head's
             # tenure is dirty iff its segment saw a write.
@@ -357,23 +374,18 @@ class SetAssociativeEngine(BaseEngine):
                 tdirty[korder] = seg_dirty[seg_of]
             else:
                 tdirty = cwa  # all False
-            gend_idx = np.flatnonzero(gend)
-            last_pos = korder[gend_idx]  # each distinct line's last head
 
             # Final residency: per set, the min(A, distinct) most recent
-            # distinct lines.  Their last-head positions fall inside the
-            # set's group span and spans tile [0, R), so one argsort of
-            # last_pos orders distinct lines by (set, recency) at once.
-            dgroup = cgid[last_pos]
+            # distinct lines.  A line's last head has no next occurrence;
+            # those heads fall inside their set's group span and spans
+            # tile [0, R), so in ascending position they already run in
+            # (set, recency) order.
+            last_pos = np.flatnonzero(nxt == R)
+            dgroup = np.searchsorted(cg_start, last_pos, side="right") - 1
             dcount = np.bincount(dgroup, minlength=n_groups)
-            occupancy = np.minimum(A, dcount)
-            dorder = np.argsort(last_pos)
-            d_end = np.cumsum(dcount)
-            g_of_sorted = np.repeat(np.arange(n_groups, dtype=np.int64), dcount)
+            keep_from = np.cumsum(dcount) - np.minimum(A, dcount)
             rank = np.arange(len(last_pos), dtype=np.int64)
-            res_sorted = rank >= (d_end - occupancy)[g_of_sorted]
-            res_sel = dorder[res_sorted]  # (set asc, oldest-first) — LRU order
-            res_pos = last_pos[res_sel]
+            res_pos = last_pos[rank >= keep_from[dgroup]]  # LRU order
             new_line = ck[res_pos].astype(np.int64)
             new_dirty = tdirty[res_pos]
 
@@ -381,14 +393,12 @@ class SetAssociativeEngine(BaseEngine):
             # last-access order and a victim's tenure has ended by its
             # eviction, so within a set the k-th evicting miss evicts the
             # k-th ended tenure by final access.  A head ends its tenure
-            # iff its line's next occurrence is a miss (or absent);
-            # clearing the still-resident tenures leaves the evicted
-            # ones, whose ascending positions already run in (set,
-            # final-access) order because set groups tile disjointly.
-            tenure_end = np.empty(R, dtype=bool)
-            nn = nxt >= 0
-            tenure_end[~nn] = True
-            tenure_end[nn] = miss[nxt[nn]]
+            # iff its line's next occurrence is a miss (or absent: the
+            # sentinel R reads the appended True); clearing the
+            # still-resident tenures leaves the evicted ones, whose
+            # ascending positions already run in (set, final-access)
+            # order because set groups tile disjointly.
+            tenure_end = np.append(miss, True)[nxt]
             tenure_end[res_pos] = False
             vic_pos = np.flatnonzero(tenure_end)
             victim_line = ck[vic_pos]
@@ -457,3 +467,40 @@ class SetAssociativeEngine(BaseEngine):
         self.stats.events_out += len(lines)
         self._reset_state()
         return lines << self._line_shift, np.ones(len(lines), dtype=bool)
+
+
+def _look_back(
+    nxt: np.ndarray, heads: np.ndarray, nruns: np.ndarray, A: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decide LRU hits of ``heads`` (windows of ``nruns >= A`` runs) by a
+    bounded look-back; returns the heads that hit and the ones still
+    undecided after ``_LOOK_BACK * A`` steps (all of them in a set wider
+    than ``_LOOK_BACK_WAYS``).
+
+    Head i with previous occurrence p hits iff fewer than A distinct
+    lines lie in (p, i), i.e. fewer than A positions j there are the last
+    occurrence of their line before i (``nxt[j] > i``; a line with no
+    next occurrence reads the sentinel R, past every head).  Step d counts
+    position i - d for every undecided head, then settles those whose
+    count reached A (misses) or whose window is used up (``d == nruns``,
+    hits).  A window never leaves its set's group, since p lies in it.
+    No head settles before step A: its count is at most d and its window
+    at least A runs long.
+    """
+    if A > _LOOK_BACK_WAYS:
+        return heads[:0], heads
+    i = heads
+    cnt = np.zeros(len(i), dtype=np.int64)
+    hits = []
+    for d in range(1, _LOOK_BACK * A + 1):
+        cnt += nxt[i - d] > i
+        if d < A:
+            continue
+        miss = cnt >= A
+        done = miss | (nruns <= d)
+        hits.append(i[done & ~miss])
+        keep = ~done
+        i, nruns, cnt = i[keep], nruns[keep], cnt[keep]
+        if not len(i):
+            break
+    return (np.concatenate(hits) if hits else i[:0]), i

@@ -11,14 +11,19 @@ fast path, and the Exemplar's footnote-3 conflict anomaly.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError
 from repro.machine.cache import Cache, CacheGeometry
-from repro.machine.engine import SetAssociativeEngine, select_engine
+from repro.machine.engine import SetAssociativeEngine, reuse_distances, select_engine
+from repro.machine.engine import setassoc
 from repro.machine.engine.verify import (
     STAT_FIELDS,
     assert_equivalent,
@@ -222,6 +227,156 @@ class TestBlocks:
         assert vars(whole.stats) == vars(blocked.stats)
 
 
+@st.composite
+def cyclic_streams(draw):
+    """The look-back's hard case: windows of many runs but fewer than A
+    distinct lines, which it must scan to their first position.  In one
+    set, k < A lines cycle in runs of 1-3 accesses, a few foreign lines
+    of the same set interrupt them, and each stretch returns to the
+    stream's first line; lines of another set may interleave.  Returns
+    ``(assoc, n_sets, lines, write_pattern, split)``, the stream cut at
+    ``split`` into two calls so the second replays a prologue."""
+    assoc = draw(st.sampled_from([3, 4, 5, 8]))
+    n_sets = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 16]))
+    k = draw(st.integers(1, assoc - 1))
+    s = draw(st.integers(0, n_sets - 1))
+    start = s + n_sets * k  # outside the cycle
+    seq = [start]
+    for _ in range(draw(st.integers(1, 3))):
+        run = draw(st.integers(1, 3))
+        phase = draw(st.integers(0, k - 1))
+        cycles = draw(st.integers(assoc, 5 * assoc))
+        stretch = [s + n_sets * ((phase + c) % k) for c in range(cycles) for _ in range(run)]
+        for f in draw(st.lists(st.integers(1, assoc), max_size=2)):
+            stretch.insert(draw(st.integers(0, len(stretch))), s + n_sets * (k + f))
+        seq += stretch + [start]
+    if n_sets > 1 and draw(st.booleans()):
+        other = (s + 1) % n_sets
+        gap = draw(st.integers(1, 6))
+        seq = [
+            x
+            for i, line in enumerate(seq)
+            for x in ([line, other + n_sets * (i % 3)] if i % gap == 0 else [line])
+        ]
+    pattern = draw(st.lists(st.booleans(), max_size=5))
+    return assoc, n_sets, seq, pattern, draw(st.integers(0, len(seq)))
+
+
+def _cyclic(seq, n_cycles, run=1):
+    """``seq`` repeated ``n_cycles`` times, each line in runs of ``run``."""
+    return [line for _ in range(n_cycles) for line in seq for _ in range(run)]
+
+
+class TestLookBack:
+    """A >= 3 levels settle ambiguous windows by a bounded look-back and
+    give the heads left at its cap the exact reuse distance.  Uniform
+    random lines rarely make a window of many runs over fewer than A
+    lines, so these streams cycle a few lines on purpose."""
+
+    @staticmethod
+    def _drive(case, cap, block):
+        assoc, n_sets, seq, pattern, split = case
+        geom = CacheGeometry(n_sets * assoc * LINE, LINE, assoc)
+        ref, eng = Cache("L", geom), SetAssociativeEngine("L", geom)
+        if block:
+            eng._block = block
+        writes = [bool(pattern) and pattern[i % len(pattern)] for i in range(len(seq))]
+        batches = [_lines(seq[:split], writes[:split]), _lines(seq[split:], writes[split:])]
+        with _look_back_cap(cap):
+            _drive_blocked(ref, eng, batches)
+
+    @given(
+        case=cyclic_streams(),
+        cap=st.sampled_from([None, 0, 1]),
+        block=st.sampled_from([None, 1, 5, 16]),
+    )
+    # Line 7 at the window's first position is the third distinct line:
+    # the look-back must count the whole window to call the miss.
+    @example(case=(3, 1, [5, 7] + _cyclic([0, 1], 3) + [5], [], 0), cap=None, block=None)
+    # Without it the window holds two lines: a hit, scanned to the start.
+    @example(case=(3, 1, [5] + _cyclic([0, 1], 4) + [5], [True], 4), cap=None, block=None)
+    # Three sets: set 2 cycles lines 2, 5, 8 in runs of two between other
+    # sets' lines; 14 first in the window makes 11's return a miss, and
+    # without it the return hits.  The second runs with a cap of A steps
+    # (the fallback decides), across blocks of 16 and a prologue.
+    @example(
+        case=(4, 3, [11, 14] + _cyclic([2, 0, 5, 1, 8], 5, run=2) + [11], [False, True], 0),
+        cap=None,
+        block=None,
+    )
+    @example(
+        case=(4, 3, [11] + _cyclic([2, 0, 5, 1, 8], 5, run=2) + [11], [True, False], 9),
+        cap=1,
+        block=16,
+    )
+    # Seven lines of an 8-way set over 70 runs: a hit past the default cap
+    # of 64 steps, decided by the exact fallback; line 38 makes it a miss.
+    # Over 35 runs, with cap 0, every ambiguous head falls back, in blocks
+    # of 7 after a prologue.
+    @example(
+        case=(8, 5, [43] + _cyclic([3, 8, 13, 18, 23, 28, 33], 10) + [43], [True], 0),
+        cap=None,
+        block=None,
+    )
+    @example(
+        case=(8, 5, [43, 38] + _cyclic([3, 8, 13, 18, 23, 28, 33], 10) + [43], [], 0),
+        cap=None,
+        block=None,
+    )
+    @example(
+        case=(8, 5, [43] + _cyclic([3, 8, 13, 18, 23, 28, 33], 5) + [43], [True], 20),
+        cap=0,
+        block=7,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_few_distinct_lines_match_reference(self, case, cap, block):
+        self._drive(case, cap, block)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_fallback_runs_under_a_small_cap(self, cap):
+        # Heads left at the cap take reuse_distances: a window of seven
+        # lines in 35 runs outlasts a cap of A steps, and with cap 0 every
+        # ambiguous head falls back.  Blocks of 7 after a prologue.
+        case = (8, 5, [43] + _cyclic([3, 8, 13, 18, 23, 28, 33], 5) + [43], [True], 20)
+        with _counting_fallback() as calls:
+            self._drive(case, cap, 7)
+        assert calls, "the exact fallback never ran"
+
+    def test_wide_sets_take_the_exact_distance(self):
+        # Past _LOOK_BACK_WAYS every ambiguous head takes reuse_distances:
+        # here the return of line 6 after 60 runs over three lines.
+        case = (40, 2, [6] + _cyclic([0, 2, 4], 20) + [6], [True, False], 0)
+        with _counting_fallback() as calls:
+            self._drive(case, None, None)
+        assert calls
+
+    def test_look_back_alone_settles_short_windows(self):
+        case = (3, 1, [5, 7] + _cyclic([0, 1], 3) + [5], [], 0)
+        with _counting_fallback() as calls:
+            self._drive(case, None, None)
+        assert not calls
+
+
+def _look_back_cap(cap):
+    """Patch the look-back's steps per way (``None``: the default)."""
+    if cap is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(setassoc, "_LOOK_BACK", cap)
+
+
+@contextlib.contextmanager
+def _counting_fallback():
+    """Record every exact reuse-distance fallback the engine takes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return reuse_distances(*args)
+
+    with mock.patch.object(setassoc, "reuse_distances", counted):
+        yield calls
+
+
 class TestChunkedStreaming:
     @pytest.mark.parametrize("spec_fn", [origin2000, exemplar])
     def test_chunk_boundaries_are_invisible(self, spec_fn):
@@ -295,3 +450,56 @@ class TestExemplarAnomaly:
         # double the compulsory floor (every distinct line once).
         distinct = len(np.unique(tr.addresses // geom.line_size))
         assert ref.stats.misses >= 2 * distinct
+
+
+class TestRealL1Streams:
+    def test_planned_4_and_8_way_l2_match_reference(self):
+        # The sweep's L2 variants read an L1's event stream, whose windows
+        # random lines do not resemble.  The planner's trie feeds one L1
+        # stream to every L2 child; each point must equal the reference
+        # simulator's, below and above the base L2 size.
+        from repro import api
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.ladder_capacity import ladder_workloads
+        from repro.experiments.plan import SimRequest
+        from repro.interp.executor import execute
+        from repro.options import ExecOptions, use_options
+
+        cfg = ExperimentConfig(scale=512)
+        origin = cfg.origin
+        l2 = origin.cache_levels[-1]
+        base = l2.geometry.size_bytes
+
+        def variant(size, assoc):
+            geometry = CacheGeometry(size, l2.geometry.line_size, assoc)
+            return dataclasses.replace(
+                origin,
+                name=f"{origin.name}-L2-{size}B-{assoc}way",
+                cache_levels=(
+                    *origin.cache_levels[:-1],
+                    dataclasses.replace(l2, geometry=geometry),
+                ),
+            )
+
+        programs = dict(ladder_workloads(cfg))
+        requests = [
+            SimRequest(programs[name], variant(size, assoc))
+            for name in ("convolution", "dmxpy")
+            for size in (base // 4, base * 2)
+            for assoc in (4, 8)
+        ]
+        settled = []
+        look_back = setassoc._look_back
+
+        def counted(nxt, heads, nruns, A):
+            settled.append(len(heads))
+            return look_back(nxt, heads, nruns, A)
+
+        with mock.patch.object(setassoc, "_look_back", counted):
+            with use_options(ExecOptions(sim_cache=False)):
+                planned = api.simulate_batch(requests, plan=True)
+        assert sum(settled) > 0, "no L2 head reached the look-back"
+        with use_options(ExecOptions(engine="reference", sim_cache=False)):
+            for req, got in zip(requests, planned):
+                want = execute(req.program, req.machine)
+                assert got.run.counters == want.counters, req.machine.name
