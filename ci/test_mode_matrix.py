@@ -227,6 +227,10 @@ CASES = [
     Case(("ladder", "fig1"), {"plan": True}, scale=16,
          expect=(r"plan \d+ pts/\d+ groups", r"[\d.]+x fewer accesses"),
          check=check_plan, warm=True),
+    # A second fft size (16,384: stages 11-13 are parts per outer trip)
+    # and stretch structure for the folded stack profiles.
+    Case(("ladder",), {"plan": True}, scale=64,
+         expect=(r"plan \d+ pts/\d+ groups",), check=check_plan),
     # The serial pipeline hides none of its generation.
     Case(FIGS, {"stream": "serial", **CHUNK}, expect=(r"stream \d+ chunks, 0% gen hidden",)),
     Case(FIGS, {"stream": True, **CHUNK}, expect=(r"stream \d+ chunks, \d+% gen hidden",)),

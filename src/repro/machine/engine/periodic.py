@@ -27,7 +27,11 @@ is simulated as usual when any one fails:
     on whole rows of one :class:`~repro.trace.events.Rows` part of its
     width (a generated loop, or windows a level above extrapolated) holds
     this by construction, so its rows are computed, not claimed: the
-    check is skipped and only the rows simulated are ever built.
+    check is skipped and only the rows simulated are ever built.  So does
+    an inner loop's span inside one row of a part (dmxpy's width-4 loops
+    in 65,536-wide rows) once the part's row 0 and step prove that its
+    blocks move by fixed vectors, a proof made once per part
+    (:meth:`~repro.trace.events.LazyStream.row_step`).
 (b) **Shifts are well defined.**  Every line the template touches is
     touched by columns of one shift only.  A line resident when the
     template starts shifts by its columns' shift if the template touches

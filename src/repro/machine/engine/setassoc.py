@@ -441,10 +441,11 @@ class SetAssociativeEngine(BaseEngine):
         # prefix sum over the writeback flags interleaves each victim
         # just before its fill.
         morig = order[hmp]
-        mord = np.cumsum(rmiss) - 1  # head -> its miss ordinal
         wb_flag = np.zeros(m, dtype=bool)
         vic = np.empty(m, dtype=np.int64)
-        widx = mord[evm_pos[wvi]]  # evicting heads are never prologue entries
+        # A writeback head's miss ordinal: its place among the miss heads
+        # (evicting heads are never prologue entries).
+        widx = np.searchsorted(mh, evm_pos[wvi])
         wb_flag[widx] = True
         vic[widx] = victim_line[wvi]
         ms = np.argsort(morig, kind="stable")

@@ -18,7 +18,9 @@ stand for.
 A part whose row is itself ``n`` repeats of ``w`` columns moving by a
 fixed step (dmxpy's row is 16,384 iterations of 4 accesses) is first
 split into one inner loop per row when the inner loops keep fewer
-accesses (:func:`plan_folds`).  A fold is planned per stretch when all of
+accesses (:func:`plan_folds`).  Parts that differ only by whole lines per
+cluster of columns (an outer loop's parts, such rows) share one plan
+(:class:`_Family`).  A fold is planned per stretch when all of
 these hold; any part that fails one is profiled row by row:
 
 (a) **Columns.**  A column moves (``P * step`` is a multiple of the line,
@@ -33,16 +35,15 @@ these hold; any part that fails one is profiled row by row:
     class never makes it meet another one's lines.
 (c) **Bounded life.**  From the lines ``S`` one super-row of a class
     touches, a line ``l`` is touched in super-row ``q`` iff
-    ``l - qD`` is in ``S``.  Lines of ``S`` in one residue mod ``D`` that
-    lie at most ``reach = trip // P - 1`` super-rows apart are *chained*:
-    one line may be touched through both.  That reach is exact for the
-    template and the copies: each has a whole super-row of its stretch
-    before it and, unless the stretch starts at row 0, one after it, so
-    no row of the part lies more than ``reach`` super-rows away from
-    it.  Lines ``reach + 1`` super-rows apart may split.  The longest chain
-    bounds ``life``, how many super-rows a line stays in use.  The
-    template is super-row ``T0 = max(life, 1)``, so a template line's
-    history lies in the lead-in.
+    ``l - qD`` is in ``S``.  A stretch of ``n`` whole super-rows holds
+    at most ``M = n - 2`` copies after a super-row of lead-in and the
+    template (``n - 3`` when it does not start at row 0, since it then
+    keeps a tail super-row too).  Lines of ``S`` in one residue mod ``D`` fewer than
+    ``M`` super-rows apart are *chained*: one line may be touched
+    through both inside the copies.  The longest chain bounds ``life``,
+    how many super-rows a line stays in use.  The template is super-row
+    ``T0 = max(life, 1)``, so a template line's history lies in the
+    lead-in, and ``M + 1 - T0`` copies follow it.
 
 **The kept accesses.**  Every line the excised copies touch keeps, in
 the reduced stream and at its own address, its first and last touch in
@@ -52,13 +53,26 @@ line ``l`` at chain offset ``o`` is touched ``o`` super-rows after the
 chain's first line, so a copy's lines, their chain positions and so
 their kept accesses follow from the template alone.
 
+**Long links.**  Two lines of ``S`` in one residue ``k >= M``
+super-rows apart are not chained, although the part may touch one line
+through both: fft's ``im`` sits 32 B off a line, so the two halves of a
+butterfly block share one line ``n - 1`` super-rows apart.  Such a link
+joins touches ``k`` super-rows apart, and the ``M + 1 - T0 <= M`` copies
+span fewer, so at most one of the two is excised; the other lies in the
+lead-in, the template or the tail, which are kept whole, or outside the
+part.  Inside the excised stretch a line is thus one chain's, and the
+touch before its first touch there, and the one after its last, lie
+outside the stretch: what the argument below needs.  A link shorter
+than ``M`` super-rows could join two copies, and stays chained.
+
 **Why it is exact.**  Moving super-row ``q`` to ``q + 1`` renames every
 line of a class by ``D`` and keeps ``D = 0`` lines.  The renaming is
-injective and keeps classes apart (b), and by (c) a line's history
-inside the part lies at most ``life`` super-rows back, inside the
-stretch.  So an excised access whose previous touch is excised too has
-the window, reuse distance and tenure mark of the template access it
-renames; the template counts it.  Every other excised access is its
+injective and keeps classes apart (b), and by (c) a line's previous
+touch lies at most ``life`` super-rows back through its chain, inside
+the stretch, or through a long link, outside the excised copies.  So an
+excised access whose previous touch is excised too has the window,
+reuse distance and tenure mark of the template access it renames; the
+template counts it.  Every other excised access is its
 line's first touch in the excised stretch and is kept; so is every
 access outside the folds.  A kept access's window then reads exactly in
 the reduced stream: its previous touch is kept (it lies outside the
@@ -214,9 +228,9 @@ def _columns(part: Rows, shift: int) -> tuple[np.ndarray, int]:
     return frozen, line // int((moving & -moving).min(initial=line))
 
 
-def _chains(lines: np.ndarray, d: np.ndarray, reach: int) -> _Chains:
+def _chains(lines: np.ndarray, d: np.ndarray, most: int) -> _Chains:
     """Chains of one super-row whose positions touch ``lines`` with step
-    classes ``d``: lines of one class and residue at most ``reach``
+    classes ``d``: lines of one class and residue fewer than ``most``
     super-rows apart share a chain, and each ``D = 0`` line is one."""
     ul, inv = np.unique(lines, return_inverse=True)
     ud = np.empty(len(ul), dtype=np.int64)
@@ -229,7 +243,7 @@ def _chains(lines: np.ndarray, d: np.ndarray, reach: int) -> _Chains:
     cut[1:] = (
         (sd[1:] != sd[:-1])
         | (sr[1:] != sr[:-1])
-        | (sl[1:] - sl[:-1] > reach * smag[1:])
+        | (sl[1:] - sl[:-1] >= most * smag[1:])
         | (sd[1:] == 0)
     )
     first = np.flatnonzero(cut)
@@ -248,43 +262,110 @@ def _kept(part: Rows, plan: _PartPlan | None) -> int:
     return len(part) if plan is None else plan.kept
 
 
+@dataclass(frozen=True)
+class _Family:
+    """A part's plan, kept for the parts that differ from it only by
+    whole lines per column (an outer loop's parts, a loop of loops'
+    rows).  Its columns fall into *clusters*, whose line hulls over the
+    part meet once widened by ``reach`` lines (:meth:`of`): ``order``
+    sorts the columns by cluster, ``start`` marks each cluster's first,
+    and ``lo``, ``hi`` are the widened hulls.  Checks (b) and (c)
+    compare lines of one cluster, or find lines of two clusters farther
+    apart than any link or class hull reaches.  A part with the same
+    steps, write flags and trip, whose sub-line columns sit at the same
+    offsets in their lines, and whose clusters each lie one whole number
+    of lines from these and stay apart, therefore passes every check the
+    same way: the plan is its plan."""
+
+    first: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    plan: "_PartPlan | None"
+
+    @classmethod
+    def of(cls, first: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: int, plan) -> "_Family":
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order] - reach, hi[order] + reach
+        start = np.ones(len(lo), dtype=bool)
+        start[1:] = lo[1:] > np.maximum.accumulate(hi)[:-1]
+        return cls(first, order, start, lo[start], np.maximum.reduceat(hi, np.flatnonzero(start)), plan)
+
+    def holds(self, first: np.ndarray) -> bool:
+        """Whether the part whose columns' first lines are ``first`` has
+        this plan."""
+        moved = (first - self.first)[self.order]
+        if not (moved[1:] == moved[:-1])[~self.start[1:]].all():
+            return False
+        by = moved[self.start]
+        lo, hi = self.lo + by, self.hi + by
+        order = np.argsort(lo)
+        return bool((lo[order][1:] > np.maximum.accumulate(hi[order])[:-1]).all())
+
+
 def _plan_part(part: Rows, shift: int, memo: dict) -> _PartPlan | None:
     """The folds of one part, by checks (a)-(c); None if none passes.
-    ``memo`` holds the kept accesses of stretches planned before."""
+    ``memo`` holds the families of parts planned before (one per steps,
+    write flags, trip and in-line offsets of the sub-line columns: an
+    outer loop's parts and a loop of loops' rows share theirs) and the
+    kept accesses of stretches planned before."""
     if part.trip < 4:
         return None
     line = 1 << shift
     base, step, trip, width = part.base, part.step, part.trip, part.width
     first = base >> shift
+    # Where a column's step is whole lines, its lines move with its
+    # base's line and its offset in the line is never seen.
+    offset = np.where(step & (line - 1), base & (line - 1), 0)
+    key = ("part", shift, trip, step.tobytes(), part.writes.tobytes(), offset.tobytes())
+    family = memo.get(key)
+    if family is not None and family.holds(first):
+        return family.plan
     last = (base + (trip - 1) * step) >> shift
     frozen, period = _columns(part, shift)
     if trip // period < 4 or period * width > MAX_SUPER_ROW:
         return None
     d = np.where(frozen, 0, period * step // line)
-    cuts = _crossings(base[frozen], step[frozen], first[frozen], np.abs(last - first)[frozen], line)
+    lo, hi = np.minimum(first, last), np.maximum(first, last)
+    plan = _plan_stretches(part, shift, memo, first, lo, hi, frozen, period, d)
+    memo[key] = _Family.of(first, lo, hi, (trip // period + 1) * (int(np.abs(d).max()) + 1), plan)
+    return plan
+
+
+def _plan_stretches(part: Rows, shift: int, memo: dict, first, lo, hi, frozen, period: int, d) -> _PartPlan | None:
+    """Checks (a, crossings), (b) and (c) of a part whose columns span
+    lines ``lo`` to ``hi`` from ``first``, and are ``frozen`` or move
+    ``d`` lines per super-row of ``period`` rows."""
+    line = 1 << shift
+    base, step, trip, width = part.base, part.step, part.trip, part.width
+    cuts = _crossings(base[frozen], step[frozen], first[frozen], (hi - lo)[frozen], line)
     cuts = cuts[(cuts > 0) & (cuts < trip)]
     if len(cuts) > MAX_STRETCHES:
         return None
     # (b) Step classes keep to their own lines.
-    lo, hi = np.minimum(first, last), np.maximum(first, last)
     order = np.argsort(lo)
     lo, hi, dd = lo[order], hi[order], d[order]
     merged = [_intervals(lo[dd == c], hi[dd == c], True) for c in np.unique(d)]
     every = _intervals(np.concatenate([m[0] for m in merged]), np.concatenate([m[1] for m in merged]))
     if len(every[0]) != sum(len(m[0]) for m in merged):
         return None
-    reach = trip // period - 1
     col = np.tile(np.arange(width), period)
     sub = np.repeat(np.arange(period, dtype=np.int64), width)
     stretches = []
     for start, end in zip(np.append(0, cuts).tolist(), np.append(cuts, trip).tolist()):
-        # (c) Bounded life, from the stretch's first super-row.
-        chains = _chains((base[col] + (start + sub) * step[col]) >> shift, d[col], reach)
+        # (c) Bounded life, from the stretch's first super-row: ``most``
+        # copies fit after a one-super-row lead-in, so no two copies lie
+        # ``most`` super-rows apart.
+        most = (end - start) // period - 2 - (start > 0)
+        if most < 1:
+            continue
+        chains = _chains((base[col] + (start + sub) * step[col]) >> shift, d[col], most)
         t0 = max(chains.life, 1)
-        copies = (end - start) // period - t0 - 1 - (start > 0)
+        copies = most + 1 - t0
         if copies >= 1:
             writes = np.tile(part.writes, period)
-            key = (period, copies, *(a.tobytes() for a in (chains.chain, chains.offset, chains.d, chains.span, writes)))
+            key = ("copies", period, copies, *(a.tobytes() for a in (chains.chain, chains.offset, chains.d, chains.span, writes)))
             if key not in memo:
                 memo[key] = _copies(chains, writes, copies)
             stretches.append(_Stretch(start + t0 * period, end, period, copies, memo[key]))

@@ -22,10 +22,13 @@ The set-associative engine uses them to find periodic stretches it may
 extrapolate (:mod:`repro.machine.engine.periodic`), and derives hints of
 the same form for the event stream it sends on, so hints reach every
 level of a hierarchy, not only the first.  A hint on whole rows of one
-:class:`Rows` part of its width holds by construction; every other hint
-is verified against the addresses, so a wrong or missing hint costs
-time, never a counter.  :meth:`Trace.concat`, :meth:`Trace.repeated` and
-:func:`concat_traces` drop them.
+:class:`Rows` part of its width holds by construction, and so does one
+on an inner loop inside one row of a part once its blocks are proven to
+move by fixed vectors in row 0 and the step (:meth:`LazyStream.row_step`,
+once per part); every other hint is verified against the addresses, so
+a wrong or missing hint costs time, never a counter.
+:meth:`Trace.concat`, :meth:`Trace.repeated` and :func:`concat_traces`
+drop them.
 """
 
 from __future__ import annotations
@@ -110,6 +113,25 @@ class Rows:
         return parts
 
 
+def _block_moves(part: Rows, col: int, trip: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """How ``trip`` blocks of ``width`` columns from column ``col`` of
+    ``part``'s rows move per block: one vector for the bases and one for
+    the steps, or None when they do not move by fixed vectors or their
+    write flags differ."""
+    cols = slice(col, col + trip * width)
+    base = part.base[cols].reshape(trip, width)
+    step = part.step[cols].reshape(trip, width)
+    writes = part.writes[cols].reshape(trip, width)
+    moves = base[1] - base[0], step[1] - step[0]
+    if (
+        (base[1:] - base[:-1] == moves[0]).all()
+        and (step[1:] - step[:-1] == moves[1]).all()
+        and (writes == writes[0]).all()
+    ):
+        return moves
+    return None
+
+
 #: One part of a :class:`LazyStream`: plain arrays, or computed rows.
 Part = Union[tuple[np.ndarray, np.ndarray], Rows]
 
@@ -123,12 +145,14 @@ class LazyStream:
     """An ordered access stream held as parts (plain arrays and
     :class:`Rows`), read a range at a time or joined once."""
 
-    __slots__ = ("parts", "_starts", "_joined")
+    __slots__ = ("parts", "_starts", "_joined", "_blocks")
 
     def __init__(self, parts: Sequence[Part] = ()):
         self.parts = [p for p in parts if part_len(p)]
         self._starts = list(accumulate((part_len(p) for p in self.parts), initial=0))
         self._joined: tuple[np.ndarray, np.ndarray] | None = None
+        # Inner loops proven inside a part's rows, see :meth:`row_step`.
+        self._blocks: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
     @classmethod
     def of(cls, addrs: np.ndarray, writes: np.ndarray) -> "LazyStream":
@@ -185,20 +209,31 @@ class LazyStream:
 
     def row_step(self, start: int, trip: int, width: int) -> np.ndarray | None:
         """The per-row byte step of rows ``[start, start + trip * width)``
-        when they are whole rows of one :class:`Rows` part of that width,
-        so repeat by construction; else None."""
+        when they repeat by construction, else None.
+
+        They do when they are whole rows of one :class:`Rows` part of
+        that width, or ``trip`` blocks of ``width`` columns inside one
+        row of a wider part (an inner loop) whose bases move by one
+        vector ``b`` per block, whose steps move by one vector ``s`` per
+        block, and whose write flags agree: the blocks of row ``r`` then
+        move by ``b + r * s``.  That is proven once per part from row 0
+        and the step, and holds in every row."""
         i = bisect_right(self._starts, start) - 1
-        if not 0 <= i < len(self.parts):
+        if not 0 <= i < len(self.parts) or trip < 2:
             return None
         part, offset = self.parts[i], start - self._starts[i]
-        if (
-            isinstance(part, Rows)
-            and part.width == width
-            and offset % width == 0
-            and offset + trip * width <= len(part)
-        ):
-            return part.step
-        return None
+        if not isinstance(part, Rows):
+            return None
+        if part.width == width:
+            return part.step if offset % width == 0 and offset + trip * width <= len(part) else None
+        row, col = divmod(offset, part.width)
+        if width <= 0 or col + trip * width > part.width:
+            return None
+        key = (i, col, trip, width)
+        if key not in self._blocks:
+            self._blocks[key] = _block_moves(part, col, trip, width)
+        moves = self._blocks[key]
+        return None if moves is None else moves[0] + row * moves[1]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole stream as plain arrays, joined on the first call and

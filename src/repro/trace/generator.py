@@ -57,7 +57,10 @@ Two generation modes share the machinery:
   :class:`~repro.trace.events.Rows` (row 0, a per-column byte step and
   the trip count; subscripts and lower bounds are affine and trip counts
   grid-invariant, so row ``r`` is row 0 plus ``r`` steps), built from its
-  first and last rows, whose generation validates the whole grid; every
+  first and last rows, whose generation validates the whole grid.  A
+  shorter one whose body is one loop (fft's last stages, a tile loop of
+  a few trips) is kept as one such part per outer trip, descending while
+  the loops stay short, down to one of at least ``_LAZY_TRIP`` rows; every
   other statement is generated into its own buffer, sized by a counting
   pass (the same walk with no destination).  The set-associative engine
   reads such a trace a block at a time and builds only the rows it
@@ -191,12 +194,17 @@ class TraceGenerator:
         and its trip counts grid-invariant, so every address is affine in
         the loop variable and row ``r`` is row 0 plus ``r`` times a
         per-column step; only the first and the last row are generated,
-        which validates the whole grid as generating every row would.
-        Any other statement gets its own buffer, sized by a counting pass
-        (the build walk without a destination): a guard-free one
-        generates straight into it, a guarded one slab by slab along its
-        outermost loop (as :meth:`chunks` does), each compacted slab
-        copied in, so its scratch stays O(slab).  Reading the trace's
+        which validates the whole grid as generating every row would.  A
+        shorter guard-free loop whose body is one loop is kept as one
+        :class:`Rows` per trip of its short loops, built the same way
+        from the first and last rows of the first loop down the nest of
+        at least ``_LAZY_TRIP`` rows (:meth:`_lazy_nest`); its hints are
+        the ones generating it whole gives.  Any other statement gets
+        its own buffer, sized by a counting pass (the build walk without
+        a destination): a guard-free one generates straight into it, a
+        guarded one slab by slab along its outermost loop (as
+        :meth:`chunks` does), each compacted slab copied in, so its
+        scratch stays O(slab).  Reading the trace's
         arrays joins the parts once.
         """
         body = self.program.body
@@ -209,9 +217,10 @@ class TraceGenerator:
         for stmt, (_, loads, stores) in zip(body, counts):
             n = loads + stores
             guarded = _guarded(stmt)
-            if isinstance(stmt, Loop) and not guarded and n and self._trip(stmt) >= _LAZY_TRIP:
-                part = self._rows(stmt)
-                piece_spans = self._spans(stmt, part.trip)
+            nest = self._lazy_nest(stmt) if n and not guarded else None
+            if nest is not None:
+                pieces: list[Part] = list(self._rows(nest))
+                piece_spans = self._spans(stmt, self._trip(stmt))
             else:
                 part = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.bool_))
                 piece_spans = []
@@ -221,8 +230,9 @@ class TraceGenerator:
                     piece_spans += [(start + at, trip, width) for start, trip, width in piece.spans]
                     at += len(piece)
                 assert at == n, f"counting pass sized {n}, emitted {at}"
+                pieces = [part]
             spans.extend((start + pos, trip, width) for start, trip, width in piece_spans)
-            parts.append(part)
+            parts.extend(pieces)
             pos += n
         flops, loads, stores = (sum(c) for c in zip(*counts))
         return Trace.lazy(LazyStream(parts), flops, loads, stores, tuple(spans))
@@ -315,22 +325,47 @@ class TraceGenerator:
                 addrs, writes = out[0][:n], out[1][:n]
         return Trace(addrs, writes, *counts, spans)
 
-    def _rows(self, stmt: Loop) -> Rows:
-        """A guard-free top-level loop as :class:`Rows`, from its first
-        and last rows.
+    def _lazy_nest(self, stmt: Stmt) -> list[Loop] | None:
+        """The loops a guard-free top-level statement is kept lazy by:
+        itself when it runs at least ``_LAZY_TRIP`` rows; else, while the
+        loops stay shorter, the one loop its body is, down to one of at
+        least ``_LAZY_TRIP`` rows.  None when there is no such loop."""
+        nest = []
+        while isinstance(stmt, Loop):
+            nest.append(stmt)
+            if self._trip(stmt) >= _LAZY_TRIP:
+                return nest
+            if len(stmt.body) != 1:
+                return None
+            (stmt,) = stmt.body
+        return None
+
+    def _rows(self, nest: list[Loop]) -> list[Rows]:
+        """A guard-free nest as :class:`Rows`: one part per iteration of
+        its short outer loops (in execution order), each the innermost
+        loop's rows, from their first and last rows.
 
         At each position of a row, the address and every subscript are
         affine in the row number. So the step is the difference of the
         two rows over ``trip - 1`` (an exact division), and a subscript's
-        extremes over the grid are its extremes over these two rows:
-        generating them validates the whole grid, with the messages
-        generating every row would give."""
-        trip = self._trip(stmt)
-        ends = self._statement(stmt, range(0, trip, trip - 1))
-        rows = ends.addresses.reshape(2, -1)
-        rows[1] -= rows[0]  # the step, in place: the part holds two rows
-        rows[1] //= trip - 1
-        return Rows(rows[0], ends.is_write[: rows.shape[1]], rows[1], trip)
+        extremes over the grid are its extremes over these two rows of
+        every outer iteration: generating them validates the whole grid,
+        with the messages generating every row would give."""
+        *outer, loop = nest
+        grid: tuple[int, ...] = ()
+        env: dict[str, np.ndarray | int] = dict(self.params)
+        for stmt in outer:
+            grid, env = self._enter(stmt, grid, env, range(self._trip(stmt)))
+        trip, width = self._trip(loop), self._body_width(loop.body)
+        dest = _Dest(np.empty(grid + (2 * width,), dtype=np.int64), np.empty(2 * width, dtype=np.bool_), None)
+        self._build_loop(loop, grid, env, None, dest, range(0, trip, trip - 1))
+        rows = dest.addrs.reshape(-1, 2, width)
+        bases = rows[:, 0]
+        steps = rows[:, 1]
+        steps -= bases  # the steps, in place: each part holds two rows
+        steps //= trip - 1
+        writes = dest.writes[:width]
+        return [Rows(base, writes, step, trip) for base, step in zip(bases, steps)]
 
     def _spans(self, stmt: Loop, rows: int) -> tuple[Span, ...]:
         """Span hints of ``rows`` iterations of a guard-free top-level
@@ -513,6 +548,24 @@ class TraceGenerator:
             counts = _add(counts, self._build(stmt.orelse, grid_shape, env, else_mask, else_dest))
         return counts
 
+    @staticmethod
+    def _enter(
+        stmt: Loop, grid_shape: tuple[int, ...], env: dict[str, np.ndarray | int], steps: range
+    ) -> tuple[tuple[int, ...], dict[str, np.ndarray | int]]:
+        """The grid and environment inside iterations ``steps`` of a loop:
+        existing grids gain a trailing axis, and the loop's variable
+        varies on it."""
+        child_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
+        var = np.arange(steps.start, steps.stop, steps.step, dtype=np.int64)
+        var = var.reshape((1,) * len(grid_shape) + (len(steps),))
+        lower = np.asarray(stmt.lower.evaluate_vec(child_env))
+        if lower.size == 1:
+            var += lower
+        else:
+            var = var + lower
+        child_env[stmt.var] = var
+        return grid_shape + (len(steps),), child_env
+
     def _build_loop(
         self,
         stmt: Loop,
@@ -534,17 +587,7 @@ class TraceGenerator:
         count = len(steps)
         if count <= 0:
             return (0, 0, 0)
-        child_shape = grid_shape + (count,)
-        # Existing grids gain a trailing axis; the new variable varies on it.
-        child_env = {k: v[..., None] if isinstance(v, np.ndarray) else v for k, v in env.items()}
-        var = np.arange(steps.start, steps.stop, steps.step, dtype=np.int64)
-        var = var.reshape((1,) * len(grid_shape) + (count,))
-        lower = np.asarray(stmt.lower.evaluate_vec(child_env))
-        if lower.size == 1:
-            var += lower
-        else:
-            var = var + lower
-        child_env[stmt.var] = var
+        child_shape, child_env = self._enter(stmt, grid_shape, env, steps)
         child_mask = None
         if mask is not None:
             child_mask = np.broadcast_to(mask[..., None], child_shape)

@@ -333,6 +333,62 @@ class TestComputedRows:
         assert_exact(self.GEO, trace.addresses, trace.is_write, wrong, (), lazy.stream)
 
 
+class TestInnerLoopHints:
+    """A hint on an inner loop inside one row of a :class:`Rows` part
+    (dmxpy's width-4 loops inside 65,536-wide rows) is proven once per
+    part, from row 0's inner rows and the step, and then skips check (a)
+    in every row; one whose row-0 inner rows do not repeat is checked
+    against the addresses as before."""
+
+    GEO = CacheGeometry(4 * 2 * LINE, LINE, 2)
+    INNER, TRIP = 4096, 4
+
+    def part(self, bump: int = 0, skew: int = 0) -> Rows:
+        """dmxpy's rows: inner iteration i reads y[i], x[r] and m[r, i]
+        and writes y[i] in row r; a fifth column's step grows by ``skew``
+        bytes per iteration, so row r's iterations move by ``skew * r``
+        more.  ``bump`` moves one of row 0's iterations off the loop."""
+        n = self.INNER
+        i = np.arange(n, dtype=np.int64)[:, None]
+        base = np.hstack([8 * i, np.full((n, 1), 1 << 20), (1 << 21) + 8 * i, 8 * i, (1 << 22) + 8 * i])
+        step = np.broadcast_to(np.array([0, 8, 8 * n, 0, 0]), (n, 5)).copy()
+        step[:, 4] = 8 * n + skew * i[:, 0]
+        base[n // 2, 0] += bump
+        writes = np.tile([False, False, False, True, False], n)
+        return Rows(base.ravel(), writes, step.ravel(), self.TRIP)
+
+    def hints(self):
+        width = 5 * self.INNER
+        return [(r * width, self.INNER, 5) for r in range(self.TRIP)]
+
+    def test_proven_once_and_extrapolated_unbuilt(self):
+        for skew in (0, 8):
+            part = self.part(skew=skew)
+            stream = LazyStream([part])
+            addrs, writes = LazyStream([part]).arrays()
+            for start, trip, width in self.hints():
+                rows = addrs[start : start + trip * width].reshape(trip, width)
+                np.testing.assert_array_equal(stream.row_step(start, trip, width), rows[1] - rows[0])
+            assert len(stream._blocks) == 1  # one proof for the part's rows
+            with spy("_emit") as emits:
+                assert_exact(self.GEO, addrs, writes, self.hints(), (), stream)
+            lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
+            assert len(lazy) == self.TRIP  # one template per row
+            assert all(span._table is None for span in lazy)  # check (a) built nothing
+            assert stream._joined is None
+
+    def test_inner_rows_that_do_not_repeat_are_checked(self):
+        part = self.part(bump=8)
+        stream = LazyStream([part])
+        assert all(stream.row_step(*hint) is None for hint in self.hints())
+        addrs, writes = LazyStream([part]).arrays()
+        with spy("_emit") as emits:
+            assert_exact(self.GEO, addrs, writes, self.hints(), (), stream)
+        lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
+        assert lazy  # rows still extrapolate, checked against the addresses
+        assert all(span._table is not None for span in lazy)
+
+
 class TestWrongHints:
     @pytest.mark.parametrize(
         "spans",

@@ -253,6 +253,37 @@ def _dmxpy_rows(n_in: int, trip: int) -> tuple:
     return ("rows", bases, [0, 8, 8 * n_in, 0] * n_in, [False, False, False, True] * n_in, trip)
 
 
+def _butterfly(half: int, trip: int, line: int = 32, offset: int = 8, writes=(0, 0, 0, 0, 1, 1), still=True) -> tuple:
+    """fft's butterfly rows at a small size: row j reads re[j], re[j +
+    half], im[j] and im[j + half] and writes the im pair (8 B elements),
+    and (``still``) reads one fixed word, a line in use all along.
+    ``im`` sits ``offset`` bytes off a line, so its halves share one."""
+    re, im = 1 << 16, (1 << 15) + offset
+    bases = [re, re + 8 * half, im, im + 8 * half, im + 8 * half, im] + [1 << 14] * still
+    flags = [bool(w) for w in writes] + [False] * still
+    return ("rows", bases, [8] * 6 + [0] * still, flags, trip)
+
+
+@st.composite
+def butterfly_specs(draw):
+    """Butterfly parts (:func:`_butterfly`) over random lines, halves,
+    trips, offsets and write flags, with array parts that touch their
+    lines before or after them."""
+    line = draw(st.sampled_from([16, 32, 64, 128]))
+    half = line // 8 * draw(st.integers(2, 12)) + draw(st.sampled_from([0, 0, 1, 3]))
+    trip = draw(st.integers(half, 3 * half))
+    offset = 8 * draw(st.integers(0, line // 8 - 1))
+    writes = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    spec = [_butterfly(half, trip, line, offset, writes, draw(st.booleans()))]
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, 6))
+        base = draw(st.sampled_from([1 << 16, (1 << 15) + offset]))
+        addrs = [base + 8 * draw(st.integers(0, 4 * half)) for _ in range(n)]
+        at = draw(st.integers(0, len(spec)))
+        spec.insert(at, ("array", addrs, [draw(st.booleans()) for _ in range(n)]))
+    return line, spec
+
+
 class TestFoldedStackProfile:
     """``stack_profile`` of a lazy stream folds certified stretches; every
     field and every derived ``CacheStats`` must equal the full pass's."""
@@ -284,10 +315,15 @@ class TestFoldedStackProfile:
     @example(case=(32, [("rows", [96, 0], [32, 32], [True, False], 30)], 1))
     # A sub-line period: every column moves one 64 B line per 8 rows.
     @example(case=(64, [("rows", [0, 8, 4096], [8, 8, 8], [False, False, True], 120)], 1))
-    # The reach: two columns whose lines lie (n - 1) super-rows apart
-    # chain (no fold); n super-rows apart they need not.
-    @example(case=(32, [("rows", [0, 9 * 32], [32, 32], [True, False], 10)], 0))
+    # Two columns whose lines lie n - 1 or n super-rows apart: no two
+    # copies realize the link, so both fold.
+    @example(case=(32, [("rows", [0, 9 * 32], [32, 32], [True, False], 10)], 1))
     @example(case=(32, [("rows", [0, 10 * 32], [32, 32], [True, False], 10)], 1))
+    # fft's butterfly halves share a line n - 1 super-rows apart (a long
+    # link, cut), or, in a part of twice the trip, a link two copies
+    # could realize (chained).
+    @example(case=(32, [_butterfly(40, 40)], 1))
+    @example(case=(32, [_butterfly(40, 80)], 1))
     # FFT's next stage rereads lines the stage before it touched.
     @example(
         case=(
@@ -376,16 +412,54 @@ class TestFoldedStackProfile:
         assert [(s.template, s.end, s.copies) for s in plan.stretches] == [(1, 12, 10), (13, 16, 1)]
         self.check(line, spec)
 
-    def test_reach_is_one_short_of_the_trip(self):
-        """Lines n super-rows apart (n = trip // period) are never one
-        line's, so they split and the part folds; n - 1 apart they chain."""
-        shift = 5
-        split = _lazy_stream([("rows", [0, 10 * 32], [32, 32], [True, False], 10)])
-        ((_, plan),) = stackfold.plan_folds(split, shift)
-        assert [(s.template, s.copies) for s in plan.stretches] == [(1, 8)]
-        chained = _lazy_stream([("rows", [0, 9 * 32], [32, 32], [True, False], 10)])
-        ((_, plan),) = stackfold.plan_folds(chained, shift)
-        assert plan is None
+    @staticmethod
+    def _stretches(line, spec):
+        ((_, plan),) = stackfold.plan_folds(_lazy_stream(spec), line.bit_length() - 1)
+        return None if plan is None else [(s.template, s.copies) for s in plan.stretches]
+
+    def test_links_no_two_copies_realize_are_cut(self):
+        """Lines n - 1 or n super-rows apart (n = trip // period) are
+        touched through both only by the lead-in and the tail, never by
+        two of the at most n - 2 copies, which lie at most n - 3 apart;
+        so their link is cut, and the part folds as if they never met.
+        fft's ``im`` halves share one line n - 1 super-rows apart."""
+        for gap in (9, 10):
+            spec = [("rows", [0, gap * 32], [32, 32], [True, False], 10)]
+            assert self._stretches(32, spec) == [(1, 8)]
+            self.check(32, spec, 1)
+        # A period of 4 rows, 10 super-rows: one lead-in super-row (im's
+        # line pairs live one super-row), the template, 8 copies.
+        assert self._stretches(32, [_butterfly(40, 40)]) == [(4, 8)]
+        self.check(32, [_butterfly(40, 40)], 1)
+
+    def test_links_two_copies_realize_stay_chained(self):
+        """The same halves in a part of twice the trip: their shared
+        lines lie 9 super-rows apart, fewer than the 18 copies a
+        one-super-row lead-in leaves, two of which would touch one line
+        through both.  The link stays chained: the template waits out
+        the chain's 11 super-rows, and 8 copies follow it."""
+        assert self._stretches(32, [_butterfly(40, 80)]) == [(44, 8)]
+        self.check(32, [_butterfly(40, 80)], 1)
+
+    def test_parts_a_whole_number_of_lines_apart_share_a_plan(self):
+        """An outer loop's parts differ only by where their columns'
+        lines lie; a part whose clusters of columns each move by whole
+        lines, and stay apart, takes the first part's plan, while one
+        whose columns come within a link of each other is planned anew
+        (its lines chain, so its template waits three super-rows)."""
+        line, trip = 32, 30
+        bases = [[0, 1 << 16, 1 << 14], [32 * 100, (1 << 16) + 32 * 7, 1 << 14], [0, 3 * 32, 1 << 14]]
+        spec = [("rows", b, [32, 32, 0], [True, False, False], trip) for b in bases]
+        pieces = self.check(line, spec, 3)
+        (_, first), (_, moved), (_, near) = pieces
+        assert moved is first
+        assert near is not first
+        assert [(s.template, s.copies) for s in near.stretches] == [(3, 26)]
+
+    @given(case=butterfly_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_butterflies_match_full_pass(self, case):
+        self.check(*case)
 
     def test_loops_of_loops_fold_inside(self):
         """A dmxpy-style part is split into one loop per row, each folded."""
@@ -447,18 +521,21 @@ class TestFoldedStackProfile:
         assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
 
     def test_lazy_fft_profile_folds_every_rows_stage(self):
-        """The ladder's fft8192 on the Origin2000/128 layout: stages 0-9
-        fold although each rereads the lines of the stage before, so the
-        profile keeps at most 35% of the trace and peaks below half the
-        full pass."""
+        """The ladder's fft8192 on the Origin2000/128 layout: every stage
+        is lazy (stages 10-12 as one part per outer trip), and every part
+        folds, although each stage rereads the lines of the one before
+        and ``im``'s halves share a line; stage 9's rows fold inside.
+        The profile keeps 64,585 of 745,472 accesses and peaks below half
+        the full pass."""
         from repro.experiments.ladder_capacity import LINE_SIZE
 
         trace = self._ladder_trace("fft8192")
+        assert len(trace.stream.parts) == 17
+        assert all(isinstance(part, Rows) for part in trace.stream.parts)
         pieces = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1)
-        plans = [plan for part, plan in pieces if isinstance(part, Rows)]
-        assert len(plans) == 10 and all(plan is not None for plan in plans)
-        profiled = _profiled(trace.stream, LINE_SIZE)
-        assert profiled <= 0.35 * len(trace.stream), profiled
+        assert len(pieces) == 24
+        assert all(isinstance(part, Rows) and plan is not None for part, plan in pieces)
+        assert _profiled(trace.stream, LINE_SIZE) == 64_585
         lazy_peak, full_peak = self._peaks(trace, LINE_SIZE)
         assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
 

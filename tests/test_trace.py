@@ -2,6 +2,7 @@
 tiled bounds, and cross-validation against the reference interpreter."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import ExecutionError, IRError
 from repro.lang import ProgramBuilder
 from repro.machine import LayoutPolicy, build_layout
 from repro.trace import TraceGenerator, generate_trace, trace_stats
+from repro.trace import generator as trace_generator
 from repro.trace.events import EMPTY_TRACE, LazyStream, Rows, concat_traces
 from repro.trace.stats import per_array_accesses, stride_histogram
 
@@ -254,10 +256,16 @@ class TestValidationAndEdges:
     def _lazy_out_of_bounds(case):
         """A loop of 16 rows, lazy in ``generate()``, whose subscript
         leaves its extent in the last row, the first, or in every row by
-        a tiled inner loop."""
+        a tiled inner loop; or such a loop inside a loop of 3 trips,
+        whose later trips leave it."""
         b = ProgramBuilder("p", params={"N": 16})
         a = b.array("a", "N", output=True)
         t = b.array("t", 4 * 16)
+        if case == "nested":
+            # Lazy as one part per trip of a 3-trip outer loop.
+            with b.loop("k", 0, 3) as k, b.loop("i", 0, "N") as i:
+                b.assign(a[i], t[4 * i + 16 * k + 3])
+            return b.build()
         with b.loop("i", 0, "N") as i:
             if case == "last":
                 b.assign(a[i + 1], 1.0)
@@ -268,7 +276,7 @@ class TestValidationAndEdges:
                     b.assign(a[i], t[j + 2])
         return b.build()
 
-    @pytest.mark.parametrize("case", ["last", "first", "tiled"])
+    @pytest.mark.parametrize("case", ["last", "first", "tiled", "nested"])
     def test_lazy_loops_report_the_whole_grids_range(self, case):
         """``generate()`` checks a lazy loop on its first and last rows;
         the message must be the one checking every row gives."""
@@ -279,7 +287,7 @@ class TestValidationAndEdges:
         with pytest.raises(ExecutionError) as lazy:
             gen.generate()
         assert str(lazy.value) == str(whole.value)
-        ranges = {"last": "[1, 16]", "first": "[-1, 14]", "tiled": "[2, 65]"}
+        ranges = {"last": "[1, 16]", "first": "[-1, 14]", "tiled": "[2, 65]", "nested": "[3, 95]"}
         assert f"ranges {ranges[case]} outside extent" in str(lazy.value)
 
     def test_guarded_out_of_bounds_ok(self):
@@ -557,6 +565,94 @@ class TestLazyStream:
         chunks = list(gen.chunks(1 << 20))
         np.testing.assert_array_equal(trace.addresses, chunks[0].addresses)
         np.testing.assert_array_equal(trace.is_write, chunks[0].is_write)
+
+
+#: The two layouts the golden trace digests are pinned under.
+GOLDEN_LAYOUTS = [LayoutPolicy(), LayoutPolicy(alignment=32, pad_bytes=40)]
+
+
+@st.composite
+def short_nests(draw):
+    """A guard-free nest whose outer loop runs 1-7 trips (and, inside it,
+    maybe one more short loop) around one loop of at least 8 rows, that
+    loop's lower bound maybe tiled by the outer variable; a sibling
+    statement maybe sits beside the long loop (so the nest is not one
+    loop deep) or at the top level before it."""
+    outer = draw(st.integers(1, 7))
+    mid = draw(st.sampled_from([None, 1, 3]))
+    inner = draw(st.integers(8, 20))
+    tile = draw(st.sampled_from([0, 1, inner]))
+    sibling = draw(st.sampled_from([None, "before", "after", "top"]))
+    coeff = [draw(st.integers(0, 3)) for _ in range(6)]
+    k_trip = mid or 1
+    size = 3 * (outer + tile * outer + inner + k_trip) + 8
+    b = ProgramBuilder("nest", params={"N": inner})
+    x = b.array("x", size)
+    y = b.array("y", size, output=True)
+    s = b.scalar("s")
+    if sibling == "top":
+        with b.loop("t", 0, 3) as t:
+            b.assign(y[t], x[t + 1])
+    with b.loop("i", 0, outer) as i:
+        def body(k):
+            if sibling == "before":
+                b.assign(s, x[i])
+            with b.loop("j", tile * i, tile * i + inner) as j:
+                b.assign(y[coeff[0] * i + coeff[1] * j + coeff[2] * k], s + x[coeff[3] * i + coeff[4] * j + coeff[5] * k + 1])
+            if sibling == "after":
+                b.assign(y[i], s)
+        if mid is None:
+            body(0)
+        else:
+            with b.loop("k", 0, mid) as k:
+                body(k)
+    return b.build(), draw(st.sampled_from(GOLDEN_LAYOUTS)), sibling in (None, "top"), outer * k_trip
+
+
+class TestNestedRows:
+    """A guard-free loop of fewer than 8 trips around one loop of at
+    least 8 rows is one :class:`Rows` part per outer trip."""
+
+    @given(case=short_nests(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parts_join_to_the_streamed_trace(self, case, data):
+        program, policy, nested, parts = case
+        gen = TraceGenerator(program, None, build_layout(program, None, policy))
+        trace = gen.generate()
+        rows = [p for p in trace.stream.parts if isinstance(p, Rows)]
+        assert len(rows) == (parts if nested else 0)
+        with mock.patch.object(trace_generator, "_LAZY_TRIP", 1 << 30):
+            whole = gen.generate()
+        assert not any(isinstance(p, Rows) for p in whole.stream.parts)
+        assert trace.spans == whole.spans
+        assert (trace.flops, trace.loads, trace.stores) == (whole.flops, whole.loads, whole.stores)
+        addrs, writes = whole.addresses, whole.is_write
+        for budget in (97, 1 << 14):
+            chunks = list(gen.chunks(budget))
+            np.testing.assert_array_equal(np.concatenate([c.addresses for c in chunks]), addrs)
+            np.testing.assert_array_equal(np.concatenate([c.is_write for c in chunks]), writes)
+        stream = trace.stream
+        for _ in range(3):
+            lo = data.draw(st.integers(0, len(addrs)))
+            hi = data.draw(st.integers(lo, len(addrs)))
+            got = stream.read(lo, hi)
+            np.testing.assert_array_equal(got[0], addrs[lo:hi])
+            np.testing.assert_array_equal(got[1], writes[lo:hi])
+            np.testing.assert_array_equal(stream.slice(lo, hi).arrays()[0], addrs[lo:hi])
+        assert stream._joined is None
+        np.testing.assert_array_equal(trace.addresses, addrs)
+        np.testing.assert_array_equal(trace.is_write, writes)
+
+    @pytest.mark.parametrize("name, parts", [("mm_blocked15", 6), ("mm_blocked30", 3), ("fft8192", 17)])
+    def test_short_tile_and_stage_loops_are_all_rows(self, name, parts):
+        """mm_blocked's tile loops at n = 90 (3 and 6 trips) and fft's
+        last stages (4, 2 and 1 trips) are lazy, so the traces are."""
+        from repro.programs import fft, matmul_blocked
+
+        programs = {"mm_blocked15": matmul_blocked(90, 15), "mm_blocked30": matmul_blocked(90, 30), "fft8192": fft(8192)}
+        trace = TraceGenerator(programs[name]).generate()
+        assert len(trace.stream.parts) == parts
+        assert all(isinstance(p, Rows) for p in trace.stream.parts)
 
 
 class TestTraceContainers:
