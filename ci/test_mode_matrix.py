@@ -231,6 +231,10 @@ CASES = [
     # and stretch structure for the folded stack profiles.
     Case(("ladder",), {"plan": True}, scale=64,
          expect=(r"plan \d+ pts/\d+ groups",), check=check_plan),
+    # Planned groups read the lazy trace whatever --stream says; planning
+    # and streaming together must still match the default manifest.
+    Case(("ladder",), {"plan": True, "stream": True}, scale=64,
+         expect=(r"plan \d+ pts/\d+ groups",), check=check_plan),
     # The serial pipeline hides none of its generation.
     Case(FIGS, {"stream": "serial", **CHUNK}, expect=(r"stream \d+ chunks, 0% gen hidden",)),
     Case(FIGS, {"stream": True, **CHUNK}, expect=(r"stream \d+ chunks, \d+% gen hidden",)),

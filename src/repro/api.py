@@ -238,7 +238,9 @@ def simulate_batch(
     fully-associative capacity ladder, shared cache-level prefixes
     simulated once.  Results are bit-identical to calling
     :func:`simulate` per point and come back in request order.
-    ``plan=False`` degrades to exactly that pointwise loop.
+    ``plan=False`` degrades to exactly that pointwise loop.  Planned
+    groups read each lazy trace whole; ``stream`` and ``chunk_accesses``
+    shape only the points that run pointwise.
     """
     options = override_options(
         plan=plan, engine=engine, stream=stream, chunk_accesses=chunk_accesses, shards=shards

@@ -20,28 +20,33 @@ and each group is answered by the cheapest applicable collapse rule:
     O(accesses) for the whole ladder instead of per point.  The group's
     other points take the rules below, on a trace of their own.
 ``prefix``
-    Hierarchies that share a level prefix are merged into a simulation
-    trie: each distinct level is one engine instance, chunks stream
-    through the trie, and every level's ordered downstream event stream
-    fans out to all of its children in memory — an L1 shared by ten
-    machines is simulated once.  Leaf results are additionally persisted
-    under a geometry-chain key (level names and layout-policy repr
-    excluded), so later batches reuse them across machine renamings.
+    Hierarchies that share a level prefix are merged into one trie-shaped
+    :class:`~repro.machine.hierarchy.Hierarchy`: each distinct level is
+    one engine instance, the group's trace (generated once, read lazily)
+    runs through the trie, and every level's ordered downstream event
+    stream feeds all of its children — an L1 shared by ten machines is
+    simulated once.  Leaf results are additionally persisted under a
+    geometry-chain key (level names and layout-policy repr excluded), so
+    later batches reuse them across machine renamings.
 ``trace``
-    No structural sharing, but the trace is generated once and fanned to
-    all hierarchies in a single pass (:meth:`Hierarchy.run_stream_multi`
-    when sharding, the degenerate trie otherwise).  A lone point left
-    after its group's capacity split runs here too, on a one-path trie.
+    No structural sharing, but the trace is generated once and every
+    hierarchy reads it: a chain of the trie that shares no level, or,
+    when sharding, one :class:`~repro.machine.engine.sharded.ShardedHierarchy`
+    per point, each given the same trace.  A lone point left after its
+    group's capacity split runs here too, on a one-chain trie.
 ``fallback``
     No rule applies (singleton group, unsupported schedule): the point
     runs through :func:`repro.interp.executor.execute` unchanged and the
     reason is recorded in the plan telemetry.
 
-Planned output is bit-identical to pointwise execution: engines persist
-chunked state, the trie replays :meth:`Hierarchy.flush` ordering per
-path, results are assembled by the executor's own
-:func:`~repro.interp.executor.assemble_run`, and every computed point is
-written back to the simcache under its ordinary full key.
+Planned groups always read the lazy trace of ``generate()``, whatever
+the ``stream`` and ``chunk_accesses`` options say; those shape only
+pointwise execution, the ``fallback`` points included.  Planned output
+is bit-identical to pointwise execution: the trie replays
+:meth:`Hierarchy.flush` ordering per chain, results are assembled by
+the executor's own :func:`~repro.interp.executor.assemble_run`, and
+every computed point is written back to the simcache under its ordinary
+full key.
 
 Telemetry follows the streaming/sharding collector pattern: the
 ``experiment`` decorator wraps each experiment in
@@ -52,7 +57,7 @@ session into the manifest's ``plan`` block (SCHEMA_VERSION 6).
 from __future__ import annotations
 
 import contextlib
-import time
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,18 +67,17 @@ from ..balance.analytic import analyze
 from ..errors import AnalysisError, ExecutionError
 from ..lang.printer import render
 from ..lang.program import Program
-from ..machine.cache import CacheGeometry, CacheStats
-from ..machine.engine import make_cache, periodic, telemetry as engine_telemetry
+from ..machine.cache import Cache
+from ..machine.engine import make_cache
 from ..machine.engine.sharded import build_hierarchy
 from ..machine.engine.simcache import SimulationCache, SimulationResult, resolve_memo
 from ..machine.engine.stack import stack_profile
-from ..machine.hierarchy import Hierarchy, HierarchyResult, StreamTotals
+from ..machine.hierarchy import Hierarchy, HierarchyResult
 from ..machine.layout import LayoutPolicy
 from ..machine.spec import MachineSpec
 from ..interp.executor import (
     MachineRun,
     PointIdentity,
-    _timed_chunks,
     assemble_run,
     execute,
     point_identity,
@@ -81,8 +85,8 @@ from ..interp.executor import (
 from ..options import ExecOptions, current_options
 from ..phases import SIMULATE, TRACE_GEN, phase
 from ..trace import telemetry as trace_telemetry
+from ..trace.events import Trace
 from ..trace.generator import TraceGenerator
-from ..trace.stream import stream_chunks
 from .predict import _session as _predict_session, _spot_check
 
 #: Stable rule names, in the order the planner tries them.
@@ -209,23 +213,6 @@ class _Point:
     prefix_key: str | None  # name-independent geometry-chain key
 
 
-class _TrieNode:
-    """One cache level shared by every hierarchy whose prefix reaches it."""
-
-    __slots__ = ("name", "geometry", "children", "terminals", "cache")
-
-    def __init__(self, name: str, geometry: CacheGeometry):
-        self.name = name
-        self.geometry = geometry
-        self.children: dict[tuple[int, int, int], _TrieNode] = {}
-        self.terminals = 0  # points whose last level this is
-        self.cache = None  # instantiated once the shape is final
-
-    @property
-    def subscribers(self) -> int:
-        return self.terminals + sum(c.subscribers for c in self.children.values())
-
-
 def _chain(machine: MachineSpec) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         (lvl.geometry.size_bytes, lvl.geometry.line_size, lvl.geometry.associativity)
@@ -245,14 +232,13 @@ def _finish_point(
     result: HierarchyResult,
     totals: tuple[int, int, int],
     memo: SimulationCache | None,
-    store_prefix: bool = True,
 ) -> MachineRun:
     flops, loads, stores = totals
     if memo is not None:
         value = SimulationResult(result, flops, loads, stores)
         if pt.key is not None:
             memo.put(pt.key, value)
-        if store_prefix and pt.prefix_key is not None:
+        if pt.prefix_key is not None:
             memo.put(pt.prefix_key, value)
     return assemble_run(
         pt.request.program.name,
@@ -264,36 +250,6 @@ def _finish_point(
         stores,
         pt.request.passes,
     )
-
-
-def _run_node(node: _TrieNode, addrs, writes, spans=()) -> None:
-    # A root gets the trace's span hints, every child the hints its
-    # parent derived for the events they share.
-    collect = bool(node.children)
-    hints: list = []
-    if engine_telemetry.collecting():
-        n = len(addrs)
-        start = time.perf_counter()
-        out = node.cache.run(addrs, writes, collect, spans, hints)
-        engine_telemetry.record_level(
-            node.cache.name, node.cache.engine, n, time.perf_counter() - start
-        )
-    else:
-        out = node.cache.run(addrs, writes, collect, spans, hints)
-    for child in node.children.values():
-        _run_node(child, out[0], out[1], tuple(hints))
-
-
-def _flush_node(node: _TrieNode) -> None:
-    # Per root-to-leaf path this replays Hierarchy.flush exactly: level i
-    # drains, its writebacks run through the levels below, then level i+1
-    # drains.  Siblings hold independent state, so fan-out order between
-    # them cannot change any counter.
-    addrs, writes = node.cache.flush()
-    for child in node.children.values():
-        _run_node(child, addrs, writes)
-    for child in node.children.values():
-        _flush_node(child)
 
 
 def execute_plan(
@@ -440,14 +396,20 @@ def _plan_group(
         if not pts:
             return
 
-    group = _multi_group if options.shards > 1 else _trie_group
-    group(pts, results, session, memo, options, passes, warmup, flush)
+    _trie_group(pts, results, session, memo, options, passes, warmup, flush)
 
 
-def _generator(pt: _Point) -> TraceGenerator:
-    return TraceGenerator(
-        pt.request.program, pt.bound, pt.layout, validate=pt.request.validate
-    )
+def _generate(pt: _Point, session: PlanSession) -> Trace:
+    """The group's trace, generated once (the point stands for its group)."""
+    req = pt.request
+    with phase(TRACE_GEN):
+        gen = TraceGenerator(req.program, pt.bound, pt.layout, validate=req.validate)
+        trace = gen.generate()
+    if len(trace) == 0 and trace.flops == 0:
+        raise ExecutionError(f"program {req.program.name!r} generates no work")
+    trace_telemetry.record_trace_bytes(trace.nbytes)
+    session.traces_generated += 1
+    return trace
 
 
 def _capacity_group(
@@ -459,15 +421,7 @@ def _capacity_group(
 ) -> None:
     """One trace, one stack-distance profile per line size: each profile
     answers every capacity of its column exactly."""
-    first = columns[0][0]
-    with phase(TRACE_GEN):
-        trace = _generator(first).generate()
-    if len(trace) == 0 and trace.flops == 0:
-        raise ExecutionError(
-            f"program {first.request.program.name!r} generates no work"
-        )
-    trace_telemetry.record_trace_bytes(trace.nbytes)
-    session.traces_generated += 1
+    trace = _generate(columns[0][0], session)
     totals = (trace.flops, trace.loads, trace.stores)
     for col in columns:
         line_size = col[0].request.machine.cache_levels[0].geometry.line_size
@@ -483,21 +437,22 @@ def _capacity_group(
             session.record("capacity")
 
 
-def _feed_pass(
-    roots: list[_TrieNode], gen: TraceGenerator, options: ExecOptions
-) -> StreamTotals:
-    chunks = stream_chunks(_timed_chunks(gen, options.chunk_accesses), options.stream)
-    n_chunks = accesses = flops = loads = stores = 0
-    with phase(SIMULATE):
-        for chunk in chunks:
-            for root in roots:
-                _run_node(root, chunk.addresses, chunk.is_write, chunk.spans)
-            n_chunks += 1
-            accesses += len(chunk)
-            flops += chunk.flops
-            loads += chunk.loads
-            stores += chunk.stores
-    return StreamTotals(n_chunks, accesses, flops, loads, stores)
+def _trie(pts: list[_Point]) -> Hierarchy:
+    """The points' machines as one hierarchy whose chains share every
+    level that agrees in geometry after an equal prefix (level names do
+    not matter)."""
+    chains = [_chain(pt.request.machine) for pt in pts]
+    inner = {chain[:k] for chain in chains for k in range(1, len(chain))}
+    caches: dict[tuple, Cache] = {}
+    levels: list[list[Cache]] = []
+    for pt, chain in zip(pts, chains):
+        levels.append([])
+        for k, lvl in enumerate(pt.request.machine.cache_levels):
+            path = chain[: k + 1]
+            if path not in caches:
+                caches[path] = make_cache(lvl.name, lvl.geometry, last_level=path not in inner)
+            levels[-1].append(caches[path])
+    return Hierarchy.from_chains(levels)
 
 
 def _trie_group(
@@ -510,117 +465,37 @@ def _trie_group(
     warmup: int,
     flush: bool,
 ) -> None:
-    """Merge hierarchies into a level trie; shared prefixes simulate once."""
-    roots: dict[tuple[int, int, int], _TrieNode] = {}
-    paths: list[list[_TrieNode]] = []
-    for pt in pts:
-        level = roots
-        path: list[_TrieNode] = []
-        for spec_lvl in pt.request.machine.cache_levels:
-            key = (
-                spec_lvl.geometry.size_bytes,
-                spec_lvl.geometry.line_size,
-                spec_lvl.geometry.associativity,
-            )
-            node = level.get(key)
-            if node is None:
-                node = level[key] = _TrieNode(spec_lvl.name, spec_lvl.geometry)
-            path.append(node)
-            level = node.children
-        path[-1].terminals += 1
-        paths.append(path)
-
-    def instantiate(node: _TrieNode) -> None:
-        node.cache = make_cache(node.name, node.geometry, last_level=not node.children)
-        for child in node.children.values():
-            instantiate(child)
-        periodic.link(node.cache, [c.cache for c in node.children.values()])
-
-    root_list = list(roots.values())
-    for root in root_list:
-        instantiate(root)
-
-    gen = _generator(pts[0])
-    totals = None
-    for _ in range(warmup):
-        totals = _feed_pass(root_list, gen, options)
-    if warmup:
-        for path in paths:
-            for node in path:
-                node.cache.reset_stats()
-    for _ in range(passes):
-        totals = _feed_pass(root_list, gen, options)
-    if totals.accesses == 0 and totals.flops == 0:
-        raise ExecutionError(
-            f"program {pts[0].request.program.name!r} generates no work"
-        )
-    if flush:
-        with phase(SIMULATE):
-            for root in root_list:
-                _flush_node(root)
-    trace_telemetry.record_trace_bytes(totals.accesses * 9)
-
-    session.traces_generated += 1
-    session.accesses_requested += totals.accesses * (passes + warmup) * len(pts)
-    session.accesses_simulated += totals.accesses * (passes + warmup) * len(root_list)
-    run_totals = (totals.flops, totals.loads, totals.stores)
-    for pt, path in zip(pts, paths):
-        level_stats = tuple(CacheStats(**vars(node.cache.stats)) for node in path)
-        downstream = tuple(
-            st.events_out * node.geometry.line_size
-            for st, node in zip(level_stats, path)
-        )
-        result = HierarchyResult(level_stats, downstream)
-        results[pt.index] = _finish_point(pt, result, run_totals, memo)
-        shared = any(node.subscribers > 1 for node in path)
-        session.record("prefix" if shared else "trace")
-
-
-def _multi_group(
-    pts: list[_Point],
-    results: list,
-    session: PlanSession,
-    memo: SimulationCache | None,
-    options: ExecOptions,
-    passes: int,
-    warmup: int,
-    flush: bool,
-) -> None:
-    """Sharded hierarchies cannot share levels, but they can share the
-    trace: generate once, fan chunks to every hierarchy."""
-    gen = _generator(pts[0])
-    hierarchies = [build_hierarchy(pt.request.machine) for pt in pts]
-
-    def one_pass() -> StreamTotals:
-        chunks = stream_chunks(_timed_chunks(gen, options.chunk_accesses), options.stream)
-        with phase(SIMULATE):
-            return Hierarchy.run_stream_multi(hierarchies, chunks)
-
+    """One trace for every point: the machines merge into one trie, so
+    shared level prefixes simulate once.  Sharded hierarchies keep their
+    levels in their workers, so under shards each point gets its own
+    and they share only the trace."""
+    trace = _generate(pts[0], session)
+    if options.shards > 1:
+        hierarchies = [build_hierarchy(pt.request.machine) for pt in pts]
+        chains = [(h, 0) for h in hierarchies]
+    else:
+        hierarchies = [_trie(pts)]
+        chains = [(hierarchies[0], i) for i in range(len(pts))]
     try:
-        totals = None
-        for _ in range(warmup):
-            totals = one_pass()
-        if warmup:
+        with phase(SIMULATE):
             for h in hierarchies:
-                h.reset_stats()
-        for _ in range(passes):
-            totals = one_pass()
-        if totals.accesses == 0 and totals.flops == 0:
-            raise ExecutionError(
-                f"program {pts[0].request.program.name!r} generates no work"
-            )
-        if flush:
-            with phase(SIMULATE):
-                for h in hierarchies:
+                for _ in range(warmup):
+                    h.run_trace(trace.stream, spans=trace.spans)
+                if warmup:
+                    h.reset_stats()
+                for _ in range(passes):
+                    h.run_trace(trace.stream, spans=trace.spans)
+                if flush:
                     h.flush()
-        trace_telemetry.record_trace_bytes(totals.accesses * 9)
-        session.traces_generated += 1
-        session.accesses_requested += totals.accesses * (passes + warmup) * len(pts)
-        session.accesses_simulated += totals.accesses * (passes + warmup) * len(pts)
-        run_totals = (totals.flops, totals.loads, totals.stores)
-        for pt, h in zip(pts, hierarchies):
-            results[pt.index] = _finish_point(pt, h.result(), run_totals, memo)
-            session.record("trace")
+        fed = len(trace) * (passes + warmup)
+        session.accesses_requested += fed * len(pts)
+        session.accesses_simulated += fed * sum(len(h.roots) for h in hierarchies)
+        users = Counter(id(c) for h in hierarchies for chain in h.chains for c in chain)
+        totals = (trace.flops, trace.loads, trace.stores)
+        for pt, (h, chain) in zip(pts, chains):
+            results[pt.index] = _finish_point(pt, h.result(chain), totals, memo)
+            shared = any(users[id(c)] > 1 for c in h.chains[chain])
+            session.record("prefix" if shared else "trace")
     finally:
         for h in hierarchies:
             h.close()

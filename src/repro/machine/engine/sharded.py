@@ -341,7 +341,7 @@ class ShardedHierarchy(Hierarchy):
             out.append((worker.shard, res, sim_acc, accesses, busy))
         return out
 
-    def result(self) -> HierarchyResult:
+    def result(self, chain: int = 0) -> HierarchyResult:
         snapshots = self.shard_results()
         merged: HierarchyResult | None = None
         workers_tel = []

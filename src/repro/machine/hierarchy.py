@@ -13,13 +13,18 @@ a set-associative level reads one a block at a time and returns its
 events as one, with the windows it extrapolated left unbuilt, so the
 level below reads only the rows it simulates.  Any other engine joins
 the stream it is handed (one run-trace chunk at a time) into arrays.
+
+A hierarchy is a trie of levels: one chain for a machine, or several
+machines' chains merged where they share a prefix (the sweep planner's
+``prefix`` rule), so a shared L1 simulates once and its events feed
+every L2 below it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -71,19 +76,60 @@ class StreamTotals:
 DEFAULT_CHUNK = 4 << 20
 
 
+class _Level:
+    """One node of a hierarchy's trie: a cache and the levels it feeds."""
+
+    __slots__ = ("cache", "children")
+
+    def __init__(self, cache: Cache):
+        self.cache = cache
+        self.children: list[_Level] = []
+
+
 class Hierarchy:
-    """A stack of caches fed by element-granularity address traces."""
+    """Caches fed by element-granularity address traces, held as a trie.
+
+    Built from one chain of levels (first level nearest the processor),
+    or with :meth:`from_chains` from several chains that share prefixes:
+    a level object two chains hold after the same prefix is one trie
+    node, simulated once for both, and its events feed every level
+    below it in any chain.
+    """
 
     def __init__(self, caches: list[Cache], chunk_size: int = DEFAULT_CHUNK):
-        if not caches:
+        self._build([caches], chunk_size)
+
+    @classmethod
+    def from_chains(
+        cls, chains: Sequence[Sequence[Cache]], chunk_size: int = DEFAULT_CHUNK
+    ) -> "Hierarchy":
+        """One hierarchy over several level chains; :meth:`result` takes
+        a chain's index in ``chains``."""
+        hierarchy = cls.__new__(cls)
+        hierarchy._build(chains, chunk_size)
+        return hierarchy
+
+    def _build(self, chains: Sequence[Sequence[Cache]], chunk_size: int) -> None:
+        if not chains or not all(chains):
             raise ValueError("hierarchy needs at least one cache")
         if chunk_size <= 0:
             raise ValueError("chunk size must be positive")
-        self.caches = caches
+        self.chains = [list(chain) for chain in chains]
         self.chunk_size = chunk_size
-        # Bottom up: each level's windows align with every level below.
-        for upper, lower in reversed(list(zip(caches, caches[1:]))):
-            periodic.link(upper, [lower])
+        self.roots: list[_Level] = []
+        self.caches: list[Cache] = []  # every level once, in chain order
+        for chain in self.chains:
+            levels = self.roots
+            for cache in chain:
+                node = next((n for n in levels if n.cache is cache), None)
+                if node is None:
+                    if any(c is cache for c in self.caches):
+                        raise ValueError(f"level {cache.name!r} sits at two places")
+                    node = _Level(cache)
+                    levels.append(node)
+                    self.caches.append(cache)
+                levels = node.children
+        _link(self.roots)
 
     @classmethod
     def from_spec(
@@ -95,30 +141,12 @@ class Hierarchy:
         return cls(spec.build_caches(engine), chunk_size)
 
     def _run_levels(self, stream: LazyStream, spans: tuple[Span, ...] = ()) -> None:
-        last = len(self.caches) - 1
-        measure = telemetry.collecting()
-        for i, cache in enumerate(self.caches):
-            # Nothing consumes the last level's stream; telling the engine
-            # lets it skip materializing events (counters stay exact).
-            # The first level gets the trace's span hints, each level below
-            # the hints the level above derived for its events.
-            hints: list[Span] = []
-            if measure:
-                n = len(stream)
-                start = time.perf_counter()
-                stream = cache.run(stream, None, i < last, spans, hints)
-                telemetry.record_level(
-                    cache.name, cache.engine, n, time.perf_counter() - start
-                )
-            else:
-                stream = cache.run(stream, None, i < last, spans, hints)
-            spans = tuple(hints)
+        _feed(self.roots, stream, spans)
 
     def run_trace(
         self,
         byte_addrs: np.ndarray | LazyStream,
         is_write: np.ndarray | None = None,
-        chunk_size: int | None = None,
         spans: tuple[Span, ...] = (),
     ) -> None:
         """Push one ordered access stream through all levels (no flush):
@@ -132,7 +160,7 @@ class Hierarchy:
             stream = LazyStream.of(
                 np.asarray(byte_addrs, dtype=np.int64), np.asarray(is_write, dtype=bool)
             )
-        chunk = chunk_size or self.chunk_size
+        chunk = self.chunk_size
         n = len(stream)
         if n <= chunk:
             self._run_levels(stream, spans)
@@ -161,62 +189,18 @@ class Hierarchy:
             stores += chunk.stores
         return StreamTotals(n_chunks, accesses, flops, loads, stores)
 
-    @staticmethod
-    def run_stream_multi(
-        hierarchies: list["Hierarchy"], chunks: Iterable["Trace"]
-    ) -> "StreamTotals":
-        """Feed one ordered chunk stream to several hierarchies in a
-        single pass (the planner's trace-sharing rule): each chunk is
-        generated once and fanned out to every hierarchy before the next
-        chunk is pulled, so peak memory stays O(chunk) no matter how many
-        sweep points share the trace.  Each hierarchy ends up bit-identical
-        to running :meth:`run_stream` on its own copy of the stream.
-        """
-        from ..trace.stream import fanout_chunks
-
-        if not hierarchies:
-            raise ValueError("run_stream_multi needs at least one hierarchy")
-        streams = fanout_chunks(chunks, len(hierarchies), depth=1)
-        n_chunks = accesses = flops = loads = stores = 0
-        while True:
-            try:
-                chunk = next(streams[0])
-            except StopIteration:
-                break
-            hierarchies[0].run_trace(chunk.addresses, chunk.is_write, spans=chunk.spans)
-            n_chunks += 1
-            accesses += len(chunk)
-            flops += chunk.flops
-            loads += chunk.loads
-            stores += chunk.stores
-            for h, s in zip(hierarchies[1:], streams[1:]):
-                same = next(s)
-                h.run_trace(same.addresses, same.is_write, spans=same.spans)
-        return StreamTotals(n_chunks, accesses, flops, loads, stores)
-
     def flush(self) -> None:
-        """Drain dirty lines of every level down to memory."""
-        last = len(self.caches) - 1
-        measure = telemetry.collecting()
-        for i, cache in enumerate(self.caches):
-            addrs, writes = cache.flush()
-            for j, lower in enumerate(self.caches[i + 1 :], start=i + 1):
-                if measure:
-                    n = len(addrs)
-                    start = time.perf_counter()
-                    addrs, writes = lower.run(addrs, writes, collect_events=j < last)
-                    telemetry.record_level(
-                        lower.name, lower.engine, n, time.perf_counter() - start
-                    )
-                else:
-                    addrs, writes = lower.run(addrs, writes, collect_events=j < last)
+        """Drain dirty lines of every level down to memory.  Per chain,
+        level *i* drains and its writebacks run through the levels below
+        before level *i+1* drains; sibling levels hold independent state,
+        so their order cannot change a counter."""
+        _drain(self.roots)
 
-    def result(self) -> HierarchyResult:
-        """Snapshot counters and derived traffic."""
-        stats = tuple(c.stats for c in self.caches)
-        traffic = tuple(
-            c.stats.events_out * c.geometry.line_size for c in self.caches
-        )
+    def result(self, chain: int = 0) -> HierarchyResult:
+        """Snapshot one chain's counters and derived traffic."""
+        caches = self.chains[chain]
+        stats = tuple(replace(c.stats) for c in caches)
+        traffic = tuple(st.events_out * c.geometry.line_size for st, c in zip(stats, caches))
         return HierarchyResult(stats, traffic)
 
     def reset(self) -> None:
@@ -233,3 +217,41 @@ class Hierarchy:
         """Release engine resources.  The serial hierarchy holds none;
         the sharded subclass reaps its worker processes here, so callers
         (the executor) can close unconditionally."""
+
+
+def _link(levels: list[_Level]) -> None:
+    # Bottom up: each level's windows align with every level below.
+    for level in levels:
+        _link(level.children)
+        periodic.link(level.cache, [child.cache for child in level.children])
+
+
+def _feed(levels: list[_Level], stream: LazyStream, spans: tuple[Span, ...]) -> None:
+    """Run ``stream`` through each of ``levels`` and on down its subtree.
+
+    A level's events go on to its children as the stream it returned;
+    with several children they are joined once first, so the children
+    share one set of arrays instead of each building the level's
+    unbuilt windows.  A leaf's events have no reader; telling the engine
+    lets it skip materializing them (counters stay exact).  A level is
+    given the hints of its input (the trace's at a root) and derives
+    those of its events for its children.
+    """
+    measure = telemetry.collecting()
+    for level in levels:
+        cache, children = level.cache, level.children
+        hints: list[Span] = []
+        start = time.perf_counter()
+        events = cache.run(stream, None, bool(children), spans, hints)
+        if measure:
+            telemetry.record_level(cache.name, cache.engine, len(stream), time.perf_counter() - start)
+        if len(children) > 1:
+            events.arrays()
+        if children:
+            _feed(children, events, tuple(hints))
+
+
+def _drain(levels: list[_Level]) -> None:
+    for level in levels:
+        _feed(level.children, LazyStream.of(*level.cache.flush()), ())
+        _drain(level.children)

@@ -49,8 +49,10 @@ class ExecOptions:
 
     engine: str = "auto"  # cache-simulation engine (see repro.machine.engine)
     sim_cache: bool = True  # use the process simulation memo
-    # Trace pipeline: materialized (False), chunked with a prefetch thread
-    # (True / "overlap"), chunked without one ("serial").
+    # Trace pipeline of pointwise execution: lazy (False), chunked with a
+    # prefetch thread (True / "overlap"), chunked without one ("serial").
+    # Planned batches always read the lazy trace; only their fallback
+    # points, which run pointwise, follow this.
     stream: bool | str = False
     chunk_accesses: int | None = None  # accesses per streamed chunk (None = default)
     shards: int = 1  # set-sharded parallel simulation workers (1 = serial)

@@ -51,130 +51,6 @@ class _Raised:
         self.exc = exc
 
 
-def fanout_chunks(
-    chunks: Iterable[Trace], n: int, depth: int = DEFAULT_DEPTH
-) -> list[Iterator[Trace]]:
-    """Split one chunk stream into ``n`` iterators over the *same* chunks.
-
-    The sweep planner's trace-sharing rule drives several consumers (one
-    hierarchy each) from a single generation pass.  Each returned iterator
-    yields every upstream chunk in order; a chunk is generated exactly
-    once and dropped as soon as every consumer has taken it.  Buffering is
-    bounded: a consumer may run at most ``depth`` chunks ahead of the
-    slowest one — pulling further raises ``RuntimeError`` rather than
-    letting the shared buffer grow to O(trace).  Interleave consumption
-    (round-robin, as :meth:`Hierarchy.run_stream_multi` does) to stay
-    inside the bound.
-
-    A consumer that stops early (``close()``/``break``) leaves the tee:
-    it no longer holds the buffer back, and when the last consumer
-    leaves, the buffer is dropped and the upstream iterator is closed
-    (stopping a :func:`prefetch_chunks` producer thread promptly).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    state = _FanoutState(iter(chunks), n, depth)
-    return [_FanoutConsumer(state, i) for i in range(n)]
-
-
-class _FanoutState:
-    """Shared buffer behind :func:`fanout_chunks`."""
-
-    def __init__(self, source: Iterator[Trace], n: int, depth: int):
-        self.source = source
-        self.depth = depth
-        self.buffer: list[Trace] = []
-        self.base = 0  # absolute index of buffer[0]
-        # Next absolute chunk index per consumer; None marks a consumer
-        # that left the tee (closed early or finished) — it must neither
-        # hold the buffer back nor count toward the depth bound.
-        self.pos: list[int | None] = [0] * n
-        self.exhausted = False
-
-    def _active(self) -> list[int]:
-        return [p for p in self.pos if p is not None]
-
-    def _drop(self) -> None:
-        active = self._active()
-        if not active:
-            self.base += len(self.buffer)
-            self.buffer.clear()
-            return
-        drop = min(active) - self.base
-        if drop > 0:
-            del self.buffer[:drop]
-            self.base += drop
-
-    def _next_for(self, i: int) -> Trace:
-        want = self.pos[i]
-        while want >= self.base + len(self.buffer):
-            if self.exhausted:
-                raise StopIteration
-            if self.base + len(self.buffer) - min(self._active()) >= self.depth:
-                raise RuntimeError(
-                    f"fanout consumer {i} ran more than {self.depth} chunks "
-                    "ahead of the slowest consumer; interleave consumption "
-                    "or raise depth"
-                )
-            try:
-                self.buffer.append(next(self.source))
-            except StopIteration:
-                self.exhausted = True
-        chunk = self.buffer[want - self.base]
-        self.pos[i] = want + 1
-        self._drop()
-        return chunk
-
-    def close_consumer(self, i: int) -> None:
-        """Detach consumer ``i``: release its buffer claim, and when it
-        was the last one, drop the buffer and close the upstream iterator
-        (which stops a prefetch producer thread)."""
-        if self.pos[i] is None:
-            return
-        self.pos[i] = None
-        self._drop()
-        if not self._active():
-            self.exhausted = True
-            close = getattr(self.source, "close", None)
-            if close is not None:
-                close()
-
-class _FanoutConsumer:
-    """One consumer's view of the tee.
-
-    A plain iterator rather than a generator so that ``close()`` detaches
-    the consumer even if it was never iterated (closing an unstarted
-    generator would skip its cleanup).  A depth ``RuntimeError`` leaves
-    the consumer attached — it may resume once the others catch up.
-    """
-
-    __slots__ = ("_state", "_i", "_closed")
-
-    def __init__(self, state: _FanoutState, i: int):
-        self._state = state
-        self._i = i
-        self._closed = False
-
-    def __iter__(self) -> "_FanoutConsumer":
-        return self
-
-    def __next__(self) -> Trace:
-        if self._closed:
-            raise StopIteration
-        try:
-            return self._state._next_for(self._i)
-        except StopIteration:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._state.close_consumer(self._i)
-
-
 def stream_chunks(chunks: Iterable[Trace], stream: bool | str) -> Iterator[Trace]:
     """``chunks`` through the pipeline ``stream`` names: prefetched for
     ``True`` or ``"overlap"``, serial for ``"serial"``, and passed through

@@ -4,8 +4,9 @@ Every collapse rule — capacity profiles, trace sharing through the
 level trie, prefix memoization, cache hits, per-point fallback — is
 checked against pointwise ``execute`` on the same requests, counter for
 counter.  The all-capacity :class:`StackProfile` is property-tested
-against the reference cache, and the multi-consumer chunk fanout that
-trace sharing rides on is exercised directly.
+against the reference cache, and the multi-chain :class:`Hierarchy` the
+trie rule rides on is checked chain by chain against one-chain
+hierarchies of reference caches.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from hypothesis import strategies as st
 from repro.interp.executor import execute
 from repro.machine.cache import Cache, CacheGeometry
 from repro.machine.engine.simcache import SimulationCache
-from repro.machine.engine import miss_curve, stackfold
+from repro.machine.engine import make_cache, miss_curve, stackfold
 from repro.machine.engine.stack import StackProfile, stack_profile
 from repro.machine.hierarchy import Hierarchy
 from repro.machine.layout import LayoutPolicy
 from repro.machine.spec import CacheLevelSpec, MachineSpec
 from repro.options import override_options, use_options
 from repro.trace.events import LazyStream, Rows, Trace
-from repro.trace.stream import fanout_chunks
+from repro.trace.generator import TraceGenerator
 from repro.experiments.plan import (
     SimRequest,
     collect_plan_telemetry,
@@ -540,130 +541,99 @@ class TestFoldedStackProfile:
         assert lazy_peak < 0.5 * full_peak, (lazy_peak, full_peak)
 
 
-# -- chunk fanout -------------------------------------------------------------
-def _chunks(n_chunks: int, per: int = 8):
-    for i in range(n_chunks):
-        addrs = (np.arange(per, dtype=np.int64) + i * per) * 8
-        yield Trace(addrs, np.zeros(per, dtype=bool), per, per, 0)
+# -- the level trie ------------------------------------------------------------
+L1_GEOM = CacheGeometry(8 * LINE, LINE, 2)
+L2_GEOMS = (CacheGeometry(16 * 64, 64, 1), CacheGeometry(32 * 64, 64, 4))
 
 
-class TestFanout:
-    def test_lockstep_consumers_see_identical_chunks(self):
-        streams = fanout_chunks(_chunks(5), 3, depth=1)
-        seen = [[] for _ in streams]
-        for chunk_set in zip(*streams):
-            first = chunk_set[0]
-            for i, chunk in enumerate(chunk_set):
-                assert np.array_equal(chunk.addresses, first.addresses)
-                seen[i].append(chunk)
-        assert all(len(s) == 5 for s in seen)
+def _random_trace(seed: int, n: int = 6000) -> Trace:
+    rng = np.random.default_rng(seed)
+    addrs = rng.integers(0, 4096 // 8, n).astype(np.int64) * 8
+    writes = rng.random(n) < 0.3
+    return Trace(addrs, writes, 0, int((~writes).sum()), int(writes.sum()))
 
-    def test_skewed_consumer_beyond_depth_raises(self):
-        streams = fanout_chunks(_chunks(6), 2, depth=1)
-        next(streams[0])
-        with pytest.raises(RuntimeError, match="chunks ahead"):
-            next(streams[0])
 
-    def test_larger_depth_allows_skew(self):
-        streams = fanout_chunks(_chunks(6), 2, depth=3)
-        for _ in range(3):
-            next(streams[0])
-        with pytest.raises(RuntimeError, match="chunks ahead"):
-            next(streams[0])
-        # The slow consumer still reads everything already buffered plus
-        # its own depth window past the (stuck) fast consumer.
-        got = [next(streams[1]) for _ in range(6)]
-        assert [chunk.addresses[0] for chunk in got] == [i * 8 * 8 for i in range(6)]
+def _program_trace() -> Trace:
+    identity = SimRequest(two_loop_chain("chain", 1024), fa_machine(4)).identity
+    return TraceGenerator(
+        two_loop_chain("chain", 1024), identity.bound, identity.layout
+    ).generate()
 
-    def test_slow_consumer_bounds_the_buffer(self):
-        produced = {"n": 0}
 
-        def src():
-            for chunk in _chunks(10):
-                produced["n"] += 1
-                yield chunk
+def _drive(hierarchy: Hierarchy, trace: Trace, warmup: int, passes: int, flush: bool):
+    for _ in range(warmup):
+        hierarchy.run_trace(trace.stream, spans=trace.spans)
+    if warmup:
+        hierarchy.reset_stats()
+    for _ in range(passes):
+        hierarchy.run_trace(trace.stream, spans=trace.spans)
+    if flush:
+        hierarchy.flush()
 
-        streams = fanout_chunks(src(), 2, depth=2)
-        next(streams[0])
-        next(streams[0])
-        # The tee generated exactly the depth window: the idle consumer
-        # holds generation back instead of letting the buffer grow.
-        assert produced["n"] == 2
-        with pytest.raises(RuntimeError, match="chunks ahead"):
-            next(streams[0])
-        assert produced["n"] == 2
 
-    def test_closed_consumer_releases_backpressure(self):
-        streams = fanout_chunks(_chunks(6), 2, depth=1)
-        next(streams[0])  # at the depth bound: one more pull would raise
-        streams[1].close()  # the idle consumer leaves the tee
-        got = [chunk.addresses[0] for chunk in streams[0]]
-        assert got == [i * 8 * 8 for i in range(1, 6)]
+def _reference_chain(geometries, trace: Trace, warmup: int, passes: int, flush: bool):
+    """Reference caches driven level by level by hand, no Hierarchy."""
+    caches = [Cache(f"L{k}", g) for k, g in enumerate(geometries, 1)]
 
-    def test_last_consumer_close_drops_buffer_and_closes_upstream(self):
-        closed = {"flag": False}
+    def through(addrs, writes, levels):
+        for cache in levels:
+            addrs, writes = cache.run(addrs, writes)
 
-        def src():
-            try:
-                yield from _chunks(10)
-            finally:
-                closed["flag"] = True
+    for p in range(warmup + passes):
+        if p == warmup:
+            for cache in caches:
+                cache.reset_stats()
+        through(trace.addresses, trace.is_write, caches)
+    if flush:
+        for k, cache in enumerate(caches):
+            through(*cache.flush(), caches[k + 1 :])
+    return caches
 
-        streams = fanout_chunks(src(), 2, depth=2)
-        next(streams[0])
-        next(streams[1])
-        streams[0].close()
-        assert not closed["flag"]  # one consumer still live
-        streams[1].close()
-        assert closed["flag"]
 
-    def test_exhausting_all_consumers_closes_upstream(self):
-        closed = {"flag": False}
+class TestTrieHierarchy:
+    """A multi-chain hierarchy over one shared L1: one chain ends at the
+    L1, two add a direct-mapped and a 4-way L2.  Every chain must read
+    exactly what a one-chain hierarchy of reference caches reads."""
 
-        def src():
-            try:
-                yield from _chunks(3)
-            finally:
-                closed["flag"] = True
+    @pytest.mark.parametrize("flush", [True, False])
+    @pytest.mark.parametrize("schedule", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("source", ["random", "program"])
+    def test_each_chain_matches_reference_chain(self, flush, schedule, source):
+        trace = _random_trace(3) if source == "random" else _program_trace()
+        warmup, passes = schedule
+        l1 = make_cache("L1", L1_GEOM, last_level=False)
+        chains = [[l1]] + [[l1, make_cache("L2", g)] for g in L2_GEOMS]
+        trie = Hierarchy.from_chains(chains, chunk_size=777)
+        assert len(trie.roots) == 1 and len(trie.caches) == 3
+        _drive(trie, trace, warmup, passes, flush)
+        for k, geometries in enumerate([(L1_GEOM,)] + [(L1_GEOM, g) for g in L2_GEOMS]):
+            want = _reference_chain(geometries, trace, warmup, passes, flush)
+            got = trie.result(k)
+            assert [vars(st) for st in got.level_stats] == [vars(c.stats) for c in want]
+            assert got.downstream_bytes == tuple(
+                c.stats.events_out * c.geometry.line_size for c in want
+            )
+            if flush:
+                # Dirty lines drained at both levels of the two-level chains.
+                assert all(c.stats.writebacks > 0 for c in want)
 
-        streams = fanout_chunks(src(), 2, depth=1)
-        for _ in zip(*streams):
-            pass
-        assert closed["flag"]
+    def test_results_are_snapshots(self):
+        l1 = make_cache("L1", L1_GEOM, last_level=False)
+        trie = Hierarchy.from_chains([[l1], [l1, make_cache("L2", L2_GEOMS[0])]])
+        trie.run_trace(_random_trace(5).stream)
+        first = trie.result(0)
+        trie.run_trace(_random_trace(6).stream)
+        assert first.level_stats[0].accesses == 6000
+        assert trie.result(1).level_stats[0].accesses == 12000
 
-    def test_closing_consumers_stops_prefetch_thread(self):
-        import threading
-
-        from repro.trace.stream import prefetch_chunks
-
-        streams = fanout_chunks(prefetch_chunks(_chunks(50)), 2, depth=2)
-        next(streams[0])
-        next(streams[1])
-        for s in streams:
-            s.close()
-        # Closing the last consumer closes the prefetch generator, whose
-        # cleanup joins the producer thread — nothing is left running.
-        assert not any(
-            t.name == "repro-trace-producer" and t.is_alive()
-            for t in threading.enumerate()
-        )
-
-    def test_run_stream_multi_matches_run_stream(self):
-        def hierarchy():
-            return Hierarchy([Cache("L", CacheGeometry(4 * LINE, LINE, 4))])
-
-        solo = hierarchy()
-        totals_solo = solo.run_stream(_chunks(4))
-        pair = [hierarchy(), hierarchy()]
-        totals_multi = Hierarchy.run_stream_multi(pair, _chunks(4))
-        assert totals_multi == totals_solo
-        for h in pair:
-            for mine, ref in zip(h.caches, solo.caches):
-                assert vars(mine.stats) == vars(ref.stats)
-
-    def test_run_stream_multi_needs_a_hierarchy(self):
+    def test_rejects_empty_chains_and_misplaced_levels(self):
+        l1 = Cache("L1", L1_GEOM)
         with pytest.raises(ValueError):
-            Hierarchy.run_stream_multi([], _chunks(1))
+            Hierarchy.from_chains([])
+        with pytest.raises(ValueError):
+            Hierarchy.from_chains([[l1], []])
+        with pytest.raises(ValueError, match="two places"):
+            Hierarchy.from_chains([[l1], [Cache("L0", L1_GEOM), l1]])
 
 
 # -- planner bit-identity -----------------------------------------------------
@@ -749,16 +719,49 @@ class TestExecutePlan:
         assert session.groups == 2
         assert session.by_rule["capacity"] == 4
 
-    def test_streamed_plan_is_bit_identical(self):
+    def test_stream_options_do_not_change_a_planned_group(self):
         prog = simple_stream_program("stream", 2048)
         requests = [
             SimRequest(prog, two_level_machine("A", 64)),
             SimRequest(prog, two_level_machine("B", 128)),
         ]
-        with running(stream="overlap", chunk_accesses=500):
-            planned = execute_plan(requests, sim_cache=False)
-        for got, ref in zip(planned, pointwise(requests)):
+        with collect_plan_telemetry() as default_session:
+            default = execute_plan(requests, sim_cache=False)
+        with running(stream="overlap", chunk_accesses=500), collect_plan_telemetry() as session:
+            streamed = execute_plan(requests, sim_cache=False)
+        for got, ref in zip(streamed, default):
             assert_same_run(got, ref)
+        assert summarize_plan(session) == summarize_plan(default_session)
+        assert session.by_rule["prefix"] == 2
+
+    @pytest.mark.parametrize("options", [{}, {"stream": "overlap", "chunk_accesses": 500}])
+    def test_planned_batches_never_chunk(self, options, monkeypatch):
+        ladder = simple_stream_program("ladder", 1024)
+        shared = two_loop_chain("chain", 1024)
+        batch = [SimRequest(ladder, fa_machine(c)) for c in (2, 8, 32)] + [
+            SimRequest(shared, two_level_machine("A", 64)),
+            SimRequest(shared, two_level_machine("B", 128)),
+        ]
+        sharded = [
+            SimRequest(ladder, two_level_machine("A", 64)),
+            SimRequest(ladder, two_level_machine("B", 128)),
+        ]
+        refs = pointwise(batch), pointwise(sharded, shards=2)
+
+        def no_chunks(self, *args, **kwargs):
+            raise AssertionError("a planned group read the trace in chunks")
+
+        monkeypatch.setattr(TraceGenerator, "chunks", no_chunks)
+        with running(**options), collect_plan_telemetry() as session:
+            planned = execute_plan(batch, sim_cache=False)
+            with running(shards=2):
+                planned_sharded = execute_plan(sharded, sim_cache=False)
+        for got, ref in zip(planned + planned_sharded, refs[0] + refs[1]):
+            assert_same_run(got, ref)
+        assert session.by_rule["capacity"] == 3
+        assert session.by_rule["prefix"] == 2
+        assert session.by_rule["trace"] == 2
+        assert session.by_rule["fallback"] == 0
 
     def test_sharded_plan_is_bit_identical(self):
         prog = simple_stream_program("stream", 2048)
