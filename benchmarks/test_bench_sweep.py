@@ -6,12 +6,17 @@ re-simulates every (workload, capacity) point; the planner groups the
 batch, generates each distinct trace once, and answers every capacity in
 a group from a single stack-distance profile pass.
 
-Two claims are asserted here:
+Three claims are asserted here:
 
 * counters are bit-identical per point across the two executions (the
   planner exists to change wall clock, never numbers);
 * the planned sweep simulates an order of magnitude fewer accesses and
-  is several times faster end to end.
+  is several times faster end to end;
+* the certificates behind that speed keep certifying: each program's
+  folded stack profile keeps no more of its accesses than it did, and
+  no loop-span hint of its loop nests has its rows built to be checked.
+  A certificate that stops certifying stays exact and shows up only as
+  lost time, which a timing bar this loose would miss.
 
 ``docs/bench_history.md`` archives the 11.85x measured at scale 16; the
 repository benchmark's sweep workload (``perfbench/``) tracks it now.
@@ -25,9 +30,17 @@ import time
 from conftest import attempt_rounds, once
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.ladder_capacity import ladder_requests
+from repro.experiments.ladder_capacity import LINE_SIZE, ladder_requests
 from repro.experiments.plan import collect_plan_telemetry, execute_plan
 from repro.interp.executor import execute
+from repro.machine.engine import periodic, stackfold
+from repro.machine.presets import origin2000
+from repro.trace.generator import TraceGenerator
+
+#: Most of each ladder program's accesses its folded stack profile may
+#: keep at scale 128, in percent to one decimal place (convolution keeps
+#: 6.52%, dmxpy 8.00% and fft8192 8.66%).
+PROFILED_PERCENT = {"convolution": 6.5, "dmxpy": 8.0, "fft8192": 8.7}
 
 
 def _pointwise(requests):
@@ -97,3 +110,39 @@ def test_bench_sweep_planner(benchmark):
     # Conservative wall-clock bar at benchmark scale; the >=5x acceptance
     # figure was measured at scale 16 (docs/bench_history.md).
     assert pw_s / pl_s >= 3.0, "planned sweep regressed against pointwise"
+
+
+def test_bench_sweep_certificates_keep_certifying(benchmark):
+    requests = {r.program.name: r for r in ladder_requests(ExperimentConfig(scale=128))}
+    real = periodic._Span.repeats_to
+    checked = []
+
+    def repeats_to(span, stop):
+        out = real(span, stop)
+        if span._table is not None:
+            checked.append((span.start, span.trip, span.width))
+        return out
+
+    def measure():
+        shares = {}
+        for name, req in requests.items():
+            trace = TraceGenerator(req.program, req.identity.bound, req.identity.layout).generate()
+            kept = len(stackfold.reduce(trace.stream, LINE_SIZE.bit_length() - 1)[0])
+            shares[name] = 100 * kept / len(trace)
+            # Every ladder program is one perfect nest per statement, so
+            # every hint lies on a level of one and skips check (a).
+            periodic._Span.repeats_to = repeats_to
+            try:
+                execute(req.program, origin2000(scale=128), sim_cache=False)
+            finally:
+                periodic._Span.repeats_to = real
+        return shares
+
+    shares = once(benchmark, measure)
+    for name, share in shares.items():
+        benchmark.extra_info[f"profiled_percent_{name}"] = round(share, 2)
+        print(f"\n  {name}: folded profile keeps {share:.2f}% of its accesses")
+    assert set(shares) == set(PROFILED_PERCENT)
+    for name, share in shares.items():
+        assert round(share, 1) <= PROFILED_PERCENT[name], (name, share)
+    assert not checked, f"check (a) built the rows of {sorted(set(checked))}"

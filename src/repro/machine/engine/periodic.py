@@ -24,14 +24,13 @@ is simulated as usual when any one fails:
     the first row's, over the template and every extrapolated window.
     Bytes, not lines: a 720 B row over 32 B lines moves lines by an
     alternating 22/23, yet by exactly 45 set spans every 8 rows.  A span
-    on whole rows of one :class:`~repro.trace.events.Rows` part of its
-    width (a generated loop, or windows a level above extrapolated) holds
-    this by construction, so its rows are computed, not claimed: the
-    check is skipped and only the rows simulated are ever built.  So does
-    an inner loop's span inside one row of a part (dmxpy's width-4 loops
-    in 65,536-wide rows) once the part's row 0 and step prove that its
-    blocks move by fixed vectors, a proof made once per part
-    (:meth:`~repro.trace.events.LazyStream.row_step`).
+    on rows of one level of a :class:`~repro.trace.events.Rows` part,
+    inside one iteration of the levels above it (any level of a generated
+    loop nest, such as dmxpy's inner loops or fft's short stage loops, or
+    windows a level above extrapolated), holds this by construction
+    (:meth:`~repro.trace.events.LazyStream.row_step`), so its rows are
+    computed, not claimed: the check is skipped and only the rows
+    simulated are ever built.
 (b) **Shifts are well defined.**  Every line the template touches is
     touched by columns of one shift only.  A line resident when the
     template starts shifts by its columns' shift if the template touches
@@ -386,7 +385,7 @@ class _Span:
         step = ushift[np.searchsorted(ulines, ev_lines >> ls)] << ls
         del parts[len(parts) - len(template) :]
         hints.append((sum(part_len(p) for p in parts), m + 1, len(ev_lines)))
-        parts.append(Rows(ev_lines, ev_writes, step, m + 1))
+        parts.append(Rows(ev_lines, ev_writes, [step], [m + 1]))
 
 
 def _certify(table: _Table, line0: np.ndarray, line1: np.ndarray, m: int) -> _Table | None:

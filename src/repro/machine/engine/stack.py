@@ -262,7 +262,7 @@ def miss_curve(byte_addrs, line_size: int) -> StackProfile:
     """
     if isinstance(byte_addrs, LazyStream):
         reads = [
-            Rows(p.base, np.zeros(p.width, dtype=bool), p.step, p.trip)
+            Rows(p.base, np.zeros(p.width, dtype=bool), p.steps, p.trips)
             if isinstance(p, Rows)
             else (p[0], np.zeros(len(p[0]), dtype=bool))
             for p in byte_addrs.parts

@@ -1,33 +1,36 @@
 """Certified periodic folds for the all-capacity stack profile.
 
 :func:`~repro.machine.engine.stack.stack_profile` of a
-:class:`~repro.trace.events.LazyStream` need not read every access.  A
-:class:`~repro.trace.events.Rows` part is a loop whose row ``r`` is row 0
-plus ``r`` byte steps, so over a *super-row* of ``P`` rows every column
-whose ``P * step`` is a whole number ``D`` of lines moves by exactly ``D``
-lines (bytes, not lines: an 8 B step over 128 B lines moves by one line
-every 16 rows).  Reuse distances only count which accesses of a window
-share a line, so once a super-row's windows lie inside such a stretch,
-every later super-row of the stretch repeats them, renamed.  This module
-finds those stretches and *folds* them: the profile is taken of a
-reduced stream that keeps a lead-in, one template super-row, the *kept
-accesses* of the excised copies after it, and a tail.  The template's
-distances and tenure marks are counted once more for every copy they
-stand for.
+:class:`~repro.trace.events.LazyStream` need not read every access.  One
+level of a :class:`~repro.trace.events.Rows` loop nest, inside one
+iteration of the levels above it, is a loop whose row ``r`` is row 0
+plus ``r`` byte steps (its row is the inner levels' rows, flattened), so
+over a *super-row* of ``P`` rows every column whose ``P * step`` is a
+whole number ``D`` of lines moves by exactly ``D`` lines (bytes, not
+lines: an 8 B step over 128 B lines moves by one line every 16 rows).
+Reuse distances only count which accesses of a window share a line, so
+once a super-row's windows lie inside such a stretch, every later
+super-row of the stretch repeats them, renamed.  This module finds those
+stretches and *folds* them: the profile is taken of a reduced stream
+that keeps a lead-in, one template super-row, the *kept accesses* of the
+excised copies after it, and a tail.  The template's distances and
+tenure marks are counted once more for every copy they stand for.
 
-A part whose row is itself ``n`` repeats of ``w`` columns moving by a
-fixed step (dmxpy's row is 16,384 iterations of 4 accesses) is first
-split into one inner loop per row when the inner loops keep fewer
-accesses (:func:`plan_folds`).  Parts that differ only by whole lines per
-cluster of columns (an outer loop's parts, such rows) share one plan
-(:class:`_Family`).  A fold is planned per stretch when all of
-these hold; any part that fails one is profiled row by row:
+A nest is planned at one level, as one single-level part (a *view*) per
+iteration of the levels above it: dmxpy's 16 rows of 16,384 inner
+iterations fold as 16 inner loops, and fft's short stage loops as one
+view per outer trip.  Of the levels whose views may keep fewer accesses
+than the best found so far, the one that keeps the fewest is taken
+(:func:`plan_folds`).  Views that differ only by whole lines per cluster
+of columns share one plan (:class:`_Family`).  A fold is planned per
+stretch when all of these hold; any view that fails one is profiled row
+by row:
 
 (a) **Columns.**  A column moves (``P * step`` is a multiple of the line,
     ``P`` the lcm of the columns' periods ``L / gcd(step mod L, L)``) or
     is *frozen*: a sub-line step that crosses at most
     :data:`MAX_CROSSINGS` line boundaries over the trip.  A frozen column
-    cuts the part into stretches at its crossing rows and is constant
+    cuts the view into stretches at its crossing rows and is constant
     inside each (dmxpy's ``x[j]`` crosses once, at row 12 of 16).
 (b) **Step classes.**  Columns are grouped by ``D`` (frozen ones with
     ``D = 0``).  Each class's line hull over the part (one interval per
@@ -215,19 +218,6 @@ def _crossings(base: np.ndarray, step: np.ndarray, first: np.ndarray, count: np.
     return np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.int64)
 
 
-def _columns(part: Rows, shift: int) -> tuple[np.ndarray, int]:
-    """Check (a): which columns are frozen, and the super-row period."""
-    line = 1 << shift
-    first = part.base >> shift
-    last = (part.base + (part.trip - 1) * part.step) >> shift
-    offset = part.step % line
-    frozen = (offset != 0) & (np.abs(part.step) < line) & (np.abs(last - first) <= MAX_CROSSINGS)
-    # The line is a power of two, so gcd(offset, L) is the offset's lowest
-    # set bit, and the periods' lcm is the largest period.
-    moving = offset[~frozen & (offset != 0)]
-    return frozen, line // int((moving & -moving).min(initial=line))
-
-
 def _chains(lines: np.ndarray, d: np.ndarray, most: int) -> _Chains:
     """Chains of one super-row whose positions touch ``lines`` with step
     classes ``d``: lines of one class and residue fewer than ``most``
@@ -264,18 +254,18 @@ def _kept(part: Rows, plan: _PartPlan | None) -> int:
 
 @dataclass(frozen=True)
 class _Family:
-    """A part's plan, kept for the parts that differ from it only by
-    whole lines per column (an outer loop's parts, a loop of loops'
-    rows).  Its columns fall into *clusters*, whose line hulls over the
-    part meet once widened by ``reach`` lines (:meth:`of`): ``order``
+    """A view's plan, kept for the views that differ from it only by
+    whole lines per column (one level's views of a nest, or parts
+    alike).  Its columns fall into *clusters*, whose line hulls over the
+    view meet once widened by ``reach`` lines (:meth:`of`): ``order``
     sorts the columns by cluster, ``start`` marks each cluster's first,
     and ``lo``, ``hi`` are the widened hulls.  Checks (b) and (c)
     compare lines of one cluster, or find lines of two clusters farther
-    apart than any link or class hull reaches.  A part with the same
+    apart than any link or class hull reaches.  A view with the same
     steps, write flags and trip, whose sub-line columns sit at the same
     offsets in their lines, and whose clusters each lie one whole number
     of lines from these and stay apart, therefore passes every check the
-    same way: the plan is its plan."""
+    same way: the plan is its plan.  No other plan is shared."""
 
     first: np.ndarray
     order: np.ndarray
@@ -304,16 +294,19 @@ class _Family:
         return bool((lo[order][1:] > np.maximum.accumulate(hi[order])[:-1]).all())
 
 
-def _plan_part(part: Rows, shift: int, memo: dict) -> _PartPlan | None:
-    """The folds of one part, by checks (a)-(c); None if none passes.
-    ``memo`` holds the families of parts planned before (one per steps,
-    write flags, trip and in-line offsets of the sub-line columns: an
-    outer loop's parts and a loop of loops' rows share theirs) and the
-    kept accesses of stretches planned before."""
-    if part.trip < 4:
+def _plan_part(part: Rows, shift: int, memo: dict, budget: int | None = None) -> _PartPlan | None:
+    """The folds of one view, by checks (a)-(c); None if none passes, or
+    if its stretches must keep ``budget`` accesses or more (a lead-in
+    and the template each, and a tail after a cut), which is not
+    remembered.  ``memo`` holds the families of views planned before
+    (one per steps, write flags, trip and in-line offsets of the
+    sub-line columns: one level's views share theirs) and the kept
+    accesses of stretches planned before."""
+    (step,), (trip,) = part.steps, part.trips
+    if trip < 4:
         return None
     line = 1 << shift
-    base, step, trip, width = part.base, part.step, part.trip, part.width
+    base, width = part.base, part.width
     first = base >> shift
     # Where a column's step is whole lines, its lines move with its
     # base's line and its offset in the line is never seen.
@@ -323,25 +316,33 @@ def _plan_part(part: Rows, shift: int, memo: dict) -> _PartPlan | None:
     if family is not None and family.holds(first):
         return family.plan
     last = (base + (trip - 1) * step) >> shift
-    frozen, period = _columns(part, shift)
+    # Check (a).  The line is a power of two, so gcd(step mod L, L) is its
+    # lowest set bit, and the periods' lcm is the largest period.
+    sub = step % line
+    frozen = (sub != 0) & (np.abs(step) < line) & (np.abs(last - first) <= MAX_CROSSINGS)
+    moving = sub[~frozen & (sub != 0)]
+    period = line // int((moving & -moving).min(initial=line))
     if trip // period < 4 or period * width > MAX_SUPER_ROW:
         return None
     d = np.where(frozen, 0, period * step // line)
     lo, hi = np.minimum(first, last), np.maximum(first, last)
-    plan = _plan_stretches(part, shift, memo, first, lo, hi, frozen, period, d)
+    cuts = _crossings(base[frozen], step[frozen], first[frozen], (hi - lo)[frozen], line)
+    cuts = np.append(0, cuts[(cuts > 0) & (cuts < trip)]).tolist()
+    bounds = list(zip(cuts, cuts[1:] + [trip]))
+    if budget is not None and sum(min(b - a, (2 + (a > 0)) * period) for a, b in bounds) * width >= budget:
+        return None
+    plan = _plan_stretches(part, shift, memo, lo, hi, bounds, period, d)
     memo[key] = _Family.of(first, lo, hi, (trip // period + 1) * (int(np.abs(d).max()) + 1), plan)
     return plan
 
 
-def _plan_stretches(part: Rows, shift: int, memo: dict, first, lo, hi, frozen, period: int, d) -> _PartPlan | None:
-    """Checks (a, crossings), (b) and (c) of a part whose columns span
-    lines ``lo`` to ``hi`` from ``first``, and are ``frozen`` or move
-    ``d`` lines per super-row of ``period`` rows."""
-    line = 1 << shift
-    base, step, trip, width = part.base, part.step, part.trip, part.width
-    cuts = _crossings(base[frozen], step[frozen], first[frozen], (hi - lo)[frozen], line)
-    cuts = cuts[(cuts > 0) & (cuts < trip)]
-    if len(cuts) > MAX_STRETCHES:
+def _plan_stretches(part: Rows, shift: int, memo: dict, lo, hi, bounds: list, period: int, d) -> _PartPlan | None:
+    """Checks (a, stretches), (b) and (c) of a view whose columns span
+    lines ``lo`` to ``hi``, which frozen columns cut into stretches of
+    rows ``bounds``, and whose other columns move ``d`` lines per
+    super-row of ``period`` rows."""
+    (step,), base, width = part.steps, part.base, part.width
+    if len(bounds) > MAX_STRETCHES + 1:
         return None
     # (b) Step classes keep to their own lines.
     order = np.argsort(lo)
@@ -353,7 +354,7 @@ def _plan_stretches(part: Rows, shift: int, memo: dict, first, lo, hi, frozen, p
     col = np.tile(np.arange(width), period)
     sub = np.repeat(np.arange(period, dtype=np.int64), width)
     stretches = []
-    for start, end in zip(np.append(0, cuts).tolist(), np.append(cuts, trip).tolist()):
+    for start, end in bounds:
         # (c) Bounded life, from the stretch's first super-row: ``most``
         # copies fit after a one-super-row lead-in, so no two copies lie
         # ``most`` super-rows apart.
@@ -478,67 +479,60 @@ def _copies(chains: _Chains, writes: np.ndarray, copies: int) -> _Copies:
     )
 
 
-def _inner(part: Rows, shift: int) -> Rows | None:
-    """Row 0 of ``part`` as a loop of its own, if it is ``n`` repeats of
-    ``w`` columns, each moving by a fixed step per repeat, with the same
-    row steps and write flags in every repeat, and none of its columns
-    frozen (a short inner loop has nothing to fold)."""
-    width = part.width
-    small = [w for w in range(1, int(width**0.5) + 1) if width % w == 0]
-    for w in sorted(set(small + [width // w for w in small]) - {width}):
-        base = part.base.reshape(-1, w)
-        step = base[1] - base[0]
-        if (
-            np.array_equal(base[1:] - base[:-1], np.broadcast_to(step, (len(base) - 1, w)))
-            and (part.step.reshape(-1, w) == part.step[:w]).all()
-            and (part.writes.reshape(-1, w) == part.writes[:w]).all()
-        ):
-            row = Rows(part.base[:w], part.writes[:w], step, len(base))
-            return None if _columns(row, shift)[0].any() else row
-    return None
+def _views(part: Rows, level: int) -> list[Rows]:
+    """``part``'s rows of one level, one single-level :class:`Rows` per
+    iteration of the levels above it: its row is the inner levels' rows
+    from its first iteration on, flattened, and its step the level's,
+    tiled over them."""
+    trips, inner = list(part.trips), part.sizes[level]
+    trips[level] = 1
+    firsts = Rows(part.base, part.writes, part.steps, trips)
+    bases = firsts.read(0, len(firsts))[0].reshape(-1, inner * part.width)
+    step, writes = np.tile(part.steps[level], inner), np.tile(part.writes, inner)
+    return [Rows(base, writes, [step], [part.trips[level]]) for base in bases]
 
 
-def _least(part: Rows, shift: int) -> int:
-    """Fewest accesses a fold of ``part`` keeps: a super-row of lead-in
-    and the template."""
-    return min(len(part), 2 * _columns(part, shift)[1] * part.width)
-
-
-def _split(part: Rows, shift: int, memo: dict, least: int) -> list[tuple[Rows, _PartPlan | None]] | None:
-    """The rows of ``part`` as loops of their own with their folds, if
-    they are such loops and may keep fewer than ``least`` accesses.  The
-    rows differ only in their bases, so the first row's plan stands for
-    the others' until they are planned too."""
-    if 2 * part.trip >= least:  # _least of a one-column inner loop
-        return None
-    row = _inner(part, shift)
-    if row is None or _least(row, shift) * part.trip >= least:
-        return None
-    rows = [Rows(row.base + r * part.step[: row.width], row.writes, row.step, row.trip) for r in range(part.trip)]
-    first = _plan_part(rows[0], shift, memo)
-    if _kept(rows[0], first) * part.trip >= least:
-        return None
-    return [(rows[0], first)] + [(r, _plan_part(r, shift, memo)) for r in rows[1:]]
+def _level_floor(part: Rows, level: int, shift: int) -> int:
+    """Fewest accesses the folds of a level's views can keep: a super-row
+    of lead-in and the template each, of at least the period of the
+    columns too fast to be frozen."""
+    line, step, trip = 1 << shift, part.steps[level], part.trips[level]
+    offset = step % line
+    fast = (np.abs(step) >= line) | (np.abs(step) * (trip - 1) >= (MAX_CROSSINGS + 1) * line)
+    moving = offset[(offset != 0) & fast]
+    period = line // int((moving & -moving).min(initial=line))
+    width = part.width * part.sizes[level]
+    if trip // period < 4 or period * width > MAX_SUPER_ROW:
+        return len(part)
+    return min(len(part), len(part) * 2 * period // trip)
 
 
 def plan_folds(stream: LazyStream, shift: int) -> list[tuple[Part, _PartPlan | None]]:
-    """The stream's parts, each with its folds by checks (a)-(c) (None:
-    profiled whole).  A part whose rows are loops of their own is split
-    into them when their folds keep fewer accesses than its own."""
+    """The stream's pieces, each with its folds by checks (a)-(c) (None:
+    profiled whole).  A :class:`Rows` part is planned level by level, in
+    order of the fewest accesses a level's folds could keep, while that
+    beats the best so far; its pieces are the views of the level that
+    keeps the fewest, or the part itself when no level folds."""
     pieces = []
     memo: dict = {}
     for part in stream.parts:
-        if not isinstance(part, Rows):
-            pieces.append((part, None))
-            continue
-        least = min(len(part), 2 * part.width)  # _least, at a period of 1
-        inner = _split(part, shift, memo, least)
-        kept = len(part) if inner is None else sum(_kept(*p) for p in inner)
-        plan = None if kept < least else _plan_part(part, shift, memo)
-        if kept < _kept(part, plan):
-            pieces.extend(inner)
-        else:
-            pieces.append((part, plan))
+        best: list = [(part, None)]
+        if isinstance(part, Rows):
+            kept = len(part) + 1  # unfolded: worse than a fold that keeps all
+            for least, level in sorted((_level_floor(part, j, shift), j) for j in range(len(part.trips))):
+                if least >= min(kept, len(part)):
+                    break
+                views = _views(part, level)
+                # Views of one level are alike: the first one's folds
+                # stand for the others' until they are planned.
+                plans = [_plan_part(views[0], shift, memo, -(-kept // len(views)))]
+                if plans[0] is None or _kept(views[0], plans[0]) * len(views) >= kept:
+                    continue
+                plans += [_plan_part(view, shift, memo) for view in views[1:]]
+                total = sum(_kept(*piece) for piece in zip(views, plans))
+                if total < kept:
+                    kept, best = total, list(zip(views, plans))
+        pieces.extend(best)
     return pieces
 
 
@@ -546,26 +540,26 @@ def reduce(stream: LazyStream, shift: int) -> tuple[np.ndarray, np.ndarray, Fold
     """The reduced stream (addresses, write flags) and its folds: each
     part's kept rows and, in stream order, the kept accesses of the
     copies its folds excise."""
-    pieces = []  # (part, first row, stop row) or (part, rows, columns)
+    pieces = []  # (part, first access, stop access) or (part, rows, columns)
     folds = []  # (template's first position, kept's first position, kept)
     pos = 0
     for part, plan in plan_folds(stream, shift):
         if plan is None:
-            pieces.append((part, 0, None))
+            pieces.append((part, 0, part_len(part)))
             pos += part_len(part)
             continue
         width, row = part.width, 0
         for s in plan.stretches:
             stop = s.template + s.period
-            pieces.append((part, row, stop))
+            pieces.append((part, row * width, stop * width))
             pos += (stop - row) * width
             kept = s.kept
             pieces.append((part, s.template + kept.copy * s.period + kept.at // width, kept.at % width))
             folds.append((pos - s.period * width, pos, kept))
             pos += len(kept.at)
             row = stop + s.copies * s.period
-        pieces.append((part, row, part.trip))
-        pos += (part.trip - row) * width
+        pieces.append((part, row * width, len(part)))
+        pos += len(part) - row * width
     addrs = np.empty(pos, dtype=np.int64)
     writes = np.empty(pos, dtype=np.bool_)
     at = 0
@@ -575,13 +569,12 @@ def reduce(stream: LazyStream, shift: int) -> tuple[np.ndarray, np.ndarray, Fold
             addrs[at : at + n], writes[at : at + n] = part
         elif isinstance(a, np.ndarray):
             n = len(a)
-            np.multiply(a, part.step[b], out=addrs[at : at + n])
+            np.multiply(a, part.steps[0][b], out=addrs[at : at + n])
             addrs[at : at + n] += part.base[b]
             writes[at : at + n] = part.writes[b]
         else:
-            b = part.trip if b is None else b
-            n = (b - a) * part.width
-            part.read_into(a * part.width, b * part.width, addrs[at : at + n], writes[at : at + n])
+            n = b - a
+            part.read_into(a, b, addrs[at : at + n], writes[at : at + n])
         at += n
     return addrs, writes, _gather(folds) if folds else None
 

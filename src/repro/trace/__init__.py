@@ -1,11 +1,10 @@
 """Trace engine: IR programs -> exact ordered memory-access streams."""
 
-from .events import EMPTY_TRACE, Trace, concat_traces, iter_chunks
+from .events import EMPTY_TRACE, Trace, concat_traces
 from .generator import DEFAULT_CHUNK_ACCESSES, TraceGenerator, generate_trace
-from .io import load_trace, load_trace_chunks, save_trace, save_trace_chunks
+from .io import load_trace, save_trace
 from .stats import (
     TraceStats,
-    chunked_trace_stats,
     per_array_accesses,
     stride_histogram,
     trace_stats,
@@ -19,18 +18,14 @@ __all__ = [
     "Trace",
     "TraceGenerator",
     "TraceStats",
-    "chunked_trace_stats",
     "collect_trace_telemetry",
     "concat_traces",
     "generate_trace",
-    "iter_chunks",
     "load_trace",
-    "load_trace_chunks",
     "peak_rss_bytes",
     "per_array_accesses",
     "prefetch_chunks",
     "save_trace",
-    "save_trace_chunks",
     "stride_histogram",
     "trace_stats",
 ]

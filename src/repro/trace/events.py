@@ -5,9 +5,10 @@ program run, plus the executed operation counts the balance model needs
 (flops, element loads/stores).
 
 The stream is held as a :class:`LazyStream`: a sequence of *parts*, each
-either plain ``(addresses, write flags)`` arrays or :class:`Rows`, the
-``trip`` rows of one guard-free loop kept as row 0, a per-column byte
-step and a trip count (row ``r`` is row 0 plus ``r`` steps).
+either plain ``(addresses, write flags)`` arrays or :class:`Rows`, one
+guard-free loop nest kept as a base row, its write flags and one
+(per-column byte step, trip) pair per loop level (the row of iteration
+``(i1, ..., ik)`` is the base plus ``ij`` steps of each level ``j``).
 :attr:`Trace.addresses` and :attr:`Trace.is_write` join the parts into
 plain NumPy arrays on first read and keep them, so any consumer that
 reads the arrays works unchanged.  The set-associative engine instead
@@ -21,52 +22,114 @@ previous one with every column's address moved by a fixed byte delta.
 The set-associative engine uses them to find periodic stretches it may
 extrapolate (:mod:`repro.machine.engine.periodic`), and derives hints of
 the same form for the event stream it sends on, so hints reach every
-level of a hierarchy, not only the first.  A hint on whole rows of one
-:class:`Rows` part of its width holds by construction, and so does one
-on an inner loop inside one row of a part once its blocks are proven to
-move by fixed vectors in row 0 and the step (:meth:`LazyStream.row_step`,
-once per part); every other hint is verified against the addresses, so
-a wrong or missing hint costs time, never a counter.
-:meth:`Trace.concat`, :meth:`Trace.repeated` and :func:`concat_traces`
-drop them.
+level of a hierarchy, not only the first.  A hint on rows of one level
+of a :class:`Rows` part, inside one iteration of the levels above it,
+holds by construction (:meth:`LazyStream.row_step`); every other hint is
+verified against the addresses, so a wrong or missing hint costs time,
+never a counter.  :meth:`Trace.concat`, :meth:`Trace.repeated` and
+:func:`concat_traces` drop them.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 #: One loop-span hint: (first access, rows, accesses per row).
 Span = tuple[int, int, int]
 
+#: Fewest columns :meth:`Rows.wide` gives a row where levels allow, and
+#: fewest accesses of an outer iteration :func:`_fill_nest` builds on
+#: its own.  Small: at 2^15, ``mm_blocked(90, 15)``'s levels flatten
+#: into one 365,850-column row, megabytes built afresh for every trace
+#: and paid for in page faults.
+_BLOCK = 1 << 11
+
 
 class Rows:
-    """``trip`` rows of a repeating loop, built only when read: row ``r``
-    is ``base + r * step`` (int64 byte addresses), and every row has the
+    """One guard-free loop nest, built only when read.  ``trips`` are its
+    levels' trip counts, outermost first, and ``steps`` their per-column
+    byte steps: the nest's rows, in execution order, are those of
+    iterations ``(i1, ..., ik)`` in C order, and that row is ``base + i1 *
+    steps[0] + ... + ik * steps[k - 1]`` (int64 byte addresses) with the
     write flags ``writes``."""
 
-    __slots__ = ("base", "writes", "step", "trip")
+    __slots__ = ("base", "writes", "steps", "trips", "sizes", "_wide")
 
-    def __init__(self, base: np.ndarray, writes: np.ndarray, step: np.ndarray, trip: int):
-        self.base, self.writes, self.step, self.trip = base, writes, step, trip
+    def __init__(self, base: np.ndarray, writes: np.ndarray, steps: Sequence[np.ndarray], trips: Sequence[int]):
+        self.base, self.writes = base, writes
+        self.steps, self.trips = tuple(steps), tuple(trips)
+        #: Rows per iteration of each level.
+        self.sizes = tuple(math.prod(self.trips[j + 1 :]) for j in range(len(self.trips)))
+        self._wide: Rows | None = self if len(base) >= _BLOCK or len(self.trips) == 1 else None
 
     @property
     def width(self) -> int:
         return len(self.base)
 
     def __len__(self) -> int:
-        return self.trip * len(self.base)
+        return math.prod(self.trips) * len(self.base)
+
+    def row(self, r: int, cols: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """Row ``r`` (its columns ``cols``), built (into ``out`` if given)."""
+        at = [r // size % trip for trip, size in zip(self.trips, self.sizes)]
+        out = np.multiply(self.steps[0][cols], at[0], out=out)
+        out += self.base[cols]
+        for step, i in zip(self.steps[1:], at[1:]):
+            if i:
+                out += i * step[cols]
+        return out
+
+    def runs(self, r0: int, r1: int) -> list[tuple[int, int, int]]:
+        """Rows ``[r0, r1)`` as runs ``(level, first row, iterations)``,
+        each whole iterations of one level inside one iteration of the
+        levels above it: up from ``r0`` to the first row an outer
+        iteration starts, then down to ``r1``."""
+        sizes, runs = self.sizes, []
+        for j in reversed(range(len(sizes))):
+            up = sizes[j] * self.trips[j]
+            stop = min(r0 - r0 % up + up, r1 - r1 % sizes[j])
+            if r0 % up and stop > r0:
+                runs.append((j, r0, (stop - r0) // sizes[j]))
+                r0 = stop
+        for j, size in enumerate(sizes):
+            if r1 - r0 >= size:
+                runs.append((j, r0, (r1 - r0) // size))
+                r0 += runs[-1][2] * size
+        return runs
+
+    def wide(self) -> "Rows":
+        """The same accesses in rows of at least ``_BLOCK`` columns, where
+        levels allow, for reading ranges: while a row is narrower and
+        levels remain, the innermost level is flattened into the base row
+        (its step tiled into every outer level's), so that a read costs
+        two passes over long rows, not one per level over short ones.
+        Built on the first range read, and kept."""
+        if self._wide is None:
+            trip = self.trips[-1]
+            # Built column by column, so that NumPy's inner loops run
+            # along the level rather than along a few columns.
+            rows = np.multiply.outer(self.steps[-1], np.arange(trip, dtype=np.int64))
+            rows += self.base[:, None]
+            steps = [np.tile(step, trip) for step in self.steps[:-1]]
+            self._wide = Rows(rows.T.ravel(), np.tile(self.writes, trip), steps, self.trips[:-1]).wide()
+        return self._wide
 
     def fill(self, out_addrs: np.ndarray, out_writes: np.ndarray, first: int = 0) -> None:
         """Write rows ``first, first + 1, ...`` into the flat buffers
         (whole rows: their length is a multiple of the width)."""
-        rows = out_addrs.reshape(-1, self.width)
-        np.multiply.outer(np.arange(first, first + len(rows), dtype=np.int64), self.step, out=rows)
-        rows += self.base
-        out_writes.reshape(rows.shape)[:] = self.writes
+        at = 0
+        for j, r, n in self.runs(first, first + len(out_addrs) // self.width):
+            # From the row the levels above give, at the run's iteration.
+            i, size = r // self.sizes[j] % self.trips[j], n * self.sizes[j] * self.width
+            base = self.row(r - i * self.sizes[j]) if j else self.base
+            _fill_nest(out_addrs[at : at + size], base, self.steps[j:], (n, *self.trips[j + 1 :]), i)
+            at += size
+        out_writes.reshape(-1, self.width)[:] = self.writes
 
     def read(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Accesses ``[lo, hi)``, built."""
@@ -77,14 +140,15 @@ class Rows:
 
     def read_into(self, lo: int, hi: int, out_addrs: np.ndarray, out_writes: np.ndarray) -> None:
         """Build accesses ``[lo, hi)`` into the buffers: a cut first row,
-        whole rows, a cut last row."""
+        whole rows, a cut last row (of :meth:`wide`'s rows)."""
+        if self.wide() is not self:
+            return self._wide.read_into(lo, hi, out_addrs, out_writes)
         width = self.width
         row, col = divmod(lo, width)
         k = 0
         if col:
             n = min(width - col, hi - lo)
-            np.multiply(self.step[col : col + n], row, out=out_addrs[:n])
-            out_addrs[:n] += self.base[col : col + n]
+            self.row(row, slice(col, col + n), out_addrs[:n])
             out_writes[:n] = self.writes[col : col + n]
             k, row = n, row + 1
         whole = (hi - lo - k) // width * width
@@ -93,13 +157,13 @@ class Rows:
             k, row = k + whole, row + whole // width
         n = hi - lo - k
         if n:
-            np.multiply(self.step[:n], row, out=out_addrs[k:])
-            out_addrs[k:] += self.base[:n]
+            self.row(row, slice(0, n), out_addrs[k:])
             out_writes[k:] = self.writes[:n]
 
     def slice(self, lo: int, hi: int) -> list:
         """Accesses ``[lo, hi)`` as parts: a cut first row and a cut last
-        row as plain arrays, the whole rows between as :class:`Rows`."""
+        row as plain arrays, the whole rows between as nests
+        (:meth:`runs`)."""
         width = self.width
         first, last = -(-lo // width), hi // width
         if first >= last:
@@ -107,29 +171,31 @@ class Rows:
         parts: list = []
         if lo < first * width:
             parts.append(self.read(lo, first * width))
-        parts.append(Rows(self.base + first * self.step, self.writes, self.step, last - first))
+        parts += [Rows(self.row(r), self.writes, self.steps[j:], (n, *self.trips[j + 1 :])) for j, r, n in self.runs(first, last)]
         if last * width < hi:
             parts.append(self.read(last * width, hi))
         return parts
 
 
-def _block_moves(part: Rows, col: int, trip: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """How ``trip`` blocks of ``width`` columns from column ``col`` of
-    ``part``'s rows move per block: one vector for the bases and one for
-    the steps, or None when they do not move by fixed vectors or their
-    write flags differ."""
-    cols = slice(col, col + trip * width)
-    base = part.base[cols].reshape(trip, width)
-    step = part.step[cols].reshape(trip, width)
-    writes = part.writes[cols].reshape(trip, width)
-    moves = base[1] - base[0], step[1] - step[0]
-    if (
-        (base[1:] - base[:-1] == moves[0]).all()
-        and (step[1:] - step[:-1] == moves[1]).all()
-        and (writes == writes[0]).all()
-    ):
-        return moves
-    return None
+def _fill_nest(out: np.ndarray, base: np.ndarray, steps: Sequence[np.ndarray], trips: Sequence[int], start: int = 0) -> None:
+    """Write every row of the nest of ``base``, ``steps`` and ``trips``,
+    its outermost level from iteration ``start`` on, into ``out`` (flat):
+    each iteration of the outermost level is its inner nest moved by the
+    step, tiled over the inner nest's rows."""
+    rows = out.reshape(trips[0], -1)
+    if len(trips) > 1 and rows.shape[1] >= _BLOCK:
+        # Wide iterations: each is its inner nest from its own base row,
+        # so no temporary is as wide as one.
+        for i in range(trips[0]):
+            _fill_nest(rows[i], base + (start + i) * steps[0], steps[1:], trips[1:])
+        return
+    first, step = base, steps[0]
+    if len(trips) > 1:
+        first = np.empty(rows.shape[1], dtype=np.int64)
+        _fill_nest(first, base, steps[1:], trips[1:])
+        step = np.tile(step, len(first) // len(base))
+    np.multiply.outer(np.arange(start, start + trips[0], dtype=np.int64), step, out=rows)
+    rows += first
 
 
 #: One part of a :class:`LazyStream`: plain arrays, or computed rows.
@@ -145,14 +211,12 @@ class LazyStream:
     """An ordered access stream held as parts (plain arrays and
     :class:`Rows`), read a range at a time or joined once."""
 
-    __slots__ = ("parts", "_starts", "_joined", "_blocks")
+    __slots__ = ("parts", "_starts", "_joined")
 
     def __init__(self, parts: Sequence[Part] = ()):
         self.parts = [p for p in parts if part_len(p)]
         self._starts = list(accumulate((part_len(p) for p in self.parts), initial=0))
         self._joined: tuple[np.ndarray, np.ndarray] | None = None
-        # Inner loops proven inside a part's rows, see :meth:`row_step`.
-        self._blocks: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
     @classmethod
     def of(cls, addrs: np.ndarray, writes: np.ndarray) -> "LazyStream":
@@ -211,29 +275,18 @@ class LazyStream:
         """The per-row byte step of rows ``[start, start + trip * width)``
         when they repeat by construction, else None.
 
-        They do when they are whole rows of one :class:`Rows` part of
-        that width, or ``trip`` blocks of ``width`` columns inside one
-        row of a wider part (an inner loop) whose bases move by one
-        vector ``b`` per block, whose steps move by one vector ``s`` per
-        block, and whose write flags agree: the blocks of row ``r`` then
-        move by ``b + r * s``.  That is proven once per part from row 0
-        and the step, and holds in every row."""
+        They do when they are rows of one level of a :class:`Rows` part
+        (``width`` accesses an iteration) inside one iteration of the
+        levels above it: that level's step, tiled over the rows of the
+        levels below it, moves each to the next."""
         i = bisect_right(self._starts, start) - 1
-        if not 0 <= i < len(self.parts) or trip < 2:
-            return None
-        part, offset = self.parts[i], start - self._starts[i]
-        if not isinstance(part, Rows):
-            return None
-        if part.width == width:
-            return part.step if offset % width == 0 and offset + trip * width <= len(part) else None
-        row, col = divmod(offset, part.width)
-        if width <= 0 or col + trip * width > part.width:
-            return None
-        key = (i, col, trip, width)
-        if key not in self._blocks:
-            self._blocks[key] = _block_moves(part, col, trip, width)
-        moves = self._blocks[key]
-        return None if moves is None else moves[0] + row * moves[1]
+        part = self.parts[i] if i < len(self.parts) else None
+        offset = start - self._starts[i]
+        if isinstance(part, Rows) and trip >= 2 and width > 0 and offset % width == 0:
+            for step, n, size in zip(part.steps, part.trips, part.sizes):
+                if size * part.width == width and offset // width % n + trip <= n:
+                    return np.tile(step, size)
+        return None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole stream as plain arrays, joined on the first call and
@@ -372,32 +425,3 @@ def concat_traces(traces: list[Trace]) -> Trace:
         sum(t.stores for t in traces),
     )
 
-
-def iter_chunks(trace: Trace, max_accesses: int) -> Iterator[Trace]:
-    """Split an in-memory trace into execution-order chunks of at most
-    ``max_accesses`` accesses each (views, no copies).
-
-    Per-chunk ``loads``/``stores`` are exact for the slice; the scalar
-    ``flops`` total rides on the final chunk (flops have no position in
-    the access stream), so chunk totals always sum to the trace totals.
-    """
-    if max_accesses <= 0:
-        raise ValueError("max_accesses must be positive")
-    n = len(trace)
-    if n == 0:
-        if trace.flops:
-            yield trace
-        return
-    for start in range(0, n, max_accesses):
-        addrs = trace.addresses[start : start + max_accesses]
-        writes = trace.is_write[start : start + max_accesses]
-        stores = int(writes.sum())
-        last = start + max_accesses >= n
-        yield Trace(
-            addrs,
-            writes,
-            trace.flops if last else 0,
-            len(addrs) - stores,
-            stores,
-            slice_spans(trace.spans, start, start + len(addrs)),
-        )

@@ -47,22 +47,23 @@ use enclosing loop variables, which is what tiled loops produce.
 down, each row's inner loops of at least ``_DESCENT_ACCESSES`` accesses.
 The widths come from the same sizing the counting pass does, so hints
 cost no address work; the set-associative engine verifies them before
-it extrapolates anything, except where a hint lies on whole rows of a
-lazy loop, which repeat by construction.
+it extrapolates anything, except where a hint lies on rows of one level
+of a lazy nest, which repeat by construction.
 
 Two generation modes share the machinery:
 
 * :meth:`TraceGenerator.generate` returns a *lazy* trace: every
-  guard-free top-level loop of at least ``_LAZY_TRIP`` rows is kept as
-  :class:`~repro.trace.events.Rows` (row 0, a per-column byte step and
-  the trip count; subscripts and lower bounds are affine and trip counts
-  grid-invariant, so row ``r`` is row 0 plus ``r`` steps), built from its
-  first and last rows, whose generation validates the whole grid.  A
-  shorter one whose body is one loop (fft's last stages, a tile loop of
-  a few trips) is kept as one such part per outer trip, descending while
-  the loops stay short, down to one of at least ``_LAZY_TRIP`` rows; every
-  other statement is generated into its own buffer, sized by a counting
-  pass (the same walk with no destination).  The set-associative engine
+  guard-free top-level loop nest with a loop of at least ``_LAZY_TRIP``
+  trips on its spine (the loops down from it while a loop's body is one
+  loop) is kept as one :class:`~repro.trace.events.Rows` part (the
+  innermost spine loop's body as a base row, and a per-column byte step
+  and trip count per loop; subscripts and lower bounds are affine and
+  trip counts grid-invariant, so each iteration's row is the base plus
+  its steps), built from its corner rows, whose generation validates
+  the whole grid.  Short outer loops (fft's last stages, a tile loop of
+  a few trips) are levels like any other; every other statement is
+  generated into its own buffer, sized by a counting pass (the same
+  walk with no destination).  The set-associative engine
   reads such a trace a block at a time and builds only the rows it
   simulates; reading ``Trace.addresses`` joins the parts once, so peak
   memory is then the trace plus at most one part;
@@ -101,10 +102,11 @@ _GUARDED_SLAB_ACCESSES = 1 << 17
 #: shorter inner loops cost more to check than extrapolation can save.
 _DESCENT_ACCESSES = 1 << 15
 
-#: Fewest rows for :meth:`TraceGenerator.generate` to keep a guard-free
-#: top-level loop as :class:`Rows`.  Those hold two rows (row 0 and the
-#: step), so a loop of this many rows costs at most a quarter more memory
-#: once joined into plain arrays; a shorter one is generated whole.
+#: Fewest trips of some loop on a guard-free top-level nest's spine for
+#: :meth:`TraceGenerator.generate` to keep the nest as :class:`Rows`.
+#: Those hold a base row and a step per level, so a nest with a loop of
+#: this many trips costs little more memory once joined into plain
+#: arrays; one without is generated whole.
 _LAZY_TRIP = 8
 
 #: Executed (flops, loads, stores) of a statement over its grid.
@@ -189,22 +191,19 @@ class TraceGenerator:
     def generate(self) -> Trace:
         """The full program trace, lazily where loops repeat.
 
-        A guard-free top-level loop of at least ``_LAZY_TRIP`` rows is
-        kept as :class:`Rows`: its subscripts and lower bounds are affine
+        A guard-free top-level loop nest with a loop of at least
+        ``_LAZY_TRIP`` trips on its spine is kept as one :class:`Rows`
+        part (:meth:`_nest`): its subscripts and lower bounds are affine
         and its trip counts grid-invariant, so every address is affine in
-        the loop variable and row ``r`` is row 0 plus ``r`` times a
-        per-column step; only the first and the last row are generated,
-        which validates the whole grid as generating every row would.  A
-        shorter guard-free loop whose body is one loop is kept as one
-        :class:`Rows` per trip of its short loops, built the same way
-        from the first and last rows of the first loop down the nest of
-        at least ``_LAZY_TRIP`` rows (:meth:`_lazy_nest`); its hints are
-        the ones generating it whole gives.  Any other statement gets
-        its own buffer, sized by a counting pass (the build walk without
-        a destination): a guard-free one generates straight into it, a
-        guarded one slab by slab along its outermost loop (as
-        :meth:`chunks` does), each compacted slab copied in, so its
-        scratch stays O(slab).  Reading the trace's
+        the loop variables and each iteration's row is the base row plus
+        one per-column step per level; only the nest's corner rows are
+        generated, which validates the whole grid as generating every
+        row would, and its hints are the ones generating it whole gives.
+        Any other statement gets its own buffer, sized by a counting pass
+        (the build walk without a destination): a guard-free one
+        generates straight into it, a guarded one slab by slab along its
+        outermost loop (as :meth:`chunks` does), each compacted slab
+        copied in, so its scratch stays O(slab).  Reading the trace's
         arrays joins the parts once.
         """
         body = self.program.body
@@ -217,9 +216,9 @@ class TraceGenerator:
         for stmt, (_, loads, stores) in zip(body, counts):
             n = loads + stores
             guarded = _guarded(stmt)
-            nest = self._lazy_nest(stmt) if n and not guarded else None
-            if nest is not None:
-                pieces: list[Part] = list(self._rows(nest))
+            spine = self._spine(stmt) if n and not guarded else None
+            if spine is not None:
+                part: Part = self._nest(spine)
                 piece_spans = self._spans(stmt, self._trip(stmt))
             else:
                 part = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.bool_))
@@ -230,9 +229,8 @@ class TraceGenerator:
                     piece_spans += [(start + at, trip, width) for start, trip, width in piece.spans]
                     at += len(piece)
                 assert at == n, f"counting pass sized {n}, emitted {at}"
-                pieces = [part]
             spans.extend((start + pos, trip, width) for start, trip, width in piece_spans)
-            parts.extend(pieces)
+            parts.append(part)
             pos += n
         flops, loads, stores = (sum(c) for c in zip(*counts))
         return Trace.lazy(LazyStream(parts), flops, loads, stores, tuple(spans))
@@ -325,47 +323,41 @@ class TraceGenerator:
                 addrs, writes = out[0][:n], out[1][:n]
         return Trace(addrs, writes, *counts, spans)
 
-    def _lazy_nest(self, stmt: Stmt) -> list[Loop] | None:
-        """The loops a guard-free top-level statement is kept lazy by:
-        itself when it runs at least ``_LAZY_TRIP`` rows; else, while the
-        loops stay shorter, the one loop its body is, down to one of at
-        least ``_LAZY_TRIP`` rows.  None when there is no such loop."""
-        nest = []
+    def _spine(self, stmt: Stmt) -> list[Loop] | None:
+        """A guard-free top-level statement's spine, the loops down from
+        it while a loop's body is one loop, when one of them runs at least
+        ``_LAZY_TRIP`` trips; else None."""
+        spine = []
         while isinstance(stmt, Loop):
-            nest.append(stmt)
-            if self._trip(stmt) >= _LAZY_TRIP:
-                return nest
+            spine.append(stmt)
             if len(stmt.body) != 1:
-                return None
+                break
             (stmt,) = stmt.body
-        return None
+        return spine if any(self._trip(loop) >= _LAZY_TRIP for loop in spine) else None
 
-    def _rows(self, nest: list[Loop]) -> list[Rows]:
-        """A guard-free nest as :class:`Rows`: one part per iteration of
-        its short outer loops (in execution order), each the innermost
-        loop's rows, from their first and last rows.
+    def _nest(self, spine: list[Loop]) -> Rows:
+        """A guard-free nest as one :class:`Rows`: the innermost loop's body
+        at the nest's corners, the first and last trip of every level.
 
-        At each position of a row, the address and every subscript are
-        affine in the row number. So the step is the difference of the
-        two rows over ``trip - 1`` (an exact division), and a subscript's
-        extremes over the grid are its extremes over these two rows of
-        every outer iteration: generating them validates the whole grid,
-        with the messages generating every row would give."""
-        *outer, loop = nest
+        The address at each column of a row, and every subscript, are
+        affine in the loop variables, so a level's step is the difference
+        of the corner at its last trip and the first corner over ``trip -
+        1`` (an exact division), and a subscript's extremes over the grid
+        are its extremes over the corners: generating them validates the
+        whole grid, with the messages generating every row would give."""
         grid: tuple[int, ...] = ()
         env: dict[str, np.ndarray | int] = dict(self.params)
-        for stmt in outer:
-            grid, env = self._enter(stmt, grid, env, range(self._trip(stmt)))
-        trip, width = self._trip(loop), self._body_width(loop.body)
-        dest = _Dest(np.empty(grid + (2 * width,), dtype=np.int64), np.empty(2 * width, dtype=np.bool_), None)
-        self._build_loop(loop, grid, env, None, dest, range(0, trip, trip - 1))
-        rows = dest.addrs.reshape(-1, 2, width)
-        bases = rows[:, 0]
-        steps = rows[:, 1]
-        steps -= bases  # the steps, in place: each part holds two rows
-        steps //= trip - 1
-        writes = dest.writes[:width]
-        return [Rows(base, writes, step, trip) for base, step in zip(bases, steps)]
+        trips = [self._trip(loop) for loop in spine]
+        for loop, trip in zip(spine, trips):
+            grid, env = self._enter(loop, grid, env, range(0, trip, max(trip - 1, 1)))
+        body = spine[-1].body
+        width = self._body_width(body)
+        dest = _Dest(np.empty(grid + (width,), dtype=np.int64), np.empty(width, dtype=np.bool_), None)
+        self._build(body, grid, env, None, dest)
+        first = (0,) * len(spine)
+        base = dest.addrs[first]
+        steps = [(dest.addrs[first[:j] + (-1,) + first[j + 1 :]] - base) // max(trip - 1, 1) for j, trip in enumerate(trips)]
+        return Rows(base, dest.writes, steps, trips)
 
     def _spans(self, stmt: Loop, rows: int) -> tuple[Span, ...]:
         """Span hints of ``rows`` iterations of a guard-free top-level
@@ -580,8 +572,7 @@ class TraceGenerator:
         # what tiled loops produce (inner bounds lo + T*tile_var).
         trip = self._trip(stmt)
         # ``steps`` restricts the loop to those iterations: how the
-        # streaming path slices a top-level loop's outermost axis, and how
-        # a lazy loop generates its first and last rows alone.
+        # streaming path slices a top-level loop's outermost axis.
         if steps is None:
             steps = range(trip)
         count = len(steps)

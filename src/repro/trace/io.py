@@ -3,25 +3,14 @@
 Traces of large programs are the expensive artifact of this library —
 matrix multiply's O(N³) stream dominates every experiment. Saving them as
 compressed ``.npz`` files lets analyses (3C classification, OPT replay,
-intrinsic floors, alternative machines) rerun without regenerating.
-
-Two formats:
-
-* :func:`save_trace` / :func:`load_trace` — one monolithic archive; both
-  sides hold the full trace in memory.
-* :func:`save_trace_chunks` / :func:`load_trace_chunks` — a chunked
-  archive written from and read back as a :class:`Trace` iterator; both
-  sides hold only one chunk at a time, so traces larger than memory can
-  be captured from :meth:`TraceGenerator.chunks` and replayed through
-  :meth:`Hierarchy.run_stream`.
+intrinsic floors, alternative machines) rerun without regenerating:
+:func:`save_trace` writes one archive and :func:`load_trace` reads it
+back; both sides hold the full trace in memory.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,9 +18,6 @@ from ..errors import ReproError
 from .events import Trace
 
 FORMAT_VERSION = 1
-
-#: Version of the chunked (streaming) archive layout.
-CHUNKED_FORMAT_VERSION = 1
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -66,82 +52,3 @@ def load_trace(path: str | Path) -> Trace:
     except (OSError, KeyError, ValueError) as exc:
         raise ReproError(f"cannot load trace from {path}: {exc}") from exc
 
-
-def save_trace_chunks(chunks: Iterable[Trace], path: str | Path) -> int:
-    """Write a chunk stream as one archive without materializing it.
-
-    Each chunk becomes a pair of ``.npy`` members written incrementally,
-    so peak memory is one chunk regardless of total trace length.
-    Returns the number of accesses written.
-    """
-    path = Path(path)
-    n_chunks = 0
-    accesses = 0
-    flops = loads = stores = 0
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        for chunk in chunks:
-            with zf.open(f"addresses_{n_chunks}.npy", "w") as member:
-                np.lib.format.write_array(
-                    member, np.ascontiguousarray(chunk.addresses), allow_pickle=False
-                )
-            with zf.open(f"is_write_{n_chunks}.npy", "w") as member:
-                np.lib.format.write_array(
-                    member, np.ascontiguousarray(chunk.is_write), allow_pickle=False
-                )
-            n_chunks += 1
-            accesses += len(chunk)
-            flops += chunk.flops
-            loads += chunk.loads
-            stores += chunk.stores
-        meta = {
-            "version": CHUNKED_FORMAT_VERSION,
-            "chunks": n_chunks,
-            "accesses": accesses,
-            "flops": flops,
-            "loads": loads,
-            "stores": stores,
-        }
-        zf.writestr("meta.json", json.dumps(meta))
-    return accesses
-
-
-def load_trace_chunks(path: str | Path) -> Iterator[Trace]:
-    """Replay an archive written by :func:`save_trace_chunks` one chunk
-    at a time (the ``flops`` total rides on the final chunk, matching
-    :func:`repro.trace.events.iter_chunks`)."""
-    path = Path(path)
-    try:
-        with zipfile.ZipFile(path) as zf:
-            meta = json.loads(zf.read("meta.json"))
-            version = int(meta["version"])
-            if version != CHUNKED_FORMAT_VERSION:
-                raise ReproError(
-                    f"{path}: chunked trace format v{version}, "
-                    f"expected v{CHUNKED_FORMAT_VERSION}"
-                )
-            n_chunks = int(meta["chunks"])
-            for i in range(n_chunks):
-                with zf.open(f"addresses_{i}.npy") as member:
-                    addrs = np.lib.format.read_array(member, allow_pickle=False)
-                with zf.open(f"is_write_{i}.npy") as member:
-                    writes = np.lib.format.read_array(member, allow_pickle=False)
-                addrs = addrs.astype(np.int64, copy=False)
-                writes = writes.astype(np.bool_, copy=False)
-                n_stores = int(writes.sum())
-                yield Trace(
-                    addrs,
-                    writes,
-                    int(meta["flops"]) if i == n_chunks - 1 else 0,
-                    len(addrs) - n_stores,
-                    n_stores,
-                )
-            if n_chunks == 0 and int(meta["flops"]):
-                yield Trace(
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.bool_),
-                    int(meta["flops"]),
-                    0,
-                    0,
-                )
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ReproError(f"cannot load chunked trace from {path}: {exc}") from exc

@@ -7,7 +7,6 @@ performance model depends on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,32 +40,6 @@ def trace_stats(trace: Trace, line_size: int = 32) -> TraceStats:
         writes=writes,
         distinct_bytes=distinct * 8,
         distinct_lines=lines,
-        line_size=line_size,
-    )
-
-
-def chunked_trace_stats(chunks: "Iterable[Trace]", line_size: int = 32) -> TraceStats:
-    """:func:`trace_stats` over a chunk stream without concatenating it.
-
-    Footprints accumulate via incremental set union, so peak memory is
-    O(footprint + chunk) rather than O(trace).  Result is identical to
-    ``trace_stats(concat_traces(list(chunks)))``.
-    """
-    shift = int(np.log2(line_size))
-    length = writes = 0
-    distinct = np.empty(0, dtype=np.int64)
-    lines = np.empty(0, dtype=np.int64)
-    for chunk in chunks:
-        length += len(chunk)
-        writes += int(chunk.is_write.sum())
-        distinct = np.union1d(distinct, chunk.addresses)
-        lines = np.union1d(lines, chunk.addresses >> shift)
-    return TraceStats(
-        length=length,
-        reads=length - writes,
-        writes=writes,
-        distinct_bytes=int(distinct.size) * 8,
-        distinct_lines=int(lines.size),
         line_size=line_size,
     )
 

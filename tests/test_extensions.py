@@ -223,7 +223,7 @@ class TestBeladyOpt:
         rng = np.random.default_rng(3)
         base = (rng.integers(0, 64, 12) * 8).astype(np.int64)
         step = np.tile(np.array([0, 32, 128], dtype=np.int64), 4)
-        rows = Rows(base, rng.random(12) < 0.3, step, 40)
+        rows = Rows(base, rng.random(12) < 0.3, [step], [40])
         head = ((rng.integers(0, 48, 30) * 16).astype(np.int64), rng.random(30) < 0.5)
         tail = ((rng.integers(0, 48, 25) * 16).astype(np.int64), rng.random(25) < 0.5)
         return [head, rows, tail]

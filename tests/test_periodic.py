@@ -323,6 +323,16 @@ class TestComputedRows:
         # Check (a) never built a table of the computed rows.
         assert all(span._table is None for span in lazy)
 
+    def test_fft_stage_loops_build_no_rows(self):
+        """fft8192 on the scaled Origin2000: the hints of its short stage
+        loops (4 and 2 trips in stages 10 and 11) are rows of a level of
+        one part, so check (a) builds no rows anywhere."""
+        with spy("repeats_to") as checks:
+            execute(fft(8192), origin2000(scale=128), sim_cache=False)
+        spans = {id(args[0]): args[0] for args, _ in checks}
+        assert len(spans) >= 13  # a span per stage at least
+        assert all(span._table is None for span in spans.values())
+
     def test_wrong_width_hint_on_computed_rows_is_checked(self):
         gen = TraceGenerator(make_kernel("1w2r", 20000))
         trace, lazy = gen.generate(), gen.generate()
@@ -334,59 +344,57 @@ class TestComputedRows:
 
 
 class TestInnerLoopHints:
-    """A hint on an inner loop inside one row of a :class:`Rows` part
-    (dmxpy's width-4 loops inside 65,536-wide rows) is proven once per
-    part, from row 0's inner rows and the step, and then skips check (a)
-    in every row; one whose row-0 inner rows do not repeat is checked
+    """A hint on an inner loop of a :class:`Rows` nest (dmxpy's width-4
+    loops inside its 65,536-wide rows) lies on rows of the nest's inner
+    level, so it skips check (a) in every row; the same rows kept as one
+    flat level, whose inner rows the part does not name, are checked
     against the addresses as before."""
 
     GEO = CacheGeometry(4 * 2 * LINE, LINE, 2)
     INNER, TRIP = 4096, 4
+    #: Row r's inner iteration i reads y[i], x[r] and m[r, i], writes
+    #: y[i] and reads a fifth column moving as m does.
+    BASE = np.array([0, 1 << 20, 1 << 21, 0, 1 << 22])
+    STEPS = [np.array([0, 8, 8 * INNER, 0, 8 * INNER]), np.array([8, 0, 8, 8, 8])]
+    WRITES = np.array([False, False, False, True, False])
 
-    def part(self, bump: int = 0, skew: int = 0) -> Rows:
-        """dmxpy's rows: inner iteration i reads y[i], x[r] and m[r, i]
-        and writes y[i] in row r; a fifth column's step grows by ``skew``
-        bytes per iteration, so row r's iterations move by ``skew * r``
-        more.  ``bump`` moves one of row 0's iterations off the loop."""
-        n = self.INNER
-        i = np.arange(n, dtype=np.int64)[:, None]
-        base = np.hstack([8 * i, np.full((n, 1), 1 << 20), (1 << 21) + 8 * i, 8 * i, (1 << 22) + 8 * i])
-        step = np.broadcast_to(np.array([0, 8, 8 * n, 0, 0]), (n, 5)).copy()
-        step[:, 4] = 8 * n + skew * i[:, 0]
-        base[n // 2, 0] += bump
-        writes = np.tile([False, False, False, True, False], n)
-        return Rows(base.ravel(), writes, step.ravel(), self.TRIP)
+    def part(self) -> Rows:
+        return Rows(self.BASE, self.WRITES, self.STEPS, [self.TRIP, self.INNER])
+
+    def flat(self, bump: int = 0) -> Rows:
+        """The nest as one level of ``TRIP`` rows; ``bump`` moves one of
+        row 0's inner iterations off the loop."""
+        base = LazyStream([self.part()]).read(0, 5 * self.INNER)[0]
+        base[5 * (self.INNER // 2)] += bump
+        return Rows(base, np.tile(self.WRITES, self.INNER), [np.tile(self.STEPS[0], self.INNER)], [self.TRIP])
 
     def hints(self):
         width = 5 * self.INNER
         return [(r * width, self.INNER, 5) for r in range(self.TRIP)]
 
     def test_proven_once_and_extrapolated_unbuilt(self):
-        for skew in (0, 8):
-            part = self.part(skew=skew)
-            stream = LazyStream([part])
-            addrs, writes = LazyStream([part]).arrays()
-            for start, trip, width in self.hints():
-                rows = addrs[start : start + trip * width].reshape(trip, width)
-                np.testing.assert_array_equal(stream.row_step(start, trip, width), rows[1] - rows[0])
-            assert len(stream._blocks) == 1  # one proof for the part's rows
-            with spy("_emit") as emits:
-                assert_exact(self.GEO, addrs, writes, self.hints(), (), stream)
-            lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
-            assert len(lazy) == self.TRIP  # one template per row
-            assert all(span._table is None for span in lazy)  # check (a) built nothing
-            assert stream._joined is None
-
-    def test_inner_rows_that_do_not_repeat_are_checked(self):
-        part = self.part(bump=8)
-        stream = LazyStream([part])
-        assert all(stream.row_step(*hint) is None for hint in self.hints())
-        addrs, writes = LazyStream([part]).arrays()
+        stream = LazyStream([self.part()])
+        addrs, writes = LazyStream([self.part()]).arrays()
+        for start, trip, width in self.hints():
+            rows = addrs[start : start + trip * width].reshape(trip, width)
+            np.testing.assert_array_equal(stream.row_step(start, trip, width), rows[1] - rows[0])
         with spy("_emit") as emits:
             assert_exact(self.GEO, addrs, writes, self.hints(), (), stream)
         lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
-        assert lazy  # rows still extrapolate, checked against the addresses
-        assert all(span._table is not None for span in lazy)
+        assert len(lazy) == self.TRIP  # one template per row
+        assert all(span._table is None for span in lazy)  # check (a) built nothing
+        assert stream._joined is None
+
+    def test_inner_rows_that_do_not_repeat_are_checked(self):
+        for bump in (0, 8):
+            stream = LazyStream([self.flat(bump)])
+            assert all(stream.row_step(*hint) is None for hint in self.hints())
+            addrs, writes = LazyStream([self.flat(bump)]).arrays()
+            with spy("_emit") as emits:
+                assert_exact(self.GEO, addrs, writes, self.hints(), (), stream)
+            lazy = [args[0] for args, _ in emits if args[0].stream._joined is None]
+            assert lazy  # rows still extrapolate, checked against the addresses
+            assert all(span._table is not None for span in lazy)
 
 
 class TestWrongHints:

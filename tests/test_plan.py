@@ -173,17 +173,19 @@ REGION = 1 << 20
 
 def _lazy_stream(spec) -> LazyStream:
     """A stream from plain descriptors: ``("rows", bases, steps, writes,
-    trip)`` or ``("array", addresses, writes)``."""
+    trip)`` (a loop nest when ``trip`` is a list of trips and ``steps``
+    one list per level) or ``("array", addresses, writes)``."""
     parts = []
     for kind, *fields in spec:
         if kind == "rows":
             base, step, writes, trip = fields
+            steps, trips = (step, trip) if isinstance(trip, list) else ([step], [trip])
             parts.append(
                 Rows(
                     np.array(base, dtype=np.int64),
                     np.array(writes, dtype=bool),
-                    np.array(step, dtype=np.int64),
-                    trip,
+                    [np.array(s, dtype=np.int64) for s in steps],
+                    trips,
                 )
             )
         else:
@@ -219,14 +221,14 @@ def lazy_specs(draw):
             steps.append(step)
             bases.append(region * REGION + REGION // 2 + 8 * draw(st.integers(0, 4 * line)))
         writes = [draw(st.booleans()) for _ in range(width)]
-        # A row of `reps` inner iterations, each column moving by its own
-        # step per iteration.
+        # A nest whose rows are `reps` inner iterations, each column
+        # moving by its own step per iteration.
         reps = draw(st.sampled_from([1, 1, 8, 24]))
         if reps > 1:
             inner = [draw(st.sampled_from([0, 8, line, -line, 2 * line])) for _ in range(width)]
-            bases = [b + i * s for i in range(reps) for b, s in zip(bases, inner)]
-            steps, writes = steps * reps, writes * reps
-        spec.append(("rows", bases, steps, writes, trip))
+            spec.append(("rows", bases, [steps, inner], writes, [trip, reps]))
+        else:
+            spec.append(("rows", bases, steps, writes, trip))
     for _ in range(draw(st.integers(0, 3))):
         region = draw(st.integers(0, n_rows))
         size = draw(st.integers(1, 20))
@@ -250,8 +252,8 @@ def _dmxpy_rows(n_in: int, trip: int) -> tuple:
     """dmxpy's loop nest at a small size: row j reads and writes y[i] and
     reads x[j] and column j of m, for i < n_in (8 B elements)."""
     y, x, m = 0, 2048 + 32, 4096
-    bases = [b for i in range(n_in) for b in (y + 8 * i, x, m + 8 * i, y + 8 * i)]
-    return ("rows", bases, [0, 8, 8 * n_in, 0] * n_in, [False, False, False, True] * n_in, trip)
+    steps = [[0, 8, 8 * n_in, 0], [8, 0, 8, 8]]
+    return ("rows", [y, x, m, y], steps, [False, False, False, True], [trip, n_in])
 
 
 def _butterfly(half: int, trip: int, line: int = 32, offset: int = 8, writes=(0, 0, 0, 0, 1, 1), still=True) -> tuple:
@@ -361,6 +363,9 @@ class TestFoldedStackProfile:
     )
     # dmxpy's rows are loops of their own that reread one shared y range.
     @example(case=(128, [_dmxpy_rows(128, 6)], 6))
+    # A three-level nest folds at its middle level: one view per outer
+    # iteration, each row the inner level's rows flattened.
+    @example(case=(32, [("rows", [0, 8192, 1 << 14], [[4096, 0, 0], [32, 32, 0], [8, 0, 0]], [True, False, False], [3, 20, 4])], 3))
     # A shared line written in the excised middle, read before the fold
     # and written again after it.
     @example(
@@ -457,13 +462,28 @@ class TestFoldedStackProfile:
         assert near is not first
         assert [(s.template, s.copies) for s in near.stretches] == [(3, 26)]
 
+    def test_views_of_one_level_share_a_plan_only_where_it_holds(self):
+        """A nest's inner-level views differ by where the outer level's
+        step moves their columns.  The second view's columns each move by
+        whole lines and stay apart, so it takes the first view's plan;
+        the third's come within a link of each other and it is planned
+        anew (its template waits three super-rows)."""
+        steps = [[0, -1 << 15, 0], [32, 32, 0]]
+        spec = [("rows", [0, 96 + (1 << 16), 1 << 14], steps, [True, False, False], [3, 30])]
+        pieces = self.check(32, spec, 3)
+        (_, first), (_, moved), (_, near) = pieces
+        assert moved is first
+        assert near is not first
+        assert [(s.template, s.copies) for s in near.stretches] == [(3, 26)]
+
     @given(case=butterfly_specs())
     @settings(max_examples=80, deadline=None)
     def test_butterflies_match_full_pass(self, case):
         self.check(*case)
 
     def test_loops_of_loops_fold_inside(self):
-        """A dmxpy-style part is split into one loop per row, each folded."""
+        """A dmxpy-style nest folds at its inner level: one view per row
+        of the outer loop, each folded."""
         pieces = self.check(128, [_dmxpy_rows(128, 6)], 6)
         assert len(pieces) == 6 and all(plan is not None for _, plan in pieces)
         assert _profiled(_lazy_stream([_dmxpy_rows(128, 6)]), 128) < 0.5 * 6 * 4 * 128
@@ -508,13 +528,15 @@ class TestFoldedStackProfile:
         return lazy_peak, full_peak
 
     def test_lazy_dmxpy_profile_leaves_stream_unjoined(self):
-        """The ladder's dmxpy on the Origin2000/128 layout: each of its 16
-        rows folds inside, keeping the first and last touches of the lines
-        of `y` and of m's column, the profile never joins the stream, and
-        it peaks far below the full pass."""
+        """The ladder's dmxpy on the Origin2000/128 layout: its nest folds
+        at the inner level, one view per row of its 16, keeping the first
+        and last touches of the lines of `y` and of m's column; the
+        profile never joins the stream, and it peaks far below the full
+        pass."""
         from repro.experiments.ladder_capacity import LINE_SIZE
 
         trace = self._ladder_trace("dmxpy")
+        assert len(trace.stream.parts) == 1
         pieces = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1)
         assert len(pieces) == 16 and all(plan is not None for _, plan in pieces)
         assert _profiled(trace.stream, LINE_SIZE) == 83_872
@@ -523,15 +545,16 @@ class TestFoldedStackProfile:
 
     def test_lazy_fft_profile_folds_every_rows_stage(self):
         """The ladder's fft8192 on the Origin2000/128 layout: every stage
-        is lazy (stages 10-12 as one part per outer trip), and every part
-        folds, although each stage rereads the lines of the one before
-        and ``im``'s halves share a line; stage 9's rows fold inside.
-        The profile keeps 64,585 of 745,472 accesses and peaks below half
-        the full pass."""
+        is one lazy part (its stage loop and butterfly loop two levels),
+        and every piece folds, although each stage rereads the lines of
+        the one before and ``im``'s halves share a line: stages 0-8 at
+        their stage loop, stages 9-12 (8, 4, 2 and 1 outer trips) at
+        their butterfly loop, one view per outer trip.  The profile keeps
+        64,585 of 745,472 accesses and peaks below half the full pass."""
         from repro.experiments.ladder_capacity import LINE_SIZE
 
         trace = self._ladder_trace("fft8192")
-        assert len(trace.stream.parts) == 17
+        assert len(trace.stream.parts) == 13
         assert all(isinstance(part, Rows) for part in trace.stream.parts)
         pieces = stackfold.plan_folds(trace.stream, LINE_SIZE.bit_length() - 1)
         assert len(pieces) == 24

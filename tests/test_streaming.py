@@ -42,15 +42,10 @@ from repro.programs import (
 from repro.trace import (
     DEFAULT_CHUNK_ACCESSES,
     TraceGenerator,
-    chunked_trace_stats,
     concat_traces,
-    iter_chunks,
-    load_trace_chunks,
     prefetch_chunks,
-    save_trace_chunks,
-    trace_stats,
 )
-from repro.trace.events import EMPTY_TRACE, Trace
+from repro.trace.events import Trace
 from repro.trace.stream import serial_chunks
 from repro.trace.telemetry import (
     collect_trace_telemetry,
@@ -149,34 +144,6 @@ class TestChunkedGeneration:
         full = gen.generate()
         assert full.loads + full.stores == len(full)
         assert_traces_equal(concat_traces(list(gen.chunks(10))), full)
-
-
-class TestIterChunks:
-    def test_slices_and_totals(self):
-        gen = generator_for(matmul(8))
-        full = gen.generate()
-        chunks = list(iter_chunks(full, 100))
-        assert all(len(c) <= 100 for c in chunks)
-        assert_traces_equal(concat_traces(chunks), full)
-        # flops ride on the last chunk only
-        assert all(c.flops == 0 for c in chunks[:-1])
-        assert chunks[-1].flops == full.flops
-
-    def test_views_not_copies(self):
-        gen = generator_for(simple_stream_program(n=32))
-        full = gen.generate()
-        chunk = next(iter_chunks(full, 10))
-        assert np.shares_memory(chunk.addresses, full.addresses)
-
-    def test_empty_trace_with_flops(self):
-        t = Trace(np.empty(0, np.int64), np.empty(0, np.bool_), 7, 0, 0)
-        chunks = list(iter_chunks(t, 4))
-        assert len(chunks) == 1 and chunks[0].flops == 7
-        assert list(iter_chunks(EMPTY_TRACE, 4)) == []
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks(EMPTY_TRACE, 0))
 
 
 class TestPrefetch:
@@ -389,27 +356,6 @@ class TestStreamedExecute:
 
 
 class TestChunkedIOAndStats:
-    def test_save_load_roundtrip(self, tmp_path):
-        gen = generator_for(matmul(10))
-        full = gen.generate()
-        path = tmp_path / "trace.zip"
-        written = save_trace_chunks(gen.chunks(300), path)
-        assert written == len(full)
-        assert_traces_equal(concat_traces(list(load_trace_chunks(path))), full)
-
-    def test_load_rejects_garbage(self, tmp_path):
-        from repro.errors import ReproError
-
-        path = tmp_path / "junk.zip"
-        path.write_bytes(b"not a zip")
-        with pytest.raises(ReproError):
-            list(load_trace_chunks(path))
-
-    def test_chunked_stats_match(self):
-        gen = generator_for(fig6_fused(30))
-        full = gen.generate()
-        assert chunked_trace_stats(gen.chunks(64)) == trace_stats(full)
-
     def test_trace_nbytes(self):
         gen = generator_for(simple_stream_program(n=16))
         t = gen.generate()

@@ -1,6 +1,8 @@
 """Trace-engine tests: exact address sequences, guards, imperfect nests,
 tiled bounds, and cross-validation against the reference interpreter."""
 
+import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -494,20 +496,20 @@ class TestGenerationMemory:
 
 @st.composite
 def lazy_streams(draw):
-    """A :class:`LazyStream` of random plain and :class:`Rows` parts, with
-    the plain arrays it stands for."""
+    """A :class:`LazyStream` of random plain and :class:`Rows` parts (loop
+    nests of one to three levels), with the plain arrays it stands for."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     parts, addrs, writes = [], [], []
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
-            width, trip = draw(st.integers(1, 6)), draw(st.integers(1, 9))
-            rows = Rows(
-                rng.integers(0, 1 << 20, width), rng.random(width) < 0.5,
-                rng.integers(-64, 64, width), trip,
-            )
+            width = draw(st.integers(1, 6))
+            trips = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+            steps = [rng.integers(-64, 64, width) for _ in trips]
+            rows = Rows(rng.integers(0, 1 << 20, width), rng.random(width) < 0.5, steps, trips)
             parts.append(rows)
-            addrs.append((rows.base + np.arange(trip)[:, None] * rows.step).ravel())
-            writes.append(np.tile(rows.writes, trip))
+            grid = np.indices(trips).reshape(len(trips), -1).T  # iterations, in order
+            addrs.append((rows.base + grid @ np.array(steps)).ravel())
+            writes.append(np.tile(rows.writes, len(grid)))
         else:
             n = draw(st.integers(0, 12))
             part = (rng.integers(0, 1 << 20, n), rng.random(n) < 0.5)
@@ -546,15 +548,32 @@ class TestLazyStream:
         np.testing.assert_array_equal(stream.read(lo, hi)[0], addrs[lo:hi])
 
     def test_row_step_names_whole_rows_of_one_part(self):
-        rows = Rows(np.arange(3) * 8, np.array([0, 0, 1], bool), np.full(3, 24), 10)
+        rows = Rows(np.arange(3) * 8, np.array([0, 0, 1], bool), [np.full(3, 24)], [10])
         stream = LazyStream([(np.arange(5), np.zeros(5, bool)), rows])
-        assert stream.row_step(5, 10, 3) is rows.step
-        assert stream.row_step(8, 9, 3) is rows.step  # from row 1
+        np.testing.assert_array_equal(stream.row_step(5, 10, 3), rows.steps[0])
+        np.testing.assert_array_equal(stream.row_step(8, 9, 3), rows.steps[0])  # from row 1
         for span in [(5, 11, 3), (6, 2, 3), (5, 5, 6), (0, 2, 3), (40, 2, 3)]:
             assert stream.row_step(*span) is None, span
         sliced = stream.slice(7, 32)  # cut rows at both ends
         assert sliced.row_step(1, 8, 3) is not None
         np.testing.assert_array_equal(sliced.arrays()[0], stream.arrays()[0][7:32])
+
+    def test_row_step_names_rows_of_one_level_inside_one_outer_iteration(self):
+        """Rows of a nest's inner level repeat inside one iteration of the
+        level above, never across into the next one; the outer level's
+        rows are the inner rows flattened, moved by its step tiled."""
+        steps = [np.array([100, -8]), np.array([8, 24])]
+        rows = Rows(np.array([1000, 2000]), np.array([0, 1], bool), steps, [3, 4])
+        stream = LazyStream([rows])
+        addrs = stream.arrays()[0].reshape(12, 2)
+        np.testing.assert_array_equal(stream.row_step(2, 3, 2), steps[1])  # rows 1-3 of iteration 0
+        np.testing.assert_array_equal(stream.row_step(8, 4, 2), steps[1])  # iteration 1, whole
+        np.testing.assert_array_equal(stream.row_step(0, 3, 8), np.tile(steps[0], 4))
+        np.testing.assert_array_equal(stream.row_step(8, 2, 8), addrs[4:8].ravel() - addrs[:4].ravel())
+        # Inner rows 2-5 run into the next outer iteration, where they jump.
+        for span in [(4, 4, 2), (6, 2, 2), (14, 3, 2), (0, 4, 8), (8, 3, 8), (0, 2, 4)]:
+            assert stream.row_step(*span) is None, span
+        assert (np.diff(addrs[2:6], axis=0) != steps[1]).any()
 
     def test_generated_loops_are_rows_and_join_to_the_full_trace(self):
         gen = TraceGenerator(simple_stream_program(n=64))
@@ -584,8 +603,7 @@ def short_nests(draw):
     tile = draw(st.sampled_from([0, 1, inner]))
     sibling = draw(st.sampled_from([None, "before", "after", "top"]))
     coeff = [draw(st.integers(0, 3)) for _ in range(6)]
-    k_trip = mid or 1
-    size = 3 * (outer + tile * outer + inner + k_trip) + 8
+    size = 3 * (outer + tile * outer + inner + (mid or 1)) + 8
     b = ProgramBuilder("nest", params={"N": inner})
     x = b.array("x", size)
     y = b.array("y", size, output=True)
@@ -606,21 +624,21 @@ def short_nests(draw):
         else:
             with b.loop("k", 0, mid) as k:
                 body(k)
-    return b.build(), draw(st.sampled_from(GOLDEN_LAYOUTS)), sibling in (None, "top"), outer * k_trip
+    return b.build(), draw(st.sampled_from(GOLDEN_LAYOUTS)), sibling in (None, "top")
 
 
 class TestNestedRows:
     """A guard-free loop of fewer than 8 trips around one loop of at
-    least 8 rows is one :class:`Rows` part per outer trip."""
+    least 8 rows is one :class:`Rows` part: one part per nest."""
 
     @given(case=short_nests(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_parts_join_to_the_streamed_trace(self, case, data):
-        program, policy, nested, parts = case
+        program, policy, nested = case
         gen = TraceGenerator(program, None, build_layout(program, None, policy))
         trace = gen.generate()
         rows = [p for p in trace.stream.parts if isinstance(p, Rows)]
-        assert len(rows) == (parts if nested else 0)
+        assert len(rows) == nested
         with mock.patch.object(trace_generator, "_LAZY_TRIP", 1 << 30):
             whole = gen.generate()
         assert not any(isinstance(p, Rows) for p in whole.stream.parts)
@@ -643,16 +661,106 @@ class TestNestedRows:
         np.testing.assert_array_equal(trace.addresses, addrs)
         np.testing.assert_array_equal(trace.is_write, writes)
 
-    @pytest.mark.parametrize("name, parts", [("mm_blocked15", 6), ("mm_blocked30", 3), ("fft8192", 17)])
-    def test_short_tile_and_stage_loops_are_all_rows(self, name, parts):
+    @pytest.mark.parametrize("name, nests", [("mm_blocked15", 1), ("mm_blocked30", 1), ("fft8192", 13)])
+    def test_short_tile_and_stage_loops_are_all_rows(self, name, nests):
         """mm_blocked's tile loops at n = 90 (3 and 6 trips) and fft's
-        last stages (4, 2 and 1 trips) are lazy, so the traces are."""
+        last stages (4, 2 and 1 trips) are lazy, so the traces are: one
+        part per nest, one level per loop of its spine."""
         from repro.programs import fft, matmul_blocked
 
         programs = {"mm_blocked15": matmul_blocked(90, 15), "mm_blocked30": matmul_blocked(90, 30), "fft8192": fft(8192)}
         trace = TraceGenerator(programs[name]).generate()
-        assert len(trace.stream.parts) == parts
+        assert len(trace.stream.parts) == nests
         assert all(isinstance(p, Rows) for p in trace.stream.parts)
+        trips = [p.trips for p in trace.stream.parts]
+        if name == "fft8192":
+            assert trips == [(4096 >> s, 1 << s) for s in range(13)]
+        else:
+            assert trips == [(90 // int(name[-2:]), 90, int(name[-2:]))]
+
+
+@st.composite
+def perfect_nests(draw):
+    """A guard-free perfect nest of one to three loops, each of 1-12
+    trips (outer ones short more often), whose innermost body reads and
+    writes through subscripts with zero or negative coefficients."""
+    depth = draw(st.integers(1, 3))
+    trips = [draw(st.sampled_from([1, 2, 3, 12]) | st.integers(1, 12)) for _ in range(depth - 1)]
+    trips.append(draw(st.integers(1, 12)))
+    coeffs = [[draw(st.integers(-3, 3)) for _ in range(depth)] for _ in range(3)]
+    # Offsets keep every subscript in range: the most a negative
+    # coefficient takes away, plus room for what the positive ones add.
+    low = [sum(max(0, -c) * (t - 1) for c, t in zip(cs, trips)) for cs in coeffs]
+    size = max(lo + sum(abs(c) * (t - 1) for c, t in zip(cs, trips)) for lo, cs in zip(low, coeffs)) + 3
+    b = ProgramBuilder("perfect")
+    x = b.array("x", size)
+    y = b.array("y", size, output=True)
+    s = b.scalar("s")
+    loops = []
+    with contextlib.ExitStack() as stack:
+        for k, trip in enumerate(trips):
+            loops.append(stack.enter_context(b.loop(f"i{k}", 0, trip)))
+
+        def sub(k, extra=0):
+            return sum((c * v for c, v in zip(coeffs[k], loops)), low[k] + extra)
+
+        b.assign(s, x[sub(0)] + x[sub(1, 1)])
+        b.assign(y[sub(2, 2)], s)
+    return b.build(), draw(st.sampled_from(GOLDEN_LAYOUTS)), trips
+
+
+class TestPerfectNests:
+    """A perfect nest is one :class:`Rows` part whose levels are its loops;
+    reads, slices and the steps of each level's rows agree with the
+    arrays of generating it whole."""
+
+    @given(case=perfect_nests(), data=st.data())
+    @settings(settings.get_profile("repro-thorough"), deadline=None)
+    def test_reads_slices_and_row_steps_match_whole_generation(self, case, data):
+        program, policy, trips = case
+        gen = TraceGenerator(program, None, build_layout(program, None, policy))
+        trace = gen.generate()
+        with mock.patch.object(trace_generator, "_LAZY_TRIP", 1 << 30):
+            whole = gen.generate()
+        addrs, writes = whole.addresses, whole.is_write
+        stream = trace.stream
+        (part,) = stream.parts
+        assert isinstance(part, Rows) == (max(trips) >= 8)
+        assert trace.spans == whole.spans
+        n = len(addrs)
+        for _ in range(3):
+            lo = data.draw(st.integers(0, n))
+            hi = data.draw(st.integers(lo, n))
+            for got in (stream.read(lo, hi), stream.slice(lo, hi).arrays()):
+                np.testing.assert_array_equal(got[0], addrs[lo:hi])
+                np.testing.assert_array_equal(got[1], writes[lo:hi])
+            if isinstance(part, Rows):
+                np.testing.assert_array_equal(part.read(lo, hi)[0], addrs[lo:hi])
+        if not isinstance(part, Rows):
+            return
+        assert part.trips == tuple(trips)
+        for level, trip in enumerate(trips):
+            # Rows a..b of one iteration of the levels above, perhaps
+            # running into the next one.
+            width = part.width * math.prod(trips[level + 1 :])
+            outer = data.draw(st.integers(0, math.prod(trips[:level]) - 1))
+            a = data.draw(st.integers(0, trip - 1))
+            b = data.draw(st.integers(a, trip + 2))
+            start = (outer * trip + a) * width
+            count = min(b, (n - start) // width + a) - a
+            step = stream.row_step(start, count, width)
+            rows = addrs[start : start + count * width].reshape(count, width)
+            # Levels of one width differ by levels of one trip between
+            # them: the rows may lie inside one iteration of another.
+            widths = [part.width * math.prod(trips[j + 1 :]) for j in range(len(trips))]
+            inside = any(w == width and start // w % t + count <= t for w, t in zip(widths, trips))
+            if count >= 2 and inside:
+                np.testing.assert_array_equal(step, rows[1] - rows[0])
+                assert (np.diff(rows, axis=0) == step).all()
+            else:
+                assert step is None, (level, outer, a, b)
+        assert stream._joined is None
+        np.testing.assert_array_equal(trace.addresses, addrs)
 
 
 class TestTraceContainers:
